@@ -330,8 +330,9 @@ int Run() {
     BenchCheck(orders.status(), "orders descriptor");
     converged = true;
     for (const catalog::StorageDescriptor* desc : {*users, *orders}) {
-      for (const catalog::ReplicaPlacement& p : desc->replicas) {
-        if (p.rebuilding || !p.fresh(desc->write_epoch)) converged = false;
+      const catalog::ShardState& shard = desc->shards[0];
+      for (size_t i = 0; i < shard.replicas.size(); ++i) {
+        if (!shard.replica_available(i)) converged = false;
       }
     }
     if (!converged) std::this_thread::sleep_for(std::chrono::milliseconds(1));

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Repo checks: the tier-1 build + test suite, then a ThreadSanitizer build
+# Repo checks: the tier-1 build + test suite + a standalone build of the
+# repo benchmark (perfbench), then a ThreadSanitizer build
 # of the concurrency-sensitive pieces (serving runtime + stores) and their
 # tests, then an ASan+UBSan build of the failure/recovery paths. Every
 # step is fail-fast (set -e): the first broken check stops the run.
@@ -29,6 +30,10 @@ cmake --build build -j "$JOBS"
 echo "== tier-1: ctest =="
 (cd build && ctest --output-on-failure -j "$JOBS")
 
+echo "== tier-1: perfbench standalone build =="
+cmake -S perfbench -B .bench_build/perfbench >/dev/null
+cmake --build .bench_build/perfbench --target perfbench -j "$JOBS"
+
 echo "== TSan: build engine_test + runtime_test + stores_test + migration_test + tuner_test + replication_test + scaleout_test + graph_test =="
 cmake -B build-tsan -S . -DESTOCADA_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j "$JOBS" \
@@ -40,13 +45,15 @@ echo "== TSan: run =="
   && ./migration_test && ./tuner_test && ./replication_test \
   && ./scaleout_test && ./graph_test)
 
-echo "== ASan+UBSan: build failure_test + runtime_test + stores_test =="
+echo "== ASan+UBSan: build failure_test + runtime_test + stores_test + replication_test + scaleout_test + serialize_test =="
 cmake -B build-asan -S . -DESTOCADA_SANITIZE=address >/dev/null
 cmake --build build-asan -j "$JOBS" \
-  --target failure_test runtime_test stores_test
+  --target failure_test runtime_test stores_test replication_test \
+  scaleout_test serialize_test
 
 echo "== ASan+UBSan: run =="
-(cd build-asan/tests && ./failure_test && ./runtime_test && ./stores_test)
+(cd build-asan/tests && ./failure_test && ./runtime_test && ./stores_test \
+  && ./replication_test && ./scaleout_test && ./serialize_test)
 
 if [[ "$FUZZ" == "1" ]]; then
   echo "== fuzz: 2-minute differential soak =="

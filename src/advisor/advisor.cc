@@ -288,7 +288,7 @@ bool EquivalentFragmentExists(const catalog::Catalog& catalog,
                               catalog::StoreKind kind) {
   std::string key = WorkloadLog::ShapeKey(view.query);
   for (const auto& [name, desc] : catalog.fragments()) {
-    auto store = catalog.GetStore(desc.store_name);
+    auto store = catalog.GetStore(desc.primary().store_name);
     if (store.ok() && (*store)->kind == kind &&
         WorkloadLog::ShapeKey(desc.view.query) == key) {
       return true;

@@ -88,6 +88,14 @@ Result<const StoreHandle*> Catalog::GetStore(const std::string& name) const {
   return &it->second;
 }
 
+ShardState ShardState::OnStores(const std::vector<std::string>& stores) {
+  ShardState shard;
+  for (const std::string& store : stores) {
+    shard.replicas.push_back({store, "", 0, /*rebuilding=*/false});
+  }
+  return shard;
+}
+
 Status Catalog::RegisterFragment(StorageDescriptor descriptor) {
   ESTOCADA_RETURN_NOT_OK(descriptor.view.query.Validate());
   const std::string& name = descriptor.name();
@@ -99,7 +107,6 @@ Status Catalog::RegisterFragment(StorageDescriptor descriptor) {
     return Status::InvalidArgument(
         StrCat("fragment '", name, "' collides with a dataset relation"));
   }
-  ESTOCADA_RETURN_NOT_OK(GetStore(descriptor.store_name).status());
   for (const pivot::Atom& a : descriptor.view.query.body) {
     if (!dataset_schema_.HasRelation(a.relation)) {
       return Status::NotFound(
@@ -107,14 +114,33 @@ Status Catalog::RegisterFragment(StorageDescriptor descriptor) {
                  a.relation, "'"));
     }
   }
-  if (descriptor.container.empty()) descriptor.container = name;
+  // Positions index the view head: the loaders and the translator read
+  // columns[pos] for every adornment and index position.
+  const size_t arity = descriptor.view.query.head.size();
+  const size_t adorned = descriptor.view.adornments.size();
+  if (adorned != 0 && adorned != arity) {
+    return Status::InvalidArgument(
+        StrCat("fragment '", name, "': ", adorned,
+               " adornments for arity ", arity));
+  }
+  for (size_t p : descriptor.index_positions) {
+    if (p >= arity) {
+      return Status::InvalidArgument(
+          StrCat("fragment '", name, "': index position ", p,
+                 " out of range for arity ", arity));
+    }
+  }
+  const PartitionSpec& spec = descriptor.partition;
+  if (descriptor.shards.empty() || descriptor.shards.size() != spec.shards) {
+    return Status::InvalidArgument(
+        StrCat("fragment '", name, "': ", spec.shards, " shards but ",
+               descriptor.shards.size(), " shard states"));
+  }
   if (descriptor.partitioned()) {
-    const PartitionSpec& spec = descriptor.partition;
-    if (spec.key_position >= descriptor.view.query.head.size()) {
+    if (spec.key_position >= arity) {
       return Status::InvalidArgument(
           StrCat("fragment '", name, "': partition key position ",
-                 spec.key_position, " out of range for arity ",
-                 descriptor.view.query.head.size()));
+                 spec.key_position, " out of range for arity ", arity));
     }
     if (spec.kind == PartitionSpec::Kind::kRange) {
       if (spec.bounds.size() + 1 != spec.shards) {
@@ -134,56 +160,23 @@ Status Catalog::RegisterFragment(StorageDescriptor descriptor) {
       return Status::InvalidArgument(
           StrCat("fragment '", name, "': hash partitioning takes no bounds"));
     }
-    // Normalize per-shard placements. An empty shard vector means "every
-    // shard primary on the descriptor's store"; otherwise one ShardState
-    // per shard, each normalized like a replica set with shard-scoped
-    // default containers so same-store shards never collide.
-    if (descriptor.shards.empty()) {
-      descriptor.shards.resize(spec.shards);
-    } else if (descriptor.shards.size() != spec.shards) {
-      return Status::InvalidArgument(
-          StrCat("fragment '", name, "': ", spec.shards, " shards but ",
-                 descriptor.shards.size(), " shard states"));
-    }
-    for (size_t s = 0; s < descriptor.shards.size(); ++s) {
-      ShardState& shard = descriptor.shards[s];
-      if (shard.replicas.empty()) {
-        shard.replicas.push_back({descriptor.store_name, "",
-                                  shard.write_epoch, /*rebuilding=*/false});
-      }
-      for (size_t i = 0; i < shard.replicas.size(); ++i) {
-        ReplicaPlacement& r = shard.replicas[i];
-        ESTOCADA_RETURN_NOT_OK(GetStore(r.store_name).status());
-        if (r.container.empty()) {
-          r.container = i == 0 ? StrCat(name, "#p", s)
-                               : StrCat(name, "#p", s, "#r", i);
-        }
-      }
-    }
-    // The legacy whole-fragment fields stay as an inert single-placement
-    // mirror; nothing routes through them for a partitioned fragment.
-    descriptor.replicas.clear();
-    descriptor.replicas.push_back({descriptor.store_name, descriptor.container,
-                                   descriptor.write_epoch,
-                                   /*rebuilding=*/false});
-    fragments_.emplace(name, std::move(descriptor));
-    return Status::OK();
   }
-  // Normalize the replica set: replicas[0] mirrors the legacy
-  // store_name/container pair, sibling containers default to a
-  // "#r<i>" suffix so same-store siblings never collide.
-  if (descriptor.replicas.empty()) {
-    descriptor.replicas.push_back(
-        {descriptor.store_name, descriptor.container, descriptor.write_epoch,
-         /*rebuilding=*/false});
-  } else {
-    descriptor.replicas[0].store_name = descriptor.store_name;
-    descriptor.replicas[0].container = descriptor.container;
-    for (size_t i = 1; i < descriptor.replicas.size(); ++i) {
-      ReplicaPlacement& r = descriptor.replicas[i];
+  // Every replica of every shard names a registered store; empty
+  // containers get shard- and replica-scoped defaults so same-store
+  // siblings never collide.
+  for (size_t s = 0; s < descriptor.shards.size(); ++s) {
+    ShardState& shard = descriptor.shards[s];
+    if (shard.replicas.empty()) {
+      return Status::InvalidArgument(
+          StrCat("fragment '", name, "': shard ", s, " has no replica"));
+    }
+    std::string base =
+        descriptor.partitioned() ? StrCat(name, "#p", s) : name;
+    for (size_t i = 0; i < shard.replicas.size(); ++i) {
+      ReplicaPlacement& r = shard.replicas[i];
       ESTOCADA_RETURN_NOT_OK(GetStore(r.store_name).status());
       if (r.container.empty()) {
-        r.container = StrCat(name, "#r", i);
+        r.container = i == 0 ? base : StrCat(base, "#r", i);
       }
     }
   }
@@ -233,18 +226,9 @@ std::string Catalog::ToString() const {
   }
   out += "== Fragments ==\n";
   for (const auto& [name, desc] : fragments_) {
-    out += StrCat("  ", desc.view.query.ToString(), "\n    @ ",
-                  desc.store_name, "/", desc.container, ", ",
+    out += StrCat("  ", desc.view.query.ToString(), "\n    ",
                   desc.stats.row_count, " rows",
                   desc.is_shadow() ? " [shadow]" : "", "\n");
-    if (desc.replicas.size() > 1) {
-      for (size_t i = 1; i < desc.replicas.size(); ++i) {
-        const ReplicaPlacement& r = desc.replicas[i];
-        out += StrCat("    + replica ", i, " @ ", r.store_name, "/",
-                      r.container, r.rebuilding ? " [rebuilding]" : "",
-                      r.fresh(desc.write_epoch) ? "" : " [stale]", "\n");
-      }
-    }
     if (desc.partitioned()) {
       out += StrCat("    partitioned ",
                     desc.partition.kind == PartitionSpec::Kind::kHash
@@ -252,15 +236,16 @@ std::string Catalog::ToString() const {
                         : "range",
                     "(pos ", desc.partition.key_position, ") x ",
                     desc.partition.shards, "\n");
-      for (size_t s = 0; s < desc.shards.size(); ++s) {
-        const ShardState& shard = desc.shards[s];
-        for (size_t i = 0; i < shard.replicas.size(); ++i) {
-          const ReplicaPlacement& r = shard.replicas[i];
-          out += StrCat("      shard ", s, i == 0 ? "" : StrCat(".r", i),
-                        " @ ", r.store_name, "/", r.container,
-                        r.rebuilding ? " [rebuilding]" : "",
-                        r.fresh(shard.write_epoch) ? "" : " [stale]", "\n");
-        }
+    }
+    for (size_t s = 0; s < desc.shards.size(); ++s) {
+      const ShardState& shard = desc.shards[s];
+      for (size_t i = 0; i < shard.replicas.size(); ++i) {
+        const ReplicaPlacement& r = shard.replicas[i];
+        out += StrCat("    shard ", s, " ",
+                      i == 0 ? "primary" : StrCat("replica ", i), " @ ",
+                      r.store_name, "/", r.container,
+                      r.rebuilding ? " [rebuilding]" : "",
+                      r.fresh(shard.write_epoch) ? "" : " [stale]", "\n");
       }
     }
   }

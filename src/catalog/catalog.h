@@ -76,12 +76,12 @@ enum class FragmentLifecycle {
   kShadow,
 };
 
-/// One physical copy of a fragment: a store instance, the container
+/// One physical copy of a fragment shard: a store instance, the container
 /// inside it, and a freshness epoch. A replica is fresh when its epoch
-/// equals the descriptor's write_epoch — every logical mutation of the
-/// fragment bumps write_epoch, and each replica's epoch advances only
-/// when the mutation landed on that copy. `rebuilding` marks a replica
-/// the ReplicaRepairer owns: routing and write fan-out skip it until
+/// equals its shard's write_epoch — every logical mutation of the shard
+/// bumps write_epoch, and each replica's epoch advances only when the
+/// mutation landed on that copy. `rebuilding` marks a replica the
+/// ReplicaRepairer owns: routing and write fan-out skip it until
 /// re-admission.
 struct ReplicaPlacement {
   std::string store_name;
@@ -92,12 +92,12 @@ struct ReplicaPlacement {
   bool fresh(uint64_t write_epoch) const { return epoch == write_epoch; }
 };
 
-/// How a fragment's rows are divided across shard containers. Partitioning
-/// is part of the LAV view description's *where*: the view itself is
-/// unchanged (the PACB rewriter still sees one fragment), but the physical
-/// extent is split across `shards` containers by the value of one head
-/// attribute, so the translator must scatter-gather (or prune to one shard
-/// when the key is bound).
+/// How a fragment's rows are divided across shards. Partitioning is part
+/// of the LAV view description's *where*: the view itself is unchanged
+/// (the PACB rewriter still sees one fragment), but the physical extent is
+/// split across `shards` shards by the value of one head attribute, so the
+/// translator must scatter-gather (or prune to one shard when the key is
+/// bound). The default, one shard, is an unpartitioned fragment.
 struct PartitionSpec {
   enum class Kind { kHash, kRange };
   Kind kind = Kind::kHash;
@@ -116,14 +116,20 @@ struct PartitionSpec {
   size_t ShardOf(const engine::Value& v) const;
 };
 
-/// Per-shard placement state: the shard's replica set plus its own write
-/// epoch. Epochs are per shard so a write routed to one shard cannot make
-/// replicas of untouched shards look stale.
+/// One shard's placement state: its replica set (K >= 1 copies, the first
+/// is the primary) plus its own write epoch. Epochs are per shard so a
+/// write routed to one shard cannot make replicas of untouched shards
+/// look stale.
 struct ShardState {
   std::vector<ReplicaPlacement> replicas;
   uint64_t write_epoch = 0;
 
-  size_t replica_count() const { return replicas.empty() ? 1 : replicas.size(); }
+  /// A shard replicated on `stores` (first = primary); containers are
+  /// left empty for RegisterFragment to default.
+  static ShardState OnStores(const std::vector<std::string>& stores);
+
+  /// True when `idx` names a replica that routing may serve from: not
+  /// mid-rebuild and caught up with the write epoch.
   bool replica_available(size_t idx) const {
     if (idx >= replicas.size()) return false;
     const ReplicaPlacement& r = replicas[idx];
@@ -133,25 +139,13 @@ struct ShardState {
 
 /// A storage descriptor sd(Sk, Di/Fj) — the paper's §III artifact. The
 /// *what* is the LAV view definition (a CQ over the application dataset's
-/// pivot relations); the *where* names the store and the container inside
-/// it; the supported access operations follow from the store kind and the
-/// view's access-pattern adornments.
+/// pivot relations); the *where* is `shards` — shards × replicas, each
+/// replica naming a store and the container inside it; the supported
+/// access operations follow from the store kind and the view's
+/// access-pattern adornments.
 struct StorageDescriptor {
   /// Fragment name == view head relation name (e.g. "F_cart_by_user").
   pacb::ViewDefinition view;
-  /// Which registered store holds this fragment (the *primary* replica;
-  /// kept mirrored with replicas[0] so single-copy code keeps working).
-  std::string store_name;
-  /// Container within the store: table / collection / relation / core
-  /// name. Defaults to the fragment name at registration.
-  std::string container;
-  /// The fragment's replica set (K placements). RegisterFragment
-  /// normalizes it so replicas[0] always mirrors store_name/container;
-  /// an empty vector on input means "unreplicated" (K=1).
-  std::vector<ReplicaPlacement> replicas;
-  /// Bumped once per logical mutation of the fragment's contents;
-  /// replicas whose epoch lags are stale and excluded from routing.
-  uint64_t write_epoch = 0;
   FragmentStatistics stats;
   /// Positions whose values are nested lists (set at materialization).
   /// Stores without a native collection type (relational, text keys)
@@ -164,32 +158,23 @@ struct StorageDescriptor {
   std::vector<size_t> index_positions;
   /// Planner visibility (see FragmentLifecycle).
   FragmentLifecycle lifecycle = FragmentLifecycle::kActive;
-  /// Partitioning layout. `partition.shards == 1` (the default) means the
-  /// fragment lives whole in `replicas` above and `shards` stays empty.
-  /// When partitioned, `shards` holds one ShardState per shard
-  /// (RegisterFragment normalizes containers to "<frag>#p<i>", replicated
-  /// shard siblings to "<frag>#p<i>#r<j>") and the legacy
-  /// store_name/container/replicas/write_epoch fields are inert
-  /// placeholders kept only so single-copy code paths stay type-safe.
+  /// How rows divide across `shards`; `partition.shards` always equals
+  /// `shards.size()`.
   PartitionSpec partition;
+  /// The fragment's placement: one ShardState per shard — exactly one
+  /// for an unpartitioned fragment. RegisterFragment defaults empty
+  /// containers to "<frag>" / "<frag>#r<i>" for one shard and to
+  /// "<frag>#p<s>" / "<frag>#p<s>#r<i>" otherwise.
   std::vector<ShardState> shards;
 
   const std::string& name() const { return view.name(); }
   bool is_shadow() const { return lifecycle == FragmentLifecycle::kShadow; }
   bool partitioned() const { return partition.partitioned(); }
-  size_t shard_count() const { return partitioned() ? partition.shards : 1; }
-
-  /// Replica count (1 for a legacy unreplicated descriptor).
-  size_t replica_count() const {
-    return replicas.empty() ? 1 : replicas.size();
-  }
-  /// True when `idx` names a replica that routing may serve from: not
-  /// mid-rebuild and caught up with the write epoch.
-  bool replica_available(size_t idx) const {
-    if (replicas.empty()) return idx == 0;
-    if (idx >= replicas.size()) return false;
-    const ReplicaPlacement& r = replicas[idx];
-    return !r.rebuilding && r.fresh(write_epoch);
+  size_t shard_count() const { return shards.size(); }
+  /// Shard 0's primary replica — the fragment's primary placement when
+  /// it is unpartitioned.
+  const ReplicaPlacement& primary() const {
+    return shards.front().replicas.front();
   }
 };
 

@@ -1,11 +1,76 @@
 #include "catalog/serialize.h"
 
+#include <algorithm>
+
 #include "common/strings.h"
 #include "pivot/parser.h"
 
 namespace estocada::catalog {
 
 using json::JsonValue;
+
+namespace {
+
+/// A replica list as JSON. Epochs are written verbatim so a checkpoint
+/// taken with a stale replica restores stale — the repairer, not the
+/// import, heals it.
+JsonValue ReplicasToJson(const std::vector<ReplicaPlacement>& replicas) {
+  JsonValue reps = JsonValue::MakeArray();
+  for (const ReplicaPlacement& r : replicas) {
+    JsonValue rep = JsonValue::MakeObject();
+    rep.Set("store", JsonValue::Str(r.store_name));
+    rep.Set("container", JsonValue::Str(r.container));
+    rep.Set("epoch", JsonValue::Int(static_cast<int64_t>(r.epoch)));
+    // A checkpoint taken mid-rebuild must restore mid-rebuild: the
+    // container is unverified, so routing may not see it until a
+    // repairer finishes the job.
+    if (r.rebuilding) rep.Set("rebuilding", JsonValue::Bool(true));
+    reps.Append(std::move(rep));
+  }
+  return reps;
+}
+
+Result<std::vector<ReplicaPlacement>> ReplicasFromJson(const JsonValue& reps) {
+  std::vector<ReplicaPlacement> out;
+  for (const JsonValue& rep : reps.array()) {
+    const JsonValue* rstore = rep.Find("store");
+    if (rstore == nullptr || !rstore->is_string()) {
+      return Status::InvalidArgument("replica entry needs a 'store'");
+    }
+    ReplicaPlacement r;
+    r.store_name = rstore->string_value();
+    if (const JsonValue* rc = rep.Find("container");
+        rc != nullptr && rc->is_string()) {
+      r.container = rc->string_value();
+    }
+    if (const JsonValue* re = rep.Find("epoch");
+        re != nullptr && re->is_int()) {
+      r.epoch = static_cast<uint64_t>(re->int_value());
+    }
+    if (const JsonValue* rb = rep.Find("rebuilding");
+        rb != nullptr && rb->is_bool()) {
+      r.rebuilding = rb->bool_value();
+    }
+    out.push_back(std::move(r));
+  }
+  return out;
+}
+
+/// A shard's write epoch and replica list.
+Result<ShardState> ShardFromJson(const JsonValue& entry) {
+  ShardState shard;
+  if (const JsonValue* we = entry.Find("write_epoch");
+      we != nullptr && we->is_int()) {
+    shard.write_epoch = static_cast<uint64_t>(we->int_value());
+  }
+  if (const JsonValue* reps = entry.Find("replicas");
+      reps != nullptr && reps->is_array()) {
+    ESTOCADA_ASSIGN_OR_RETURN(shard.replicas, ReplicasFromJson(*reps));
+  }
+  return shard;
+}
+
+}  // namespace
 
 JsonValue CatalogToJson(const Catalog& catalog) {
   JsonValue root = JsonValue::MakeObject();
@@ -24,32 +89,21 @@ JsonValue CatalogToJson(const Catalog& catalog) {
                                                                 : "free"));
     }
     f.Set("adornments", adorn);
-    f.Set("store", JsonValue::Str(desc.store_name));
-    f.Set("container", JsonValue::Str(desc.container));
-    // Replica siblings (index >= 1; the primary is store/container above).
-    // Epochs are restored verbatim so a checkpoint taken with a stale
-    // replica restores stale — the repairer, not the import, heals it.
-    if (desc.replicas.size() > 1) {
-      JsonValue reps = JsonValue::MakeArray();
-      for (size_t i = 0; i < desc.replicas.size(); ++i) {
-        const ReplicaPlacement& r = desc.replicas[i];
-        JsonValue rep = JsonValue::MakeObject();
-        rep.Set("store", JsonValue::Str(r.store_name));
-        rep.Set("container", JsonValue::Str(r.container));
-        rep.Set("epoch", JsonValue::Int(static_cast<int64_t>(r.epoch)));
-        // A checkpoint taken mid-rebuild must restore mid-rebuild: the
-        // container is unverified, so routing may not see it until a
-        // repairer finishes the job.
-        if (r.rebuilding) rep.Set("rebuilding", JsonValue::Bool(true));
-        reps.Append(std::move(rep));
+    // The top level names shard 0's primary. An unpartitioned fragment
+    // lists its replica set (slot 0 = that primary) when it has siblings;
+    // a partitioned one lists the spec plus every shard's replica set and
+    // write epoch.
+    const ShardState& first = desc.shards.front();
+    f.Set("store", JsonValue::Str(desc.primary().store_name));
+    if (!desc.partitioned()) {
+      f.Set("container", JsonValue::Str(desc.primary().container));
+      if (first.replicas.size() > 1) {
+        f.Set("replicas", ReplicasToJson(first.replicas));
+        f.Set("write_epoch",
+              JsonValue::Int(static_cast<int64_t>(first.write_epoch)));
       }
-      f.Set("replicas", reps);
-      f.Set("write_epoch",
-            JsonValue::Int(static_cast<int64_t>(desc.write_epoch)));
-    }
-    // Partition layout: spec plus per-shard replica sets and write
-    // epochs, restored verbatim (stale shard replicas restore stale).
-    if (desc.partitioned()) {
+    } else {
+      f.Set("container", JsonValue::Str(desc.name()));
       JsonValue part = JsonValue::MakeObject();
       part.Set("kind",
                JsonValue::Str(desc.partition.kind == PartitionSpec::Kind::kHash
@@ -72,16 +126,7 @@ JsonValue CatalogToJson(const Catalog& catalog) {
         JsonValue sh = JsonValue::MakeObject();
         sh.Set("write_epoch",
                JsonValue::Int(static_cast<int64_t>(shard.write_epoch)));
-        JsonValue reps = JsonValue::MakeArray();
-        for (const ReplicaPlacement& r : shard.replicas) {
-          JsonValue rep = JsonValue::MakeObject();
-          rep.Set("store", JsonValue::Str(r.store_name));
-          rep.Set("container", JsonValue::Str(r.container));
-          rep.Set("epoch", JsonValue::Int(static_cast<int64_t>(r.epoch)));
-          if (r.rebuilding) rep.Set("rebuilding", JsonValue::Bool(true));
-          reps.Append(std::move(rep));
-        }
-        sh.Set("replicas", std::move(reps));
+        sh.Set("replicas", ReplicasToJson(shard.replicas));
         shards.Append(std::move(sh));
       }
       f.Set("shards", std::move(shards));
@@ -139,42 +184,6 @@ Status FragmentsFromJson(const JsonValue& doc, Catalog* catalog) {
                                            : pivot::Adornment::kFree);
       }
     }
-    desc.store_name = store->string_value();
-    if (const JsonValue* container = f.Find("container");
-        container != nullptr && container->is_string()) {
-      desc.container = container->string_value();
-    }
-    if (const JsonValue* we = f.Find("write_epoch");
-        we != nullptr && we->is_int()) {
-      desc.write_epoch = static_cast<uint64_t>(we->int_value());
-    }
-    if (const JsonValue* reps = f.Find("replicas");
-        reps != nullptr && reps->is_array()) {
-      // The array carries every placement including the primary (slot 0);
-      // RegisterFragment re-normalizes slot 0's store/container from the
-      // legacy fields but leaves its epoch as restored here.
-      for (const JsonValue& rep : reps->array()) {
-        const JsonValue* rstore = rep.Find("store");
-        if (rstore == nullptr || !rstore->is_string()) {
-          return Status::InvalidArgument("replica entry needs a 'store'");
-        }
-        ReplicaPlacement r;
-        r.store_name = rstore->string_value();
-        if (const JsonValue* rc = rep.Find("container");
-            rc != nullptr && rc->is_string()) {
-          r.container = rc->string_value();
-        }
-        if (const JsonValue* re = rep.Find("epoch");
-            re != nullptr && re->is_int()) {
-          r.epoch = static_cast<uint64_t>(re->int_value());
-        }
-        if (const JsonValue* rb = rep.Find("rebuilding");
-            rb != nullptr && rb->is_bool()) {
-          r.rebuilding = rb->bool_value();
-        }
-        desc.replicas.push_back(std::move(r));
-      }
-    }
     if (const JsonValue* part = f.Find("partition");
         part != nullptr && part->is_object()) {
       if (const JsonValue* kind = part->Find("kind");
@@ -187,10 +196,13 @@ Status FragmentsFromJson(const JsonValue& doc, Catalog* catalog) {
           kp != nullptr && kp->is_int()) {
         desc.partition.key_position = static_cast<size_t>(kp->int_value());
       }
-      if (const JsonValue* sh = part->Find("shards");
-          sh != nullptr && sh->is_int()) {
-        desc.partition.shards = static_cast<size_t>(sh->int_value());
+      // RegisterFragment then holds the count to the shards array.
+      const JsonValue* count = part->Find("shards");
+      if (count == nullptr || !count->is_int() || count->int_value() < 2) {
+        return Status::InvalidArgument(
+            "a 'partition' needs an integer 'shards' of at least 2");
       }
+      desc.partition.shards = static_cast<size_t>(count->int_value());
       if (const JsonValue* bounds = part->Find("bounds");
           bounds != nullptr && bounds->is_array()) {
         for (const JsonValue& b : bounds->array()) {
@@ -203,38 +215,21 @@ Status FragmentsFromJson(const JsonValue& doc, Catalog* catalog) {
             "partitioned fragment entry needs a 'shards' array");
       }
       for (const JsonValue& sh : shards->array()) {
-        ShardState shard;
-        if (const JsonValue* we = sh.Find("write_epoch");
-            we != nullptr && we->is_int()) {
-          shard.write_epoch = static_cast<uint64_t>(we->int_value());
-        }
-        if (const JsonValue* reps = sh.Find("replicas");
-            reps != nullptr && reps->is_array()) {
-          for (const JsonValue& rep : reps->array()) {
-            const JsonValue* rstore = rep.Find("store");
-            if (rstore == nullptr || !rstore->is_string()) {
-              return Status::InvalidArgument(
-                  "shard replica entry needs a 'store'");
-            }
-            ReplicaPlacement r;
-            r.store_name = rstore->string_value();
-            if (const JsonValue* rc = rep.Find("container");
-                rc != nullptr && rc->is_string()) {
-              r.container = rc->string_value();
-            }
-            if (const JsonValue* re = rep.Find("epoch");
-                re != nullptr && re->is_int()) {
-              r.epoch = static_cast<uint64_t>(re->int_value());
-            }
-            if (const JsonValue* rb = rep.Find("rebuilding");
-                rb != nullptr && rb->is_bool()) {
-              r.rebuilding = rb->bool_value();
-            }
-            shard.replicas.push_back(std::move(r));
-          }
-        }
+        ESTOCADA_ASSIGN_OR_RETURN(ShardState shard, ShardFromJson(sh));
         desc.shards.push_back(std::move(shard));
       }
+    } else {
+      // Unpartitioned: the top-level store/container name the primary,
+      // slot 0 of the replica list that only replicated fragments carry.
+      ESTOCADA_ASSIGN_OR_RETURN(ShardState shard, ShardFromJson(f));
+      shard.replicas.resize(std::max<size_t>(shard.replicas.size(), 1),
+                            {"", "", shard.write_epoch, false});
+      shard.replicas[0].store_name = store->string_value();
+      if (const JsonValue* container = f.Find("container");
+          container != nullptr && container->is_string()) {
+        shard.replicas[0].container = container->string_value();
+      }
+      desc.shards.push_back(std::move(shard));
     }
     if (const JsonValue* idx = f.Find("index_positions");
         idx != nullptr && idx->is_array()) {

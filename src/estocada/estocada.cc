@@ -68,20 +68,25 @@ Status Estocada::DefineFragment(const std::string& view_text,
 Status Estocada::DefineFragment(pacb::ViewDefinition view,
                                 const std::string& store_name,
                                 std::vector<size_t> index_positions) {
-  catalog::StorageDescriptor desc;
-  desc.view = std::move(view);
-  desc.store_name = store_name;
-  desc.index_positions = std::move(index_positions);
-  std::string name = desc.name();
+  return DefineReplicatedFragment(std::move(view), {store_name},
+                                  std::move(index_positions));
+}
+
+Status Estocada::RegisterAndMaterialize(catalog::StorageDescriptor desc) {
+  const std::string name = desc.name();
+  const bool shadow = desc.is_shadow();
   ESTOCADA_RETURN_NOT_OK(catalog_.RegisterFragment(std::move(desc)));
-  Status materialized =
-      rewriting::MaterializeFragment(staging_, &catalog_, name);
-  if (!materialized.ok()) {
+  Status filled = shadow
+                      ? rewriting::CreateFragmentContainer(&catalog_, name)
+                      : rewriting::MaterializeFragment(staging_, &catalog_,
+                                                       name);
+  if (!filled.ok()) {
     // Keep catalog and stores consistent on failure.
     (void)catalog_.DropFragment(name);
-    return materialized;
+    return filled;
   }
-  MarkCatalogChanged();
+  // Shadow fragments are invisible to the planner: no epoch bump.
+  if (!shadow) MarkCatalogChanged();
   return Status::OK();
 }
 
@@ -115,23 +120,9 @@ Status Estocada::DefineReplicatedFragment(
   }
   catalog::StorageDescriptor desc;
   desc.view = std::move(view);
-  desc.store_name = replica_stores.front();
+  desc.shards.push_back(catalog::ShardState::OnStores(replica_stores));
   desc.index_positions = std::move(index_positions);
-  for (const std::string& store : replica_stores) {
-    catalog::ReplicaPlacement placement;
-    placement.store_name = store;
-    desc.replicas.push_back(std::move(placement));
-  }
-  std::string name = desc.name();
-  ESTOCADA_RETURN_NOT_OK(catalog_.RegisterFragment(std::move(desc)));
-  Status materialized =
-      rewriting::MaterializeFragment(staging_, &catalog_, name);
-  if (!materialized.ok()) {
-    (void)catalog_.DropFragment(name);
-    return materialized;
-  }
-  MarkCatalogChanged();
-  return Status::OK();
+  return RegisterAndMaterialize(std::move(desc));
 }
 
 Status Estocada::DefinePartitionedFragment(
@@ -175,37 +166,22 @@ Status Estocada::DefinePartitionedFragment(
     if (replica_stores.empty()) {
       return Status::InvalidArgument("every shard needs at least one store");
     }
-    catalog::ShardState shard;
-    for (const std::string& store : replica_stores) {
-      catalog::ReplicaPlacement placement;
-      placement.store_name = store;
-      shard.replicas.push_back(std::move(placement));
-    }
-    desc.shards.push_back(std::move(shard));
+    desc.shards.push_back(catalog::ShardState::OnStores(replica_stores));
   }
-  desc.store_name = shard_replica_stores.front().front();
-  std::string name = desc.name();
-  ESTOCADA_RETURN_NOT_OK(catalog_.RegisterFragment(std::move(desc)));
-  Status materialized =
-      rewriting::MaterializeFragment(staging_, &catalog_, name);
-  if (!materialized.ok()) {
-    (void)catalog_.DropFragment(name);
-    return materialized;
-  }
-  MarkCatalogChanged();
-  return Status::OK();
+  return RegisterAndMaterialize(std::move(desc));
 }
 
 Status Estocada::BeginReplicaRebuild(const std::string& name,
                                      size_t replica) {
   ESTOCADA_ASSIGN_OR_RETURN(catalog::StorageDescriptor * desc,
                             catalog_.GetMutableFragment(name));
-  if (replica >= desc->replica_count()) {
+  std::vector<catalog::ReplicaPlacement>& replicas = desc->shards[0].replicas;
+  if (replica >= replicas.size()) {
     return Status::OutOfRange(StrCat("fragment '", name, "' has ",
-                                     desc->replica_count(),
+                                     replicas.size(),
                                      " replica(s), asked for #", replica));
   }
-  if (desc->replica_count() <= 1) {
+  if (replicas.size() <= 1) {
     return Status::FailedPrecondition(
         StrCat("fragment '", name,
                "' has a single replica; rebuilding it would leave nothing "
@@ -213,57 +189,61 @@ Status Estocada::BeginReplicaRebuild(const std::string& name,
   }
   // Flag first: incremental maintenance and routing must stop touching
   // the container before it is torn down.
-  desc->replicas[replica].rebuilding = true;
-  Status dropped = rewriting::DropReplicaContainer(&catalog_, name, replica);
+  replicas[replica].rebuilding = true;
+  Status dropped = rewriting::DropReplicaContainer(catalog_, name, 0, replica);
   if (!dropped.ok() && dropped.code() != StatusCode::kNotFound) {
     return dropped;
   }
-  return rewriting::CreateReplicaContainer(&catalog_, name, replica);
+  return rewriting::CreateReplicaContainer(catalog_, name, 0, replica);
 }
 
 Status Estocada::AppendToReplicaRows(const std::string& name, size_t replica,
                                      const std::vector<Row>& rows) {
   ESTOCADA_ASSIGN_OR_RETURN(const catalog::StorageDescriptor* desc,
                             catalog_.GetFragment(name));
-  if (replica >= desc->replica_count()) {
+  const std::vector<catalog::ReplicaPlacement>& replicas =
+      desc->shards[0].replicas;
+  if (replica >= replicas.size()) {
     return Status::OutOfRange(StrCat("fragment '", name, "' has ",
-                                     desc->replica_count(),
+                                     replicas.size(),
                                      " replica(s), asked for #", replica));
   }
-  if (desc->replicas.empty() || !desc->replicas[replica].rebuilding) {
+  if (!replicas[replica].rebuilding) {
     return Status::FailedPrecondition(
         StrCat("replica #", replica, " of '", name,
                "' is live; writes reach it through the fan-out"));
   }
-  return rewriting::AppendToReplica(&catalog_, name, replica, rows);
+  return rewriting::AppendToReplica(catalog_, name, 0, replica, rows);
 }
 
 Status Estocada::RebuildReplicaFromStaging(const std::string& name,
                                            size_t replica) {
   ESTOCADA_ASSIGN_OR_RETURN(const catalog::StorageDescriptor* desc,
                             catalog_.GetFragment(name));
-  if (desc->replicas.empty() || replica >= desc->replicas.size() ||
-      !desc->replicas[replica].rebuilding) {
+  const std::vector<catalog::ReplicaPlacement>& replicas =
+      desc->shards[0].replicas;
+  if (replica >= replicas.size() || !replicas[replica].rebuilding) {
     return Status::FailedPrecondition(
         StrCat("replica #", replica, " of '", name,
                "' is not rebuilding; use BeginReplicaRebuild first"));
   }
-  return rewriting::MaterializeReplica(staging_, &catalog_, name, replica);
+  return rewriting::MaterializeReplica(staging_, catalog_, name, 0, replica);
 }
 
 Status Estocada::AdmitReplica(const std::string& name, size_t replica) {
   ESTOCADA_ASSIGN_OR_RETURN(catalog::StorageDescriptor * desc,
                             catalog_.GetMutableFragment(name));
-  if (desc->replicas.empty() || replica >= desc->replicas.size()) {
+  catalog::ShardState& shard = desc->shards[0];
+  if (replica >= shard.replicas.size()) {
     return Status::OutOfRange(
         StrCat("fragment '", name, "' has no replica #", replica));
   }
-  if (!desc->replicas[replica].rebuilding) {
+  if (!shard.replicas[replica].rebuilding) {
     return Status::FailedPrecondition(
         StrCat("replica #", replica, " of '", name, "' is not rebuilding"));
   }
-  desc->replicas[replica].epoch = desc->write_epoch;
-  desc->replicas[replica].rebuilding = false;
+  shard.replicas[replica].epoch = shard.write_epoch;
+  shard.replicas[replica].rebuilding = false;
   // No catalog-epoch bump: replica routing happens per translation, so
   // cached rewritings pick the re-admitted placement up immediately.
   return Status::OK();
@@ -273,19 +253,32 @@ Status Estocada::VerifyReplica(const std::string& name,
                                size_t replica) const {
   ESTOCADA_ASSIGN_OR_RETURN(std::vector<Row> expected,
                             EvaluateFragmentView(name));
-  return rewriting::VerifyReplicaAgainstRows(catalog_, name, replica,
+  return rewriting::VerifyReplicaAgainstRows(catalog_, name, 0, replica,
                                              expected);
 }
 
 Result<uint64_t> Estocada::ReplicaDigest(const std::string& name,
                                          size_t replica) const {
-  return rewriting::FragmentReplicaDigest(catalog_, name, replica);
+  return rewriting::FragmentReplicaDigest(catalog_, name, 0, replica);
 }
 
 Status Estocada::RebuildShardReplicaFromStaging(const std::string& name,
                                                 size_t shard, size_t replica) {
-  return rewriting::MaterializeShardReplica(staging_, &catalog_, name, shard,
-                                            replica);
+  ESTOCADA_ASSIGN_OR_RETURN(catalog::StorageDescriptor * desc,
+                            catalog_.GetMutableFragment(name));
+  if (!desc->partitioned()) {
+    return Status::InvalidArgument(StrCat(
+        "fragment '", name,
+        "' is not partitioned; rebuild its replicas with "
+        "RebuildReplicaFromStaging"));
+  }
+  ESTOCADA_RETURN_NOT_OK(
+      rewriting::MaterializeReplica(staging_, catalog_, name, shard, replica));
+  // A one-shot rebuild from the staging truth is current by definition.
+  catalog::ShardState& state = desc->shards[shard];
+  state.replicas[replica].epoch = state.write_epoch;
+  state.replicas[replica].rebuilding = false;
+  return Status::OK();
 }
 
 Status Estocada::DefineShadowFragment(pacb::ViewDefinition view,
@@ -293,18 +286,10 @@ Status Estocada::DefineShadowFragment(pacb::ViewDefinition view,
                                       std::vector<size_t> index_positions) {
   catalog::StorageDescriptor desc;
   desc.view = std::move(view);
-  desc.store_name = store_name;
+  desc.shards.push_back(catalog::ShardState::OnStores({store_name}));
   desc.index_positions = std::move(index_positions);
   desc.lifecycle = catalog::FragmentLifecycle::kShadow;
-  std::string name = desc.name();
-  ESTOCADA_RETURN_NOT_OK(catalog_.RegisterFragment(std::move(desc)));
-  Status created = rewriting::CreateFragmentContainer(&catalog_, name);
-  if (!created.ok()) {
-    (void)catalog_.DropFragment(name);
-    return created;
-  }
-  // Shadow fragments are invisible to the planner: no epoch bump.
-  return Status::OK();
+  return RegisterAndMaterialize(std::move(desc));
 }
 
 namespace {
@@ -390,13 +375,7 @@ Status Estocada::ImportCatalogJson(const std::string& json_text) {
   for (const auto& [name, desc] : scratch.fragments()) {
     catalog::StorageDescriptor copy = desc;
     copy.stats = {};  // Recomputed at materialization.
-    ESTOCADA_RETURN_NOT_OK(catalog_.RegisterFragment(std::move(copy)));
-    Status materialized =
-        rewriting::MaterializeFragment(staging_, &catalog_, name);
-    if (!materialized.ok()) {
-      (void)catalog_.DropFragment(name);
-      return materialized;
-    }
+    ESTOCADA_RETURN_NOT_OK(RegisterAndMaterialize(std::move(copy)));
   }
   MarkCatalogChanged();
   return Status::OK();

@@ -150,11 +150,13 @@ class Estocada {
   // ReplicaRepairer's building blocks — like the shadow-fragment calls
   // they never bump the catalog epoch, because replica routing happens
   // per translation against the live placement bits, not in cached plans.
+  // They address shard 0's replica set, which is the whole fragment's
+  // when it is unpartitioned.
 
   /// Declares a fragment replicated across `replica_stores` (K = size;
-  /// the first store is the primary and keeps the legacy store_name/
-  /// container fields) and materializes every replica. Sibling containers
-  /// default to "<fragment>#r<i>".
+  /// the first store is the primary, container "<fragment>") and
+  /// materializes every replica. Sibling containers default to
+  /// "<fragment>#r<i>".
   Status DefineReplicatedFragment(
       const std::string& view_text,
       const std::vector<std::string>& replica_stores,
@@ -486,6 +488,11 @@ class Estocada {
     rewriter_dirty_ = true;
     catalog_epoch_.fetch_add(1, std::memory_order_acq_rel);
   }
+
+  /// Registers `desc` and fills its containers — materialized from
+  /// staging, or created empty for a shadow — dropping the descriptor
+  /// again when that fails. Active fragments bump the catalog epoch.
+  Status RegisterAndMaterialize(catalog::StorageDescriptor desc);
 
   /// Shared body of Query and the front-end variants.
   Result<QueryResult> RunQuery(

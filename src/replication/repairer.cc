@@ -111,6 +111,11 @@ struct DeltaFlags {
 
 std::string RowKey(const Row& row) { return engine::RowToString(row); }
 
+/// The repairer's scope: one-shard fragments with two or more replicas.
+bool Repairable(const catalog::StorageDescriptor& desc) {
+  return desc.shards.size() == 1 && desc.shards[0].replicas.size() > 1;
+}
+
 }  // namespace
 
 void ReplicaRepairer::RunRebuild(RepairReport* report) {
@@ -129,16 +134,19 @@ void ReplicaRepairer::RunRebuild(RepairReport* report) {
   Status preflight = server_->WithReadLock([&](const Estocada& sys) {
     ESTOCADA_ASSIGN_OR_RETURN(const catalog::StorageDescriptor* desc,
                               sys.catalog().GetFragment(fragment));
-    if (desc->replicas.size() <= 1) {
+    if (!Repairable(*desc)) {
       return Status::FailedPrecondition(
-          StrCat("fragment '", fragment, "' is not replicated"));
+          StrCat("fragment '", fragment,
+                 "' is not an unpartitioned replicated fragment"));
     }
-    if (replica >= desc->replicas.size()) {
+    const std::vector<catalog::ReplicaPlacement>& replicas =
+        desc->shards[0].replicas;
+    if (replica >= replicas.size()) {
       return Status::OutOfRange(StrCat("fragment '", fragment, "' has ",
-                                       desc->replicas.size(),
+                                       replicas.size(),
                                        " replica(s), asked for #", replica));
     }
-    store_name = desc->replicas[replica].store_name;
+    store_name = replicas[replica].store_name;
     ESTOCADA_ASSIGN_OR_RETURN(const catalog::StoreHandle* handle,
                               sys.catalog().GetStore(store_name));
     kind = handle->kind;
@@ -336,12 +344,10 @@ void ReplicaRepairer::RunRebuild(RepairReport* report) {
                                       sys->catalog().GetFragment(fragment));
             Result<uint64_t> mine = sys->ReplicaDigest(fragment, replica);
             if (mine.ok()) {
-              for (size_t i = 0; i < desc->replicas.size(); ++i) {
-                if (i == replica) continue;
-                const catalog::ReplicaPlacement& sib = desc->replicas[i];
-                if (sib.rebuilding || sib.epoch != desc->write_epoch) {
-                  continue;
-                }
+              const catalog::ShardState& shard = desc->shards[0];
+              for (size_t i = 0; i < shard.replicas.size(); ++i) {
+                if (i == replica || !shard.replica_available(i)) continue;
+                const catalog::ReplicaPlacement& sib = shard.replicas[i];
                 auto handle = sys->catalog().GetStore(sib.store_name);
                 if (!handle.ok() || (*handle)->kind != kind) continue;
                 Result<uint64_t> theirs = sys->ReplicaDigest(fragment, i);
@@ -426,17 +432,15 @@ Result<size_t> ReplicaRepairer::Tick() {
   std::vector<Candidate> candidates;
   ESTOCADA_RETURN_NOT_OK(server_->WithReadLock([&](const Estocada& sys) {
     for (const auto& [name, desc] : sys.catalog().fragments()) {
-      // Partitioned fragments repair per shard via MaterializeShardReplica
-      // (their legacy replica list is a single inert mirror anyway).
-      if (desc.is_shadow() || desc.partitioned() || desc.replicas.size() <= 1) {
-        continue;
-      }
-      for (size_t i = 0; i < desc.replicas.size(); ++i) {
-        const catalog::ReplicaPlacement& p = desc.replicas[i];
+      // Partitioned fragments repair per shard through
+      // RebuildShardReplicaFromStaging instead.
+      if (desc.is_shadow() || !Repairable(desc)) continue;
+      const catalog::ShardState& shard = desc.shards[0];
+      for (size_t i = 0; i < shard.replicas.size(); ++i) {
         // Stale (missed writes while its store was down) or stuck
         // mid-rebuild (an earlier repair aborted): both need a rebuild.
-        if (p.rebuilding || p.epoch != desc.write_epoch) {
-          candidates.push_back({name, i, p.store_name});
+        if (!shard.replica_available(i)) {
+          candidates.push_back({name, i, shard.replicas[i].store_name});
         }
       }
     }
@@ -470,15 +474,14 @@ Result<size_t> ReplicaRepairer::Scrub() {
   std::vector<Scan> scans;
   ESTOCADA_RETURN_NOT_OK(server_->WithReadLock([&](const Estocada& sys) {
     for (const auto& [name, desc] : sys.catalog().fragments()) {
-      if (desc.is_shadow() || desc.partitioned() || desc.replicas.size() <= 1) {
-        continue;
-      }
+      if (desc.is_shadow() || !Repairable(desc)) continue;
       Scan scan;
       scan.fragment = name;
-      for (size_t i = 0; i < desc.replicas.size(); ++i) {
-        const catalog::ReplicaPlacement& p = desc.replicas[i];
+      const catalog::ShardState& shard = desc.shards[0];
+      for (size_t i = 0; i < shard.replicas.size(); ++i) {
         // Stale/rebuilding replicas are Tick()'s job, not the scrub's.
-        if (p.rebuilding || p.epoch != desc.write_epoch) continue;
+        if (!shard.replica_available(i)) continue;
+        const catalog::ReplicaPlacement& p = shard.replicas[i];
         auto handle = sys.catalog().GetStore(p.store_name);
         if (!handle.ok()) continue;
         scan.live.push_back({i, (*handle)->kind, p.store_name});

@@ -210,25 +210,49 @@ Status LoadFragment(const StoreHandle& store, const StorageDescriptor& desc,
   return Status::Internal("unknown store kind");
 }
 
-/// The placement of replica `idx` — synthesized from the legacy fields
-/// for descriptors that predate replica normalization.
-catalog::ReplicaPlacement PlacementOf(const StorageDescriptor& desc,
-                                      size_t idx) {
-  if (desc.replicas.empty()) {
-    return {desc.store_name, desc.container, desc.write_epoch, false};
-  }
-  return desc.replicas[idx];
-}
-
-/// Splits evaluated view rows into per-shard buckets by the partition key.
-std::vector<std::vector<Row>> SplitByShard(const StorageDescriptor& desc,
-                                           const std::vector<Row>& rows) {
-  std::vector<std::vector<Row>> buckets(desc.partition.shards);
+/// Calls `fn(shard, rows)` once per shard with the rows that shard owns.
+/// A one-shard fragment gets `rows` itself, so an unpartitioned fragment
+/// never copies its view extent; a partitioned one gets each shard's
+/// bucket by the partition key.
+template <typename Fn>
+Status ForEachShardBucket(const StorageDescriptor& desc,
+                          const std::vector<Row>& rows, Fn&& fn) {
+  if (desc.shards.size() == 1) return fn(0, rows);
+  std::vector<std::vector<Row>> buckets(desc.shards.size());
   for (const Row& row : rows) {
     buckets[desc.partition.ShardOf(row[desc.partition.key_position])]
         .push_back(row);
   }
-  return buckets;
+  for (size_t s = 0; s < buckets.size(); ++s) {
+    ESTOCADA_RETURN_NOT_OK(fn(s, buckets[s]));
+  }
+  return Status::OK();
+}
+
+/// One addressed replica: its fragment, placement and store.
+struct ReplicaTarget {
+  const StorageDescriptor* desc;
+  const catalog::ReplicaPlacement* placement;
+  const StoreHandle* store;
+};
+
+/// Resolves replica `replica` of shard `shard`; kOutOfRange when the
+/// fragment has no such placement.
+Result<ReplicaTarget> ResolveReplica(const Catalog& catalog,
+                                     const std::string& fragment_name,
+                                     size_t shard, size_t replica) {
+  ESTOCADA_ASSIGN_OR_RETURN(const StorageDescriptor* desc,
+                            catalog.GetFragment(fragment_name));
+  if (shard >= desc->shards.size() ||
+      replica >= desc->shards[shard].replicas.size()) {
+    return Status::OutOfRange(StrCat("fragment '", fragment_name,
+                                     "' has no replica ", replica,
+                                     " of shard ", shard));
+  }
+  const catalog::ReplicaPlacement* p = &desc->shards[shard].replicas[replica];
+  ESTOCADA_ASSIGN_OR_RETURN(const StoreHandle* store,
+                            catalog.GetStore(p->store_name));
+  return ReplicaTarget{desc, p, store};
 }
 
 Status DropContainer(const StoreHandle& store, const std::string& container) {
@@ -257,18 +281,8 @@ Status CreateFragmentContainer(Catalog* catalog,
                             catalog->GetMutableFragment(fragment_name));
   const size_t arity = desc->view.arity();
   std::vector<std::string> columns = catalog::FragmentColumnNames(desc->view);
-  if (desc->partitioned()) {
-    for (const catalog::ShardState& shard : desc->shards) {
-      for (const catalog::ReplicaPlacement& p : shard.replicas) {
-        ESTOCADA_ASSIGN_OR_RETURN(const StoreHandle* store,
-                                  catalog->GetStore(p.store_name));
-        ESTOCADA_RETURN_NOT_OK(
-            LoadFragment(*store, *desc, p.container, {}, columns, arity));
-      }
-    }
-  } else {
-    for (size_t i = 0; i < desc->replica_count(); ++i) {
-      catalog::ReplicaPlacement p = PlacementOf(*desc, i);
+  for (const catalog::ShardState& shard : desc->shards) {
+    for (const catalog::ReplicaPlacement& p : shard.replicas) {
       ESTOCADA_ASSIGN_OR_RETURN(const StoreHandle* store,
                                 catalog->GetStore(p.store_name));
       ESTOCADA_RETURN_NOT_OK(
@@ -293,41 +307,24 @@ Status MaterializeFragment(const StagingData& staging, Catalog* catalog,
   const size_t arity = desc->view.arity();
   std::vector<std::string> columns = catalog::FragmentColumnNames(desc->view);
   // The load is strict: every replica must materialize (unlike the
-  // append fan-out, which tolerates stale minorities). Replicas marked
-  // rebuilding are skipped — the ReplicaRepairer owns their containers
-  // (this path doubles as the full-rebuild step of text maintenance).
-  if (desc->partitioned()) {
-    // Partitioned layout: each shard container receives exactly its
-    // bucket of the view extent, every replica of the shard gets the
-    // same bucket, and each shard's replica epochs snap to that shard's
-    // write epoch.
-    std::vector<std::vector<Row>> buckets = SplitByShard(*desc, rows);
-    for (size_t s = 0; s < desc->shards.size(); ++s) {
-      catalog::ShardState& shard = desc->shards[s];
-      for (catalog::ReplicaPlacement& r : shard.replicas) {
-        if (r.rebuilding) continue;
-        ESTOCADA_ASSIGN_OR_RETURN(const StoreHandle* store,
-                                  catalog->GetStore(r.store_name));
-        ESTOCADA_RETURN_NOT_OK(
-            LoadFragment(*store, *desc, r.container, buckets[s], columns,
-                         arity));
-        r.epoch = shard.write_epoch;
-      }
-    }
-  } else {
-    for (size_t i = 0; i < desc->replica_count(); ++i) {
-      catalog::ReplicaPlacement p = PlacementOf(*desc, i);
-      if (p.rebuilding) continue;
-      ESTOCADA_ASSIGN_OR_RETURN(const StoreHandle* store,
-                                catalog->GetStore(p.store_name));
-      ESTOCADA_RETURN_NOT_OK(
-          LoadFragment(*store, *desc, p.container, rows, columns, arity));
-    }
-    for (auto& r : desc->replicas) {
-      if (r.rebuilding) continue;
-      r.epoch = desc->write_epoch;
-    }
-  }
+  // append fan-out, which tolerates stale minorities). Each shard's
+  // replicas receive the shard's rows and snap to its write epoch.
+  // Replicas marked rebuilding are skipped — the ReplicaRepairer owns
+  // their containers (this path doubles as the full-rebuild step of text
+  // maintenance).
+  ESTOCADA_RETURN_NOT_OK(ForEachShardBucket(
+      *desc, rows, [&](size_t s, const std::vector<Row>& bucket) -> Status {
+        catalog::ShardState& shard = desc->shards[s];
+        for (catalog::ReplicaPlacement& r : shard.replicas) {
+          if (r.rebuilding) continue;
+          ESTOCADA_ASSIGN_OR_RETURN(const StoreHandle* store,
+                                    catalog->GetStore(r.store_name));
+          ESTOCADA_RETURN_NOT_OK(
+              LoadFragment(*store, *desc, r.container, bucket, columns, arity));
+          r.epoch = shard.write_epoch;
+        }
+        return Status::OK();
+      }));
   desc->stats = ComputeStatistics(rows, arity);
   desc->list_column.assign(arity, false);
   for (const Row& row : rows) {
@@ -408,16 +405,14 @@ Status AppendRowsToContainer(const StoreHandle& store,
   return Status::OK();
 }
 
-/// The write fan-out: appends `rows` to every replica that is fresh and
-/// not mid-rebuild, bumping the write epoch once for the logical
-/// mutation. Replicas that take the write advance to the new epoch;
-/// replicas that fail (dead store) are left behind — stale, excluded
-/// from routing, queued for the repairer. When *no* replica takes the
-/// write the epoch bump is rolled back and the first error surfaces, so
-/// an unreplicated fragment behaves exactly as before.
-/// One shard's write fan-out: same contract as the whole-fragment
-/// FanOutAppend below, but against the shard's own replica set and write
-/// epoch (epochs are per shard so untouched shards never look stale).
+/// One shard's write fan-out: appends `rows` to every replica of the
+/// shard that is fresh and not mid-rebuild, bumping the shard's write
+/// epoch once for the logical mutation. Replicas that take the write
+/// advance to the new epoch; replicas that fail (dead store) are left
+/// behind — stale, excluded from routing, queued for the repairer. When
+/// *no* replica takes the write the epoch bump is rolled back and the
+/// first error surfaces, so an unreplicated shard behaves like a plain
+/// store write.
 Status FanOutAppendShard(Catalog* catalog, StorageDescriptor* desc,
                          size_t shard_idx, const std::vector<Row>& rows) {
   catalog::ShardState& shard = desc->shards[shard_idx];
@@ -451,58 +446,18 @@ Status FanOutAppendShard(Catalog* catalog, StorageDescriptor* desc,
   return Status::OK();
 }
 
+/// Partition-aware write routing: each row lands only on the shard owning
+/// its partition-key value. A shard whose entire replica set rejects the
+/// write fails the call; shards that already took their rows keep them
+/// (their epochs advanced consistently), which is sound under set
+/// semantics — re-running the append is a no-op for query answers.
 Status FanOutAppend(Catalog* catalog, StorageDescriptor* desc,
                     const std::vector<Row>& rows) {
-  if (desc->partitioned()) {
-    // Partition-aware write routing: each row lands only on the shard
-    // owning its partition-key value. A shard whose entire replica set
-    // rejects the write fails the call; shards that already took their
-    // buckets keep them (their epochs advanced consistently), which is
-    // sound under set semantics — re-running the append is a no-op for
-    // query answers.
-    std::vector<std::vector<Row>> buckets = SplitByShard(*desc, rows);
-    for (size_t s = 0; s < buckets.size(); ++s) {
-      if (buckets[s].empty()) continue;
-      ESTOCADA_RETURN_NOT_OK(FanOutAppendShard(catalog, desc, s, buckets[s]));
-    }
-    desc->stats.row_count += rows.size();
-    return Status::OK();
-  }
-  const uint64_t old_epoch = desc->write_epoch;
-  const uint64_t new_epoch = old_epoch + 1;
-  // Snapshot placements before the bump: PlacementOf synthesizes the
-  // primary's epoch from write_epoch when the replica vector is empty.
-  std::vector<catalog::ReplicaPlacement> placements;
-  placements.reserve(desc->replica_count());
-  for (size_t i = 0; i < desc->replica_count(); ++i) {
-    placements.push_back(PlacementOf(*desc, i));
-  }
-  desc->write_epoch = new_epoch;
-  size_t successes = 0;
-  Status first_error = Status::OK();
-  for (size_t i = 0; i < placements.size(); ++i) {
-    const catalog::ReplicaPlacement& p = placements[i];
-    if (p.rebuilding || p.epoch != old_epoch) continue;
-    auto store = catalog->GetStore(p.store_name);
-    Status st = store.ok() ? AppendRowsToContainer(**store, p.container,
-                                                   desc->stats.row_count, rows)
-                           : store.status();
-    if (st.ok()) {
-      if (!desc->replicas.empty()) desc->replicas[i].epoch = new_epoch;
-      ++successes;
-    } else if (first_error.ok()) {
-      first_error = st;
-    }
-  }
-  if (successes == 0) {
-    desc->write_epoch = old_epoch;
-    return first_error.ok()
-               ? Status::Unavailable(
-                     StrCat("fragment '", desc->name(),
-                            "' has no writable replica (all rebuilding or "
-                            "stale)"))
-               : first_error;
-  }
+  ESTOCADA_RETURN_NOT_OK(ForEachShardBucket(
+      *desc, rows, [&](size_t s, const std::vector<Row>& bucket) -> Status {
+        if (bucket.empty()) return Status::OK();
+        return FanOutAppendShard(catalog, desc, s, bucket);
+      }));
   desc->stats.row_count += rows.size();
   return Status::OK();
 }
@@ -605,69 +560,12 @@ Result<std::vector<Row>> ReadContainerRows(const StoreHandle& store,
 
 }  // namespace
 
-Result<std::vector<Row>> ReadShardRows(const Catalog& catalog,
-                                       const std::string& fragment_name,
-                                       size_t shard, size_t replica) {
-  ESTOCADA_ASSIGN_OR_RETURN(const StorageDescriptor* desc,
-                            catalog.GetFragment(fragment_name));
-  if (!desc->partitioned()) {
-    return Status::InvalidArgument(
-        StrCat("fragment '", fragment_name, "' is not partitioned"));
-  }
-  if (shard >= desc->shards.size()) {
-    return Status::OutOfRange(StrCat("fragment '", fragment_name, "' has ",
-                                     desc->shards.size(), " shards; no shard ",
-                                     shard));
-  }
-  const catalog::ShardState& ss = desc->shards[shard];
-  if (replica >= ss.replicas.size()) {
-    return Status::OutOfRange(StrCat("fragment '", fragment_name, "' shard ",
-                                     shard, " has ", ss.replicas.size(),
-                                     " replicas; no replica ", replica));
-  }
-  const catalog::ReplicaPlacement& p = ss.replicas[replica];
-  ESTOCADA_ASSIGN_OR_RETURN(const StoreHandle* store,
-                            catalog.GetStore(p.store_name));
-  return ReadContainerRows(*store, *desc, p.container);
-}
-
 Result<std::vector<Row>> ReadReplicaRows(const Catalog& catalog,
                                          const std::string& fragment_name,
-                                         size_t replica) {
-  ESTOCADA_ASSIGN_OR_RETURN(const StorageDescriptor* desc,
-                            catalog.GetFragment(fragment_name));
-  if (desc->partitioned()) {
-    // The whole-fragment extent is the union of the shard containers;
-    // a replica index only makes sense per shard, so the whole read is
-    // served from each shard's primary copy.
-    if (replica != 0) {
-      return Status::InvalidArgument(
-          StrCat("fragment '", fragment_name,
-                 "' is partitioned; read replicas per shard"));
-    }
-    std::vector<Row> out;
-    for (size_t s = 0; s < desc->shards.size(); ++s) {
-      ESTOCADA_ASSIGN_OR_RETURN(std::vector<Row> rows,
-                                ReadShardRows(catalog, fragment_name, s, 0));
-      out.insert(out.end(), std::make_move_iterator(rows.begin()),
-                 std::make_move_iterator(rows.end()));
-    }
-    return out;
-  }
-  if (replica >= desc->replica_count()) {
-    return Status::OutOfRange(StrCat("fragment '", fragment_name, "' has ",
-                                     desc->replica_count(),
-                                     " replicas; no replica ", replica));
-  }
-  catalog::ReplicaPlacement p = PlacementOf(*desc, replica);
-  ESTOCADA_ASSIGN_OR_RETURN(const StoreHandle* store,
-                            catalog.GetStore(p.store_name));
-  return ReadContainerRows(*store, *desc, p.container);
-}
-
-Result<std::vector<Row>> ReadFragmentRows(const Catalog& catalog,
-                                          const std::string& fragment_name) {
-  return ReadReplicaRows(catalog, fragment_name, 0);
+                                         size_t shard, size_t replica) {
+  ESTOCADA_ASSIGN_OR_RETURN(
+      ReplicaTarget t, ResolveReplica(catalog, fragment_name, shard, replica));
+  return ReadContainerRows(*t.store, *t.desc, t.placement->container);
 }
 
 namespace {
@@ -682,7 +580,7 @@ Result<Value> JsonTextRoundTrip(const Value& v) {
 }
 
 /// Canonicalizes one expected view row for set comparison against
-/// ReadFragmentRows output of a `kind` container.
+/// ReadReplicaRows output of a `kind` container.
 Result<Row> CanonRowForKind(StoreKind kind, const Row& row) {
   switch (kind) {
     case StoreKind::kRelational: {
@@ -778,25 +676,22 @@ Status VerifyTextFragment(const StoreHandle& store,
 
 namespace {
 
-/// Set-compares one placement's container against `expected_rows` (the
-/// shared core of the replica- and shard-level verifies).
-Status VerifyPlacementAgainstRows(const Catalog& catalog,
+/// Set-compares one placement's container against `expected_rows`.
+Status VerifyPlacementAgainstRows(const StoreHandle& store,
                                   const StorageDescriptor& desc,
-                                  const catalog::ReplicaPlacement& p,
+                                  const std::string& container,
                                   const std::vector<Row>& expected_rows) {
-  ESTOCADA_ASSIGN_OR_RETURN(const StoreHandle* store,
-                            catalog.GetStore(p.store_name));
-  if (store->kind == StoreKind::kText) {
-    return VerifyTextFragment(*store, desc, p.container, expected_rows);
+  if (store.kind == StoreKind::kText) {
+    return VerifyTextFragment(store, desc, container, expected_rows);
   }
   ESTOCADA_ASSIGN_OR_RETURN(std::vector<Row> actual,
-                            ReadContainerRows(*store, desc, p.container));
+                            ReadContainerRows(store, desc, container));
   const std::string& fragment_name = desc.name();
   std::set<std::string> actual_set;
   for (const Row& row : actual) actual_set.insert(engine::RowToString(row));
   std::set<std::string> expected_set;
   for (const Row& row : expected_rows) {
-    ESTOCADA_ASSIGN_OR_RETURN(Row canon, CanonRowForKind(store->kind, row));
+    ESTOCADA_ASSIGN_OR_RETURN(Row canon, CanonRowForKind(store.kind, row));
     expected_set.insert(engine::RowToString(canon));
   }
   for (const std::string& r : expected_set) {
@@ -821,22 +716,17 @@ Status VerifyPlacementAgainstRows(const Catalog& catalog,
 
 Status VerifyReplicaAgainstRows(const Catalog& catalog,
                                 const std::string& fragment_name,
-                                size_t replica,
+                                size_t shard, size_t replica,
                                 const std::vector<Row>& expected_rows) {
-  ESTOCADA_ASSIGN_OR_RETURN(const StorageDescriptor* desc,
-                            catalog.GetFragment(fragment_name));
-  if (desc->partitioned()) {
-    return Status::InvalidArgument(
-        StrCat("fragment '", fragment_name,
-               "' is partitioned; use VerifyFragmentAgainstRows"));
-  }
-  if (replica >= desc->replica_count()) {
-    return Status::OutOfRange(StrCat("fragment '", fragment_name, "' has ",
-                                     desc->replica_count(),
-                                     " replicas; no replica ", replica));
-  }
-  catalog::ReplicaPlacement p = PlacementOf(*desc, replica);
-  return VerifyPlacementAgainstRows(catalog, *desc, p, expected_rows);
+  ESTOCADA_ASSIGN_OR_RETURN(
+      ReplicaTarget t, ResolveReplica(catalog, fragment_name, shard, replica));
+  return ForEachShardBucket(
+      *t.desc, expected_rows,
+      [&](size_t s, const std::vector<Row>& bucket) -> Status {
+        if (s != shard) return Status::OK();
+        return VerifyPlacementAgainstRows(*t.store, *t.desc,
+                                          t.placement->container, bucket);
+      });
 }
 
 Status VerifyFragmentAgainstRows(const Catalog& catalog,
@@ -844,26 +734,27 @@ Status VerifyFragmentAgainstRows(const Catalog& catalog,
                                  const std::vector<Row>& expected_rows) {
   ESTOCADA_ASSIGN_OR_RETURN(const StorageDescriptor* desc,
                             catalog.GetFragment(fragment_name));
-  if (desc->partitioned()) {
-    // Partition-level check: every fresh, non-rebuilding replica of each
-    // shard must hold exactly the shard's bucket of the expected extent —
-    // misplaced rows (wrong shard) fail as both a miss and an extra.
-    std::vector<std::vector<Row>> buckets = SplitByShard(*desc, expected_rows);
-    for (size_t s = 0; s < desc->shards.size(); ++s) {
-      const catalog::ShardState& shard = desc->shards[s];
-      for (const catalog::ReplicaPlacement& r : shard.replicas) {
-        if (r.rebuilding || !r.fresh(shard.write_epoch)) continue;
-        Status st = VerifyPlacementAgainstRows(catalog, *desc, r, buckets[s]);
-        if (!st.ok()) {
-          return Status::FailedPrecondition(StrCat(
-              "shard ", s, " @ ", r.store_name, "/", r.container, ": ",
-              st.message()));
+  // Every fresh, non-rebuilding replica of each shard must hold exactly
+  // the shard's rows of the expected extent — misplaced rows (wrong
+  // shard) fail as both a miss and an extra.
+  return ForEachShardBucket(
+      *desc, expected_rows,
+      [&](size_t s, const std::vector<Row>& bucket) -> Status {
+        const catalog::ShardState& shard = desc->shards[s];
+        for (const catalog::ReplicaPlacement& r : shard.replicas) {
+          if (r.rebuilding || !r.fresh(shard.write_epoch)) continue;
+          ESTOCADA_ASSIGN_OR_RETURN(const StoreHandle* store,
+                                    catalog.GetStore(r.store_name));
+          Status st =
+              VerifyPlacementAgainstRows(*store, *desc, r.container, bucket);
+          if (!st.ok()) {
+            return Status(st.code(), StrCat("shard ", s, " @ ", r.store_name,
+                                            "/", r.container, ": ",
+                                            st.message()));
+          }
         }
-      }
-    }
-    return Status::OK();
-  }
-  return VerifyReplicaAgainstRows(catalog, fragment_name, 0, expected_rows);
+        return Status::OK();
+      });
 }
 
 Status MaintainOneFragmentOnInsertBatch(
@@ -887,18 +778,8 @@ Status MaintainOneFragmentOnInsertBatch(
   // there forces the rebuild path for the whole replica set (the rebuild
   // leaves every serving replica fresh, so no epoch bump is needed).
   bool any_text = false;
-  if (desc->partitioned()) {
-    for (const catalog::ShardState& shard : desc->shards) {
-      for (const catalog::ReplicaPlacement& p : shard.replicas) {
-        if (p.rebuilding) continue;
-        ESTOCADA_ASSIGN_OR_RETURN(const StoreHandle* s,
-                                  catalog->GetStore(p.store_name));
-        if (s->kind == StoreKind::kText) any_text = true;
-      }
-    }
-  } else {
-    for (size_t i = 0; i < desc->replica_count(); ++i) {
-      catalog::ReplicaPlacement p = PlacementOf(*desc, i);
+  for (const catalog::ShardState& shard : desc->shards) {
+    for (const catalog::ReplicaPlacement& p : shard.replicas) {
       if (p.rebuilding) continue;
       ESTOCADA_ASSIGN_OR_RETURN(const StoreHandle* s,
                                 catalog->GetStore(p.store_name));
@@ -1011,157 +892,82 @@ Status DematerializeFragment(Catalog* catalog,
                              const std::string& fragment_name) {
   ESTOCADA_ASSIGN_OR_RETURN(const StorageDescriptor* desc,
                             catalog->GetFragment(fragment_name));
-  if (desc->partitioned()) {
-    for (const catalog::ShardState& shard : desc->shards) {
-      for (const catalog::ReplicaPlacement& r : shard.replicas) {
-        if (r.rebuilding) continue;
-        ESTOCADA_ASSIGN_OR_RETURN(const StoreHandle* store,
-                                  catalog->GetStore(r.store_name));
-        ESTOCADA_RETURN_NOT_OK(DropContainer(*store, r.container));
-      }
-    }
-    return Status::OK();
-  }
   // Replicas mid-rebuild are skipped: the repairer owns those containers
   // and drops them itself when its rebuild aborts.
-  for (size_t i = 0; i < desc->replica_count(); ++i) {
-    catalog::ReplicaPlacement p = PlacementOf(*desc, i);
-    if (p.rebuilding) continue;
-    ESTOCADA_ASSIGN_OR_RETURN(const StoreHandle* store,
-                              catalog->GetStore(p.store_name));
-    ESTOCADA_RETURN_NOT_OK(DropContainer(*store, p.container));
+  for (const catalog::ShardState& shard : desc->shards) {
+    for (const catalog::ReplicaPlacement& r : shard.replicas) {
+      if (r.rebuilding) continue;
+      ESTOCADA_ASSIGN_OR_RETURN(const StoreHandle* store,
+                                catalog->GetStore(r.store_name));
+      ESTOCADA_RETURN_NOT_OK(DropContainer(*store, r.container));
+    }
   }
   return Status::OK();
 }
 
-Status CreateReplicaContainer(Catalog* catalog,
-                              const std::string& fragment_name,
+Status CreateReplicaContainer(const Catalog& catalog,
+                              const std::string& fragment_name, size_t shard,
                               size_t replica) {
-  ESTOCADA_ASSIGN_OR_RETURN(StorageDescriptor * desc,
-                            catalog->GetMutableFragment(fragment_name));
-  if (replica >= desc->replica_count()) {
-    return Status::OutOfRange(StrCat("fragment '", fragment_name, "' has ",
-                                     desc->replica_count(),
-                                     " replicas; no replica ", replica));
-  }
-  catalog::ReplicaPlacement p = PlacementOf(*desc, replica);
-  ESTOCADA_ASSIGN_OR_RETURN(const StoreHandle* store,
-                            catalog->GetStore(p.store_name));
-  std::vector<std::string> columns = catalog::FragmentColumnNames(desc->view);
-  return LoadFragment(*store, *desc, p.container, {}, columns,
-                      desc->view.arity());
+  ESTOCADA_ASSIGN_OR_RETURN(
+      ReplicaTarget t, ResolveReplica(catalog, fragment_name, shard, replica));
+  std::vector<std::string> columns = catalog::FragmentColumnNames(t.desc->view);
+  return LoadFragment(*t.store, *t.desc, t.placement->container, {}, columns,
+                      t.desc->view.arity());
 }
 
-Status MaterializeReplica(const StagingData& staging, Catalog* catalog,
-                          const std::string& fragment_name, size_t replica) {
-  ESTOCADA_ASSIGN_OR_RETURN(const StorageDescriptor* desc,
-                            catalog->GetFragment(fragment_name));
-  if (replica >= desc->replica_count()) {
-    return Status::OutOfRange(StrCat("fragment '", fragment_name, "' has ",
-                                     desc->replica_count(),
-                                     " replica(s), asked for #", replica));
-  }
-  catalog::ReplicaPlacement p = PlacementOf(*desc, replica);
-  ESTOCADA_ASSIGN_OR_RETURN(const StoreHandle* store,
-                            catalog->GetStore(p.store_name));
+Status MaterializeReplica(const StagingData& staging, const Catalog& catalog,
+                          const std::string& fragment_name, size_t shard,
+                          size_t replica) {
+  ESTOCADA_ASSIGN_OR_RETURN(
+      ReplicaTarget t, ResolveReplica(catalog, fragment_name, shard, replica));
   ESTOCADA_ASSIGN_OR_RETURN(
       std::vector<Row> rows,
-      EvaluateCqOverStaging(desc->view.query, staging, {}, true));
-  Status dropped = DropContainer(*store, p.container);
+      EvaluateCqOverStaging(t.desc->view.query, staging, {}, true));
+  Status dropped = DropContainer(*t.store, t.placement->container);
   if (!dropped.ok() && dropped.code() != StatusCode::kNotFound) {
     return dropped;
   }
-  std::vector<std::string> columns = catalog::FragmentColumnNames(desc->view);
-  return LoadFragment(*store, *desc, p.container, rows, columns,
-                      desc->view.arity());
+  std::vector<std::string> columns = catalog::FragmentColumnNames(t.desc->view);
+  return ForEachShardBucket(
+      *t.desc, rows, [&](size_t s, const std::vector<Row>& bucket) -> Status {
+        if (s != shard) return Status::OK();
+        return LoadFragment(*t.store, *t.desc, t.placement->container, bucket,
+                            columns, t.desc->view.arity());
+      });
 }
 
-Status DropReplicaContainer(Catalog* catalog, const std::string& fragment_name,
+Status DropReplicaContainer(const Catalog& catalog,
+                            const std::string& fragment_name, size_t shard,
                             size_t replica) {
-  ESTOCADA_ASSIGN_OR_RETURN(const StorageDescriptor* desc,
-                            catalog->GetFragment(fragment_name));
-  if (replica >= desc->replica_count()) {
-    return Status::OutOfRange(StrCat("fragment '", fragment_name, "' has ",
-                                     desc->replica_count(),
-                                     " replicas; no replica ", replica));
-  }
-  catalog::ReplicaPlacement p = PlacementOf(*desc, replica);
-  ESTOCADA_ASSIGN_OR_RETURN(const StoreHandle* store,
-                            catalog->GetStore(p.store_name));
-  return DropContainer(*store, p.container);
+  ESTOCADA_ASSIGN_OR_RETURN(
+      ReplicaTarget t, ResolveReplica(catalog, fragment_name, shard, replica));
+  return DropContainer(*t.store, t.placement->container);
 }
 
-Status AppendToReplica(Catalog* catalog, const std::string& fragment_name,
+Status AppendToReplica(const Catalog& catalog,
+                       const std::string& fragment_name, size_t shard,
                        size_t replica, const std::vector<Row>& rows) {
   if (rows.empty()) return Status::OK();
-  ESTOCADA_ASSIGN_OR_RETURN(const StorageDescriptor* desc,
-                            catalog->GetFragment(fragment_name));
-  if (replica >= desc->replica_count()) {
-    return Status::OutOfRange(StrCat("fragment '", fragment_name, "' has ",
-                                     desc->replica_count(),
-                                     " replicas; no replica ", replica));
-  }
-  catalog::ReplicaPlacement p = PlacementOf(*desc, replica);
-  ESTOCADA_ASSIGN_OR_RETURN(const StoreHandle* store,
-                            catalog->GetStore(p.store_name));
+  ESTOCADA_ASSIGN_OR_RETURN(
+      ReplicaTarget t, ResolveReplica(catalog, fragment_name, shard, replica));
+  const std::string& container = t.placement->container;
   // Repair-path appends seed the synthetic document _id counter from the
   // target container itself (ids only need to be container-unique; row
   // readback ignores them), so a rebuild restarted mid-way never collides
   // with its own earlier batches.
   size_t doc_id_base = 0;
-  if (store->kind == StoreKind::kDocument) {
-    ESTOCADA_ASSIGN_OR_RETURN(doc_id_base,
-                              store->document->Count(p.container));
+  if (t.store->kind == StoreKind::kDocument) {
+    ESTOCADA_ASSIGN_OR_RETURN(doc_id_base, t.store->document->Count(container));
   }
-  return AppendRowsToContainer(*store, p.container, doc_id_base, rows);
-}
-
-Status MaterializeShardReplica(const StagingData& staging, Catalog* catalog,
-                               const std::string& fragment_name, size_t shard,
-                               size_t replica) {
-  ESTOCADA_ASSIGN_OR_RETURN(StorageDescriptor * desc,
-                            catalog->GetMutableFragment(fragment_name));
-  if (!desc->partitioned()) {
-    return Status::InvalidArgument(
-        StrCat("fragment '", fragment_name, "' is not partitioned"));
-  }
-  if (shard >= desc->shards.size()) {
-    return Status::OutOfRange(StrCat("fragment '", fragment_name, "' has ",
-                                     desc->shards.size(), " shards; no shard ",
-                                     shard));
-  }
-  catalog::ShardState& ss = desc->shards[shard];
-  if (replica >= ss.replicas.size()) {
-    return Status::OutOfRange(StrCat("fragment '", fragment_name, "' shard ",
-                                     shard, " has ", ss.replicas.size(),
-                                     " replicas; no replica ", replica));
-  }
-  catalog::ReplicaPlacement& p = ss.replicas[replica];
-  ESTOCADA_ASSIGN_OR_RETURN(const StoreHandle* store,
-                            catalog->GetStore(p.store_name));
-  ESTOCADA_ASSIGN_OR_RETURN(
-      std::vector<Row> rows,
-      EvaluateCqOverStaging(desc->view.query, staging, {}, true));
-  std::vector<std::vector<Row>> buckets = SplitByShard(*desc, rows);
-  Status dropped = DropContainer(*store, p.container);
-  if (!dropped.ok() && dropped.code() != StatusCode::kNotFound) {
-    return dropped;
-  }
-  std::vector<std::string> columns = catalog::FragmentColumnNames(desc->view);
-  ESTOCADA_RETURN_NOT_OK(LoadFragment(*store, *desc, p.container,
-                                      buckets[shard], columns,
-                                      desc->view.arity()));
-  // A one-shot rebuild from the staging truth is current by definition.
-  p.epoch = ss.write_epoch;
-  p.rebuilding = false;
-  return Status::OK();
+  return AppendRowsToContainer(*t.store, container, doc_id_base, rows);
 }
 
 Result<uint64_t> FragmentReplicaDigest(const Catalog& catalog,
                                        const std::string& fragment_name,
-                                       size_t replica) {
-  ESTOCADA_ASSIGN_OR_RETURN(std::vector<Row> rows,
-                            ReadReplicaRows(catalog, fragment_name, replica));
+                                       size_t shard, size_t replica) {
+  ESTOCADA_ASSIGN_OR_RETURN(
+      std::vector<Row> rows,
+      ReadReplicaRows(catalog, fragment_name, shard, replica));
   // Set-semantics digest: order-independent over the distinct canonical
   // row serializations, so equal replica contents always digest equal and
   // single-row divergence is overwhelmingly likely to show. Only

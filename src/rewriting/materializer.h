@@ -44,121 +44,106 @@ Status CreateFragmentContainer(catalog::Catalog* catalog,
 /// column flags. Text fragments cannot be appended to (per-document
 /// postings are immutable): returns kUnsupported — rebuild instead.
 ///
-/// Replicated fragments fan the append out: the write epoch advances by
-/// one, every fresh non-rebuilding replica receives the rows, and each
-/// replica that takes them moves to the new epoch. A replica whose store
-/// is down stays at its old epoch — stale, out of the routing set, queued
-/// for the repairer. The call succeeds while at least one replica takes
-/// the write; with none, the epoch bump is rolled back and the first
-/// store error surfaces (identical to the unreplicated behavior).
+/// Each row goes to the shard owning its partition key (the only shard
+/// when unpartitioned), and each shard fans its rows out: the shard's
+/// write epoch advances by one, every fresh non-rebuilding replica
+/// receives the rows, and each replica that takes them moves to the new
+/// epoch. A replica whose store is down stays at its old epoch — stale,
+/// out of the routing set, queued for the repairer. A shard's write
+/// succeeds while at least one replica takes it; with none, the epoch
+/// bump is rolled back and the first store error surfaces (identical to
+/// the unreplicated behavior).
 Status AppendToFragment(catalog::Catalog* catalog,
                         const std::string& fragment_name,
                         const std::vector<engine::Row>& rows);
-
-/// Reads a fragment's physical container back into pivot-space view rows
-/// (the inverse of the per-kind load layouts; relational list columns are
-/// parsed back from their JSON text). Order is unspecified and duplicates
-/// appended by incremental maintenance are preserved. Text fragments are
-/// not reconstructible row-by-row (terms are fused into per-document
-/// token streams): returns kUnsupported — use VerifyFragmentAgainstRows.
-Result<std::vector<engine::Row>> ReadFragmentRows(
-    const catalog::Catalog& catalog, const std::string& fragment_name);
 
 /// Set-compares a fragment's physical content against `expected_rows`
 /// (normally the fragment view evaluated over staging — the ground
 /// truth). Comparison happens after the store's own serialization round
 /// trip, so a correctly loaded fragment always verifies even for values
 /// that JSON canonicalizes. Duplicates on either side are ignored (set
-/// semantics). Works for all five store kinds, including text (compared
-/// in per-document token space). Returns OK iff they match; a
-/// kFailedPrecondition status describes the first divergence otherwise.
+/// semantics). Every fresh, non-rebuilding replica of each shard is
+/// compared against the shard's rows. Works for every store kind,
+/// including text (compared in per-document token space). Returns OK iff
+/// they match; a kFailedPrecondition status describes the first
+/// divergence otherwise.
 Status VerifyFragmentAgainstRows(const catalog::Catalog& catalog,
                                  const std::string& fragment_name,
                                  const std::vector<engine::Row>& expected_rows);
 
 /// Drops the fragment's physical containers from their stores (inverse of
-/// materialization, all replicas), leaving the descriptor in place; used
-/// by the advisor when re-organizing. Containers of replicas mid-rebuild
-/// are left alone — the repairer owns and cleans those up. DropFragment
-/// on the catalog removes the descriptor.
+/// materialization, every shard and replica), leaving the descriptor in
+/// place; used by the advisor when re-organizing. Containers of replicas
+/// mid-rebuild are left alone — the repairer owns and cleans those up.
+/// DropFragment on the catalog removes the descriptor.
 Status DematerializeFragment(catalog::Catalog* catalog,
                              const std::string& fragment_name);
 
 /// --- Per-replica primitives (replica repair and anti-entropy) ---------
 ///
-/// The replica-indexed variants below operate on exactly one placement of
-/// a replicated fragment and never touch the descriptor's epochs or
-/// statistics; the ReplicaRepairer sequences them into a rebuild
-/// (drop → create → backfill batches → verify) and flips the epoch /
-/// rebuilding bits itself under the server's admin lock.
+/// Each primitive below addresses exactly one placement — replica
+/// `replica` of shard `shard` (shard 0 is the whole fragment when it is
+/// unpartitioned) — and returns kOutOfRange when the fragment has no such
+/// placement. None of them touches the descriptor's epochs or statistics;
+/// callers (the ReplicaRepairer, through the Estocada facade) sequence
+/// them into a rebuild (drop → create → backfill batches → verify) and
+/// flip the epoch / rebuilding bits themselves under the server's admin
+/// lock.
 
-/// Creates replica `replica`'s *empty* container (with the fragment's
-/// indexes) in its placement store.
-Status CreateReplicaContainer(catalog::Catalog* catalog,
-                              const std::string& fragment_name,
+/// Creates the placement's *empty* container (with the fragment's
+/// indexes) in its store.
+Status CreateReplicaContainer(const catalog::Catalog& catalog,
+                              const std::string& fragment_name, size_t shard,
                               size_t replica);
 
-/// Drops replica `replica`'s container from its placement store.
-Status DropReplicaContainer(catalog::Catalog* catalog,
-                            const std::string& fragment_name, size_t replica);
+/// Drops the placement's container from its store.
+Status DropReplicaContainer(const catalog::Catalog& catalog,
+                            const std::string& fragment_name, size_t shard,
+                            size_t replica);
 
-/// Rebuilds replica `replica`'s container in one shot from the staging
+/// Rebuilds the placement's container in one shot from the staging
 /// truth: drops it (tolerating absence), re-evaluates the view, and loads
-/// the rows in the store's native layout. Works for every store kind —
-/// the only rebuild path for text placements, which cannot be appended
-/// to. Epochs and statistics are untouched.
+/// the shard's rows in the store's native layout. Works for every store
+/// kind — the only rebuild path for text placements, which cannot be
+/// appended to.
 Status MaterializeReplica(const StagingData& staging,
-                          catalog::Catalog* catalog,
-                          const std::string& fragment_name, size_t replica);
+                          const catalog::Catalog& catalog,
+                          const std::string& fragment_name, size_t shard,
+                          size_t replica);
 
-/// Appends already-computed view rows to replica `replica`'s container
-/// only. Statistics and epochs are untouched; document _ids are seeded
-/// from the container's own count, so restarted rebuilds never collide.
-Status AppendToReplica(catalog::Catalog* catalog,
-                       const std::string& fragment_name, size_t replica,
-                       const std::vector<engine::Row>& rows);
+/// Appends already-computed view rows to the placement's container only.
+/// Document _ids are seeded from the container's own count, so restarted
+/// rebuilds never collide.
+Status AppendToReplica(const catalog::Catalog& catalog,
+                       const std::string& fragment_name, size_t shard,
+                       size_t replica, const std::vector<engine::Row>& rows);
 
-/// Reads replica `replica`'s container back into pivot-space view rows
-/// (same contract as ReadFragmentRows, which is the replica-0 case).
+/// Reads the placement's container back into pivot-space view rows (the
+/// inverse of the per-kind load layouts; relational list columns are
+/// parsed back from their JSON text). Order is unspecified and duplicates
+/// appended by incremental maintenance are preserved. Text placements are
+/// not reconstructible row-by-row (terms are fused into per-document
+/// token streams): returns kUnsupported — verify those instead.
 Result<std::vector<engine::Row>> ReadReplicaRows(
     const catalog::Catalog& catalog, const std::string& fragment_name,
-    size_t replica);
+    size_t shard, size_t replica);
 
-/// Set-compares replica `replica`'s content against `expected_rows`
-/// (same contract as VerifyFragmentAgainstRows, the replica-0 case).
+/// Set-compares the placement's content against the shard's rows of
+/// `expected_rows` (the whole view extent; same contract as
+/// VerifyFragmentAgainstRows).
 Status VerifyReplicaAgainstRows(const catalog::Catalog& catalog,
                                 const std::string& fragment_name,
-                                size_t replica,
+                                size_t shard, size_t replica,
                                 const std::vector<engine::Row>& expected_rows);
 
-/// Order-independent digest over the distinct rows stored in replica
-/// `replica` — byte-equal replica contents digest equal. Comparable only
-/// between placements of the same store kind (kinds round-trip values
+/// Order-independent digest over the distinct rows stored in the
+/// placement — byte-equal contents digest equal. Comparable only between
+/// placements of the same store kind (kinds round-trip values
 /// differently); text placements return kUnsupported (no row readback) —
 /// anti-entropy verifies those against the staging truth instead.
 Result<uint64_t> FragmentReplicaDigest(const catalog::Catalog& catalog,
                                        const std::string& fragment_name,
-                                       size_t replica);
-
-/// --- Per-shard primitives (partitioned fragments) ---------------------
-
-/// Reads one shard replica's container back into view rows (same contract
-/// as ReadReplicaRows). For partitioned fragments ReadFragmentRows returns
-/// the concatenation of every shard's primary copy.
-Result<std::vector<engine::Row>> ReadShardRows(const catalog::Catalog& catalog,
-                                               const std::string& fragment_name,
-                                               size_t shard, size_t replica);
-
-/// Rebuilds one shard replica's container in one shot from the staging
-/// truth: re-evaluates the view, keeps only the shard's bucket, and
-/// reloads the container. Unlike MaterializeReplica this *does* stamp the
-/// replica current (epoch = the shard's write epoch, rebuilding cleared):
-/// a full rebuild from staging is fresh by definition, and shard repair
-/// has no separate repairer sequencing the admission.
-Status MaterializeShardReplica(const StagingData& staging,
-                               catalog::Catalog* catalog,
-                               const std::string& fragment_name, size_t shard,
-                               size_t replica);
+                                       size_t shard, size_t replica);
 
 /// Incremental view maintenance: given one tuple freshly appended to
 /// dataset relation `relation` (already present in `staging`), computes

@@ -1,30 +1,8 @@
 #include "rewriting/planner.h"
 
-#include <algorithm>
-
 #include "common/strings.h"
 
 namespace estocada::rewriting {
-
-std::vector<std::string> RewritingStores(
-    const catalog::Catalog& catalog,
-    const pivot::ConjunctiveQuery& rewriting) {
-  std::vector<std::string> out;
-  for (const pivot::Atom& atom : rewriting.body) {
-    auto fragment = catalog.GetFragment(atom.relation);
-    if (!fragment.ok()) continue;
-    if ((*fragment)->replicas.empty()) {
-      out.push_back((*fragment)->store_name);
-    } else {
-      for (const catalog::ReplicaPlacement& r : (*fragment)->replicas) {
-        out.push_back(r.store_name);
-      }
-    }
-  }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
-}
 
 Planner::Planner(const catalog::Catalog* catalog,
                  const pacb::Rewriter* rewriter)

@@ -34,14 +34,6 @@ struct PlanSet {
   const PlannedQuery& best_plan() const { return plans[best]; }
 };
 
-/// Store names holding the fragments `rewriting` reads — every replica
-/// placement, primaries first (sorted, deduplicated; atoms that are not
-/// registered fragments are ignored). Note a plan built from the
-/// rewriting reads only one routed placement per fragment: see
-/// PlannedQuery::stores_used for the stores a plan actually touches.
-std::vector<std::string> RewritingStores(
-    const catalog::Catalog& catalog, const pivot::ConjunctiveQuery& rewriting);
-
 /// The cost-based query evaluator: runs the PACB rewriter against the
 /// catalog's views, translates every rewriting to an executable plan, and
 /// picks the cheapest by estimated cost.

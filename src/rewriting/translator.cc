@@ -91,38 +91,16 @@ ThreadPool* ScatterPool() {
   return &pool;
 }
 
-/// Picks the replica placement an atom reads from: the first one (the
-/// primary preferred) that is fresh, not mid-rebuild, and whose store is
-/// not excluded. Two passes: replicas on probation stores (half-open
-/// breakers) are skipped while any fully-healthy replica qualifies, and
-/// admitted as probe traffic only when nothing healthy can serve.
-/// kUnavailable when no placement qualifies at all — the planner then
-/// drops every rewriting using this fragment, and the server falls back
-/// to staging only once *all* rewritings are gone.
-Result<catalog::ReplicaPlacement> RouteFragment(
-    const StorageDescriptor& frag, const PlanConstraints& constraints) {
-  for (int pass = 0; pass < 2; ++pass) {
-    for (size_t i = 0; i < frag.replica_count(); ++i) {
-      catalog::ReplicaPlacement p =
-          frag.replicas.empty()
-              ? catalog::ReplicaPlacement{frag.store_name, frag.container,
-                                          frag.write_epoch, false}
-              : frag.replicas[i];
-      if (p.rebuilding || !p.fresh(frag.write_epoch)) continue;
-      if (constraints.Excludes(p.store_name)) continue;
-      if (pass == 0 && constraints.OnProbation(p.store_name)) continue;
-      return p;
-    }
-  }
-  return Status::Unavailable(
-      StrCat("fragment '", frag.name(),
-             "' has no available replica (excluded, stale, or rebuilding)"));
-}
-
-/// RouteFragment for one shard of a partitioned fragment: same two-pass
-/// probation logic over the shard's own replica set and write epoch. A
-/// dead shard replica drops out here exactly like a dead whole-fragment
-/// replica, so shard reads compose with the HealthRegistry re-route rung
+/// Picks the replica placement a read of shard `shard_idx` goes to: the
+/// first one (the primary preferred) that is fresh, not mid-rebuild, and
+/// whose store is not excluded. Two passes: replicas on probation stores
+/// (half-open breakers) are skipped while any fully-healthy replica
+/// qualifies, and admitted as probe traffic only when nothing healthy can
+/// serve. kUnavailable when no placement qualifies at all — the planner
+/// then drops every rewriting using this fragment, and the server falls
+/// back to staging only once *all* rewritings are gone. A dead shard
+/// replica drops out here exactly like a dead replica of an unpartitioned
+/// fragment, so shard reads compose with the HealthRegistry re-route rung
 /// and the degradation ladder unchanged.
 Result<catalog::ReplicaPlacement> RouteShard(const StorageDescriptor& frag,
                                              size_t shard_idx,
@@ -712,7 +690,8 @@ Result<PlannedQuery> Translator::PlanInternal(
     }
     AtomInfo info;
     catalog::ReplicaPlacement placement;
-    if (frag->partitioned()) {
+    size_t shard = 0;
+    if (frag->shard_count() > 1) {
       // Shard pruning: when the partition key is ground at plan time
       // (a constant or a supplied parameter), the whole read collapses
       // to the one shard owning that value — routed like any replica
@@ -729,8 +708,7 @@ Result<PlannedQuery> Translator::PlanInternal(
         if (it != parameters.end()) key = it->second;
       }
       if (key.has_value()) {
-        ESTOCADA_ASSIGN_OR_RETURN(
-            placement, RouteShard(*frag, spec.ShardOf(*key), constraints));
+        shard = spec.ShardOf(*key);
       } else {
         info.scatter = true;
         for (size_t s = 0; s < spec.shards; ++s) {
@@ -743,9 +721,10 @@ Result<PlannedQuery> Translator::PlanInternal(
         }
         placement = info.shard_placements[0];
       }
-    } else {
+    }
+    if (!info.scatter) {
       ESTOCADA_ASSIGN_OR_RETURN(placement,
-                                RouteFragment(*frag, constraints));
+                                RouteShard(*frag, shard, constraints));
     }
     ESTOCADA_ASSIGN_OR_RETURN(const StoreHandle* store,
                               catalog_->GetStore(placement.store_name));

@@ -130,20 +130,17 @@ class ReplicationTest : public ::testing::Test {
 TEST_F(ReplicationTest, DefineReplicatedCreatesFreshVerifiedPlacements) {
   const catalog::StorageDescriptor* desc = Users();
   ASSERT_NE(desc, nullptr);
-  ASSERT_EQ(desc->replicas.size(), 3u);
-  EXPECT_EQ(desc->replicas[0].store_name, "pg1");
-  EXPECT_EQ(desc->replicas[1].store_name, "pg2");
-  EXPECT_EQ(desc->replicas[2].store_name, "pg3");
-  EXPECT_EQ(desc->replicas[0].container, "F_users");
-  EXPECT_EQ(desc->replicas[1].container, "F_users#r1");
-  EXPECT_EQ(desc->replicas[2].container, "F_users#r2");
-  // Slot 0 mirrors the legacy primary fields.
-  EXPECT_EQ(desc->store_name, desc->replicas[0].store_name);
-  EXPECT_EQ(desc->container, desc->replicas[0].container);
+  ASSERT_EQ(desc->shards[0].replicas.size(), 3u);
+  EXPECT_EQ(desc->shards[0].replicas[0].store_name, "pg1");
+  EXPECT_EQ(desc->shards[0].replicas[1].store_name, "pg2");
+  EXPECT_EQ(desc->shards[0].replicas[2].store_name, "pg3");
+  EXPECT_EQ(desc->shards[0].replicas[0].container, "F_users");
+  EXPECT_EQ(desc->shards[0].replicas[1].container, "F_users#r1");
+  EXPECT_EQ(desc->shards[0].replicas[2].container, "F_users#r2");
   for (size_t i = 0; i < 3; ++i) {
     SCOPED_TRACE(i);
-    EXPECT_FALSE(desc->replicas[i].rebuilding);
-    EXPECT_TRUE(desc->replicas[i].fresh(desc->write_epoch));
+    EXPECT_FALSE(desc->shards[0].replicas[i].rebuilding);
+    EXPECT_TRUE(desc->shards[0].replicas[i].fresh(desc->shards[0].write_epoch));
     EXPECT_TRUE(sys_.VerifyReplica("F_users", i).ok());
   }
   EXPECT_EQ(Digest(0), Digest(1));
@@ -216,10 +213,11 @@ TEST_F(ReplicationTest, WriteFanOutSkipsDeadReplicaAndTickRepairsIt) {
   ASSERT_TRUE(server.InsertRow("mk.users", UserRow(100'000)).ok());
   const catalog::StorageDescriptor* desc = Users();
   ASSERT_NE(desc, nullptr);
-  const uint64_t epoch_after_first = desc->write_epoch;
+  const uint64_t epoch_after_first = desc->shards[0].write_epoch;
   EXPECT_GT(epoch_after_first, 0u);
   for (size_t i = 0; i < 3; ++i) {
-    EXPECT_TRUE(desc->replicas[i].fresh(desc->write_epoch)) << i;
+    EXPECT_TRUE(desc->shards[0].replicas[i].fresh(desc->shards[0].write_epoch))
+        << i;
     EXPECT_TRUE(sys_.VerifyReplica("F_users", i).ok()) << i;
   }
 
@@ -229,10 +227,10 @@ TEST_F(ReplicationTest, WriteFanOutSkipsDeadReplicaAndTickRepairsIt) {
   ASSERT_TRUE(server.InsertRow("mk.users", UserRow(100'001)).ok());
   desc = Users();
   ASSERT_NE(desc, nullptr);
-  EXPECT_GT(desc->write_epoch, epoch_after_first);
-  EXPECT_TRUE(desc->replicas[0].fresh(desc->write_epoch));
-  EXPECT_TRUE(desc->replicas[1].fresh(desc->write_epoch));
-  EXPECT_FALSE(desc->replicas[2].fresh(desc->write_epoch));
+  EXPECT_GT(desc->shards[0].write_epoch, epoch_after_first);
+  EXPECT_TRUE(desc->shards[0].replicas[0].fresh(desc->shards[0].write_epoch));
+  EXPECT_TRUE(desc->shards[0].replicas[1].fresh(desc->shards[0].write_epoch));
+  EXPECT_FALSE(desc->shards[0].replicas[2].fresh(desc->shards[0].write_epoch));
 
   // Reads route around the stale placement, no staleness served.
   auto r = ExpectServesTruth(&server, kUsersQuery);
@@ -248,8 +246,8 @@ TEST_F(ReplicationTest, WriteFanOutSkipsDeadReplicaAndTickRepairsIt) {
   EXPECT_EQ(*repaired, 1u);
   desc = Users();
   ASSERT_NE(desc, nullptr);
-  EXPECT_TRUE(desc->replicas[2].fresh(desc->write_epoch));
-  EXPECT_FALSE(desc->replicas[2].rebuilding);
+  EXPECT_TRUE(desc->shards[0].replicas[2].fresh(desc->shards[0].write_epoch));
+  EXPECT_FALSE(desc->shards[0].replicas[2].rebuilding);
   EXPECT_TRUE(sys_.VerifyReplica("F_users", 2).ok());
   EXPECT_EQ(Digest(0), Digest(2));
   EXPECT_GE(server.metrics().replica_rebuilds, 1u);
@@ -297,7 +295,7 @@ TEST_F(ReplicationTest, AbortAtEveryStageLeavesServingAndWritesCorrect) {
 
     const catalog::StorageDescriptor* desc = Users();
     ASSERT_NE(desc, nullptr);
-    EXPECT_EQ(desc->replicas[1].rebuilding, c.leaves_rebuilding);
+    EXPECT_EQ(desc->shards[0].replicas[1].rebuilding, c.leaves_rebuilding);
 
     // The wreckage must not leak into serving or writes: reads come from
     // the live replicas, the fan-out skips the parked placement.
@@ -315,8 +313,8 @@ TEST_F(ReplicationTest, AbortAtEveryStageLeavesServingAndWritesCorrect) {
     EXPECT_TRUE(recovered.admitted()) << recovered.ToString();
     desc = Users();
     ASSERT_NE(desc, nullptr);
-    EXPECT_FALSE(desc->replicas[1].rebuilding);
-    EXPECT_TRUE(desc->replicas[1].fresh(desc->write_epoch));
+    EXPECT_FALSE(desc->shards[0].replicas[1].rebuilding);
+    EXPECT_TRUE(desc->shards[0].replicas[1].fresh(desc->shards[0].write_epoch));
     EXPECT_TRUE(sys_.VerifyReplica("F_users", 1).ok());
     EXPECT_EQ(Digest(0), Digest(1));
   }
@@ -372,8 +370,9 @@ TEST_F(ReplicationTest, CatalogRoundTripPreservesReplicaState) {
   injector_.SetOutage("pg3", false);
   const catalog::StorageDescriptor* before = Users();
   ASSERT_NE(before, nullptr);
-  ASSERT_TRUE(before->replicas[1].rebuilding);
-  ASSERT_FALSE(before->replicas[2].fresh(before->write_epoch));
+  ASSERT_TRUE(before->shards[0].replicas[1].rebuilding);
+  ASSERT_FALSE(
+      before->shards[0].replicas[2].fresh(before->shards[0].write_epoch));
 
   const std::string json = sys_.ExportCatalogJson();
 
@@ -396,20 +395,22 @@ TEST_F(ReplicationTest, CatalogRoundTripPreservesReplicaState) {
   auto d = restored.catalog().GetFragment("F_users");
   ASSERT_TRUE(d.ok()) << d.status();
   const catalog::StorageDescriptor* desc = *d;
-  ASSERT_EQ(desc->replicas.size(), 3u);
-  EXPECT_EQ(desc->write_epoch, before->write_epoch);
+  ASSERT_EQ(desc->shards[0].replicas.size(), 3u);
+  EXPECT_EQ(desc->shards[0].write_epoch, before->shards[0].write_epoch);
   for (size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(desc->replicas[i].store_name, before->replicas[i].store_name);
-    EXPECT_EQ(desc->replicas[i].container, before->replicas[i].container);
+    EXPECT_EQ(desc->shards[0].replicas[i].store_name,
+              before->shards[0].replicas[i].store_name);
+    EXPECT_EQ(desc->shards[0].replicas[i].container,
+              before->shards[0].replicas[i].container);
   }
   // The mid-rebuild marker survives: the unverified container must not
   // re-enter routing just because the catalog was re-imported.
-  EXPECT_TRUE(desc->replicas[1].rebuilding);
+  EXPECT_TRUE(desc->shards[0].replicas[1].rebuilding);
   EXPECT_FALSE(sys_.VerifyReplica("F_users", 1).ok());
   // Import re-materializes live placements from the restored staging, so
   // the stale replica comes back fresh and verified...
-  EXPECT_TRUE(desc->replicas[0].fresh(desc->write_epoch));
-  EXPECT_TRUE(desc->replicas[2].fresh(desc->write_epoch));
+  EXPECT_TRUE(desc->shards[0].replicas[0].fresh(desc->shards[0].write_epoch));
+  EXPECT_TRUE(desc->shards[0].replicas[2].fresh(desc->shards[0].write_epoch));
   EXPECT_TRUE(restored.VerifyReplica("F_users", 0).ok());
   EXPECT_TRUE(restored.VerifyReplica("F_users", 2).ok());
 
@@ -422,7 +423,7 @@ TEST_F(ReplicationTest, CatalogRoundTripPreservesReplicaState) {
   EXPECT_EQ(*repaired, 1u);
   d = restored.catalog().GetFragment("F_users");
   ASSERT_TRUE(d.ok());
-  EXPECT_FALSE((*d)->replicas[1].rebuilding);
+  EXPECT_FALSE((*d)->shards[0].replicas[1].rebuilding);
   EXPECT_TRUE(restored.VerifyReplica("F_users", 1).ok());
 }
 
@@ -497,8 +498,10 @@ TEST_F(ReplicationTest, ConcurrentChaosConvergesToVerifiedTruth) {
     const catalog::StorageDescriptor* desc = Users();
     ASSERT_NE(desc, nullptr);
     converged = true;
-    for (const catalog::ReplicaPlacement& p : desc->replicas) {
-      if (p.rebuilding || !p.fresh(desc->write_epoch)) converged = false;
+    for (const catalog::ReplicaPlacement& p : desc->shards[0].replicas) {
+      if (p.rebuilding || !p.fresh(desc->shards[0].write_epoch)) {
+        converged = false;
+      }
     }
     if (!converged) std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }

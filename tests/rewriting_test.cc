@@ -142,24 +142,24 @@ TEST(CatalogTest, FragmentRegistrationValidation) {
 
   StorageDescriptor d;
   d.view.query = *ParseQuery("F(a, b) :- R(a, b)");
-  d.store_name = "nope";
+  d.shards = {catalog::ShardState::OnStores({"nope"})};
   EXPECT_EQ(cat.RegisterFragment(d).code(), StatusCode::kNotFound);
-  d.store_name = "pg";
+  d.shards = {catalog::ShardState::OnStores({"pg"})};
   ASSERT_TRUE(cat.RegisterFragment(d).ok());
   EXPECT_EQ(cat.RegisterFragment(d).code(), StatusCode::kAlreadyExists);
   // View body over an unknown relation.
   StorageDescriptor bad;
   bad.view.query = *ParseQuery("G(a) :- Nope(a)");
-  bad.store_name = "pg";
+  bad.shards = {catalog::ShardState::OnStores({"pg"})};
   EXPECT_EQ(cat.RegisterFragment(bad).code(), StatusCode::kNotFound);
   // Fragment name colliding with a dataset relation.
   StorageDescriptor collide;
   collide.view.query = *ParseQuery("R(a, b) :- R(a, b)");
-  collide.store_name = "pg";
+  collide.shards = {catalog::ShardState::OnStores({"pg"})};
   EXPECT_EQ(cat.RegisterFragment(collide).code(),
             StatusCode::kInvalidArgument);
   // Container defaults to the fragment name.
-  EXPECT_EQ((*cat.GetFragment("F"))->container, "F");
+  EXPECT_EQ((*cat.GetFragment("F"))->primary().container, "F");
   EXPECT_EQ(cat.AllViews().size(), 1u);
 }
 
@@ -208,7 +208,7 @@ class MatTransTest : public ::testing::Test {
     if (!q.ok()) return q.status();
     d.view.query = *q;
     d.view.adornments = std::move(adornments);
-    d.store_name = store;
+    d.shards = {catalog::ShardState::OnStores({store})};
     ESTOCADA_RETURN_NOT_OK(cat_.RegisterFragment(std::move(d)));
     std::string name = ParseQuery(view_text)->name;
     return MaterializeFragment(staging_, &cat_, name);

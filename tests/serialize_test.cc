@@ -112,7 +112,160 @@ TEST_F(SerializeTest, RejectsMalformedDocuments) {
   ASSERT_TRUE(bad_store.ok());
   EXPECT_EQ(sys_.ImportCatalogJson(bad_store->Serialize()).code(),
             StatusCode::kNotFound);
+  // Partition counts: below 2, negative, absurdly large, or disagreeing
+  // with the shards array are all refused before anything is allocated.
+  const std::string shard_pg =
+      R"({"replicas":[{"store":"pg","container":"","epoch":0}]})";
+  const std::string two_shards = "[" + shard_pg + "," + shard_pg + "]";
+  for (const auto& [count, shards] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"100000000000", "[]"},
+           {"-1", "[]"},
+           {"0", "[]"},
+           {"1", two_shards},
+           {"3", two_shards}}) {
+    SCOPED_TRACE(count);
+    std::string text =
+        R"j({"format":"estocada-catalog","fragments":[{"view":)j"
+        R"j("P(a, b) :- R(a, b)","store":"pg","partition":)j"
+        R"j({"kind":"hash","key_position":0,"shards":)j" +
+        count + R"j(},"shards":)j" + shards + "}]}";
+    EXPECT_EQ(sys_.ImportCatalogJson(text).code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_FALSE(sys_.catalog().GetFragment("P").ok());
+  }
 }
+
+/// Adornment counts and index positions address view-head columns:
+/// registration refuses any that do not, through the API and through
+/// catalog import alike, before a container is created.
+TEST_F(SerializeTest, OutOfRangePositionsRejectedBeforeAnyContainer) {
+  stores::DocumentStore docs;
+  ASSERT_TRUE(sys_.RegisterStore({"mongo", StoreKind::kDocument, nullptr,
+                                  nullptr, &docs, nullptr, nullptr})
+                  .ok());
+  const std::vector<Adornment> six(6, Adornment::kInput);
+  EXPECT_EQ(sys_.DefineFragment("F(a, b) :- R(a, b)", "pg", six).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(sys_.DefineFragment("F(a, b) :- R(a, b)", "pg", {}, {7}).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(
+      sys_.DefineFragment("F(a, b) :- R(a, b)", "mongo", {}, {7}).code(),
+      StatusCode::kInvalidArgument);
+  EXPECT_FALSE(rel_.HasTable("F"));
+  EXPECT_FALSE(docs.HasCollection("F"));
+
+  for (const std::string& extra :
+       {std::string(R"("adornments":["in","in","in","in","in","in"])"),
+        std::string(R"("index_positions":[7])")}) {
+    SCOPED_TRACE(extra);
+    for (const char* store : {"pg", "mongo"}) {
+      std::string text =
+          std::string(R"j({"format":"estocada-catalog","fragments":[)j") +
+          R"j({"view":"F(a, b) :- R(a, b)","store":")j" + store + "\"," +
+          extra + "}]}";
+      EXPECT_EQ(sys_.ImportCatalogJson(text).code(),
+                StatusCode::kInvalidArgument);
+    }
+  }
+  EXPECT_FALSE(rel_.HasTable("F"));
+  EXPECT_FALSE(docs.HasCollection("F"));
+  EXPECT_FALSE(sys_.catalog().GetFragment("F").ok());
+}
+
+/// The on-disk catalog JSON of the plain + replicated + partitioned graph
+/// layout built below. Export must match it byte for byte, so a change to
+/// the descriptor model cannot move the file format unnoticed.
+constexpr const char* kPinnedGraphCatalog = R"json({
+  "format": "estocada-catalog",
+  "fragments": [
+    {
+      "adornments": [],
+      "container": "G",
+      "index_positions": [],
+      "stats": {
+        "distinct": [
+          8,
+          1,
+          8
+        ],
+        "row_count": 8
+      },
+      "store": "neo",
+      "view": "G(s, l, d) :- soc.Edge(s, l, d)"
+    },
+    {
+      "adornments": [],
+      "container": "GP",
+      "index_positions": [],
+      "partition": {
+        "key_position": 0,
+        "kind": "hash",
+        "shards": 2
+      },
+      "shards": [
+        {
+          "replicas": [
+            {
+              "container": "GP#p0",
+              "epoch": 0,
+              "store": "neo"
+            }
+          ],
+          "write_epoch": 0
+        },
+        {
+          "replicas": [
+            {
+              "container": "GP#p1",
+              "epoch": 0,
+              "store": "neo2"
+            }
+          ],
+          "write_epoch": 0
+        }
+      ],
+      "stats": {
+        "distinct": [
+          8,
+          1,
+          8
+        ],
+        "row_count": 8
+      },
+      "store": "neo",
+      "view": "GP(s, l, d) :- soc.Edge(s, l, d)"
+    },
+    {
+      "adornments": [],
+      "container": "GR",
+      "index_positions": [],
+      "replicas": [
+        {
+          "container": "GR",
+          "epoch": 0,
+          "store": "neo"
+        },
+        {
+          "container": "GR#r1",
+          "epoch": 0,
+          "store": "neo2"
+        }
+      ],
+      "stats": {
+        "distinct": [
+          8,
+          8
+        ],
+        "row_count": 16
+      },
+      "store": "neo",
+      "view": "GR(s, d) :- soc.Reach2(s, d)",
+      "write_epoch": 0
+    }
+  ],
+  "version": 1
+})json";
 
 /// kGraph descriptors round-trip like every other kind: plain,
 /// K-replicated, and hash-partitioned graph fragments re-import onto
@@ -149,6 +302,7 @@ TEST(GraphSerializeTest, GraphFragmentsRoundTripByteIdentical) {
                      PartitionSpec::Kind::kHash, 0, {"neo", "neo2"})
                   .ok());
   std::string text = sys.ExportCatalogJson();
+  EXPECT_EQ(text, kPinnedGraphCatalog);
 
   stores::GraphStore neo_b, neo2_b;
   Estocada sys2;

@@ -150,7 +150,7 @@ TEST_F(TunerTest, ConvergesOnLookupHeavyWorkloadWithoutOperatorInput) {
   // The tuner-built fragment is live in the KV store...
   auto frag = sys_.catalog().GetFragment("F_auto_0");
   ASSERT_TRUE(frag.ok());
-  EXPECT_EQ((*frag)->store_name, "redis");
+  EXPECT_EQ((*frag)->primary().store_name, "redis");
   // ... and serving got cheaper while staying correct.
   auto truth = sys_.EvaluateOverStaging(
       workload::MarketplaceQueries::CartByUser(), {{"$uid", Value::Int(3)}});
