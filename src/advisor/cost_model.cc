@@ -1,5 +1,7 @@
 #include "advisor/cost_model.h"
 
+#include "rewriting/store_driver.h"
+
 namespace estocada::advisor {
 
 Result<double> CostModel::TotalCost(
@@ -19,28 +21,7 @@ Result<double> CostModel::MeanCost(const std::vector<CostProbe>& probes) const {
 }
 
 stores::CostProfile CostModel::BlueprintProfile(catalog::StoreKind kind) {
-  switch (kind) {
-    case catalog::StoreKind::kKeyValue:
-      return {/*per_operation=*/4.0, /*per_row_scanned=*/0.02,
-              /*per_index_lookup=*/0.3, /*per_row_returned=*/0.05};
-    case catalog::StoreKind::kDocument:
-      return {/*per_operation=*/12.0, /*per_row_scanned=*/0.12,
-              /*per_index_lookup=*/0.5, /*per_row_returned=*/0.15};
-    case catalog::StoreKind::kText:
-      return {/*per_operation=*/10.0, /*per_row_scanned=*/0.03,
-              /*per_index_lookup=*/0.4, /*per_row_returned=*/0.1};
-    case catalog::StoreKind::kParallel:
-      return {/*per_operation=*/60.0, /*per_row_scanned=*/0.01,
-              /*per_index_lookup=*/0.6, /*per_row_returned=*/0.05};
-    case catalog::StoreKind::kGraph:
-      return {/*per_operation=*/6.0, /*per_row_scanned=*/0.04,
-              /*per_index_lookup=*/0.2, /*per_row_returned=*/0.06};
-    case catalog::StoreKind::kRelational:
-      return {/*per_operation=*/25.0, /*per_row_scanned=*/0.05,
-              /*per_index_lookup=*/0.8, /*per_row_returned=*/0.05};
-  }
-  return {/*per_operation=*/25.0, /*per_row_scanned=*/0.05,
-          /*per_index_lookup=*/0.8, /*per_row_returned=*/0.05};
+  return rewriting::DriverFor(kind).blueprint();
 }
 
 double CostModel::PredictProbeCost(catalog::StoreKind kind, double mean_rows) {

@@ -59,7 +59,7 @@ class CostModel {
   static double PredictProbeCost(catalog::StoreKind kind, double mean_rows);
 
   /// The blueprint CostProfile of `kind` — each store stand-in's default
-  /// profile (kv_store.h, relational_store.h, ...).
+  /// profile, as the kind's store driver reports it.
   static stores::CostProfile BlueprintProfile(catalog::StoreKind kind);
 
  private:

@@ -271,6 +271,25 @@ std::string JsonValue::Serialize() const {
   return out;
 }
 
+std::string KeyText(const JsonValue& v) {
+  if (v.is_array()) {
+    std::string out = "[";
+    for (size_t i = 0; i < v.array().size(); ++i) {
+      if (i > 0) out.push_back(',');
+      out += KeyText(v.array()[i]);
+    }
+    return out + "]";
+  }
+  if (v.is_number()) {
+    const double d = v.as_double();
+    // Integral values inside the int64 range print as integers.
+    if (std::trunc(d) == d && std::fabs(d) < 9.2e18) {
+      return std::to_string(static_cast<int64_t>(d));
+    }
+  }
+  return v.Serialize();
+}
+
 std::string JsonValue::Pretty() const {
   std::string out;
   SerializeTo(&out, /*indent=*/2, /*depth=*/0);

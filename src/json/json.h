@@ -115,6 +115,12 @@ class JsonValue {
 /// Parses a complete JSON text. Trailing non-whitespace is an error.
 Result<JsonValue> Parse(std::string_view text);
 
+/// Hash-key text of a value: its Serialize() text, except that numbers
+/// comparing equal (1 and 1.0) render alike, also inside arrays. Stores
+/// that key a hash lookup on a value use it, so an integer probe finds an
+/// entry stored under the equal real and back.
+std::string KeyText(const JsonValue& v);
+
 std::ostream& operator<<(std::ostream& os, const JsonValue& v);
 
 }  // namespace estocada::json

@@ -4,6 +4,7 @@
 #include <chrono>
 
 #include "common/strings.h"
+#include "rewriting/store_driver.h"
 #include "runtime/retry.h"
 
 namespace estocada::migration {
@@ -210,7 +211,7 @@ Status MigrationEngine::DrainDeltasLocked(Estocada* sys, size_t max_rows) {
 }
 
 Status MigrationEngine::StepPlan() {
-  bool target_is_text = false;
+  bool target_rebuilds = false;
   // The retry envelope covers shadow-container creation too: the target
   // store rejects writes during a hard outage, and DefineShadowFragment
   // leaves nothing behind on failure, so re-running it is safe.
@@ -230,7 +231,7 @@ Status MigrationEngine::StepPlan() {
       shadow_defined_ = true;
       auto store = sys->catalog().GetStore(spec_.store_name);
       if (!store.ok()) return store.status();
-      target_is_text = (*store)->kind == catalog::StoreKind::kText;
+      target_rebuilds = !rewriting::DriverFor((*store)->kind).appends();
       return Status::OK();
     });
   }));
@@ -254,9 +255,10 @@ Status MigrationEngine::StepPlan() {
             deltas_.clear();
           }
         });
-    if (target_is_text) {
-      // The text store cannot append: the whole backfill is one rebuild,
-      // scheduled through the same catch-up path deletions use.
+    if (target_rebuilds) {
+      // The target kind takes no appends (text): the whole backfill is
+      // one rebuild, scheduled through the same catch-up path deletions
+      // use.
       std::lock_guard<std::mutex> lock(delta_mu_);
       needs_rebuild_ = true;
     } else {

@@ -11,6 +11,7 @@
 #include <utility>
 
 #include "common/strings.h"
+#include "rewriting/store_driver.h"
 #include "runtime/retry.h"
 
 namespace estocada::replication {
@@ -200,9 +201,9 @@ void ReplicaRepairer::RunRebuild(RepairReport* report) {
         flags->deletes = false;
       }
 
-      if (kind == catalog::StoreKind::kText) {
-        // Text containers cannot take appends: the backfill is a one-shot
-        // rematerialization, repeated while updates race it.
+      if (!rewriting::DriverFor(kind).appends()) {
+        // The container takes no appends (text): the backfill is a
+        // one-shot rematerialization, repeated while updates race it.
         ESTOCADA_RETURN_NOT_OK(RetryStoreOp(store_name, report, [&] {
           return server_->WithAdminLock([&](Estocada* sys) {
             return sys->RebuildReplicaFromStaging(fragment, replica);
@@ -494,8 +495,8 @@ Result<size_t> ReplicaRepairer::Scrub() {
   size_t repaired = 0;
   for (const Scan& scan : scans) {
     // Digest screen: same-kind groups of two or more compare digests;
-    // only a disagreeing group — or replicas digests cannot cover (text,
-    // a kind's lone replica) — pays for truth verification.
+    // only a disagreeing group — or a kind's lone replica, which digests
+    // cannot cover — pays for truth verification.
     std::map<int, std::vector<const Member*>> by_kind;
     for (const Member& m : scan.live) {
       if (std::find(open.begin(), open.end(), m.store) != open.end()) {
@@ -505,9 +506,7 @@ Result<size_t> ReplicaRepairer::Scrub() {
     }
     std::vector<size_t> suspects;
     for (const auto& [kind, members] : by_kind) {
-      bool need_verify =
-          static_cast<catalog::StoreKind>(kind) == catalog::StoreKind::kText ||
-          members.size() < 2;
+      bool need_verify = members.size() < 2;
       if (!need_verify) {
         std::vector<uint64_t> digests;
         for (const Member* m : members) {

@@ -13,20 +13,9 @@ namespace estocada::rewriting {
 /// native layout, builds the indexes implied by the view's access-pattern
 /// adornments, and fills in the fragment statistics.
 ///
-/// Physical layouts (documented per DESIGN.md §3):
-///  * relational: table named after the container, one column per view
-///    head position (named by the head variable, h<i> fallback); list
-///    values are stored as JSON text.
-///  * key-value:  key = JSON serialization of head position 0; value =
-///    JSON array of the whole row.
-///  * document:   one JSON document per row: {"_id": "r<N>", "f0": ...}.
-///  * parallel:   nested relation of the view arity, hash-partitioned;
-///    a composite index over the input-adorned positions when present.
-///  * text:       one core document per distinct head-0 value; terms =
-///    all head-1 values of that key ("contains" layout).
-///  * graph:      named graph of the view arity holding the rows as
-///    engine::Values; adjacency indexes on the first/last positions (and
-///    the labeled composites) are built-in, so index_positions are moot.
+/// The physical layout of each store kind (container, row encoding,
+/// indexes) belongs to its StoreDriver (rewriting/store_driver.h,
+/// rewriting/drivers/); DESIGN.md "Store drivers" tabulates them.
 Status MaterializeFragment(const StagingData& staging,
                            catalog::Catalog* catalog,
                            const std::string& fragment_name);
@@ -34,15 +23,14 @@ Status MaterializeFragment(const StagingData& staging,
 /// Creates the fragment's *empty* physical container (plus the indexes
 /// implied by its adornments and index_positions) without evaluating the
 /// view. The online-migration backfill uses this to open a shadow target
-/// it then fills in throttled batches via AppendToFragment. Column types
-/// stay open (kAny) until rows arrive.
+/// it then fills in throttled batches via AppendToFragment.
 Status CreateFragmentContainer(catalog::Catalog* catalog,
                                const std::string& fragment_name);
 
 /// Appends already-computed view rows to a fragment's physical container
 /// in the store's native layout, updating row-count statistics and list-
-/// column flags. Text fragments cannot be appended to (per-document
-/// postings are immutable): returns kUnsupported — rebuild instead.
+/// column flags. Kinds that take no appends (text: per-document postings
+/// are immutable) return kUnsupported — rebuild instead.
 ///
 /// Each row goes to the shard owning its partition key (the only shard
 /// when unpartitioned), and each shard fans its rows out: the shard's
@@ -63,9 +51,7 @@ Status AppendToFragment(catalog::Catalog* catalog,
 /// trip, so a correctly loaded fragment always verifies even for values
 /// that JSON canonicalizes. Duplicates on either side are ignored (set
 /// semantics). Every fresh, non-rebuilding replica of each shard is
-/// compared against the shard's rows. Works for every store kind,
-/// including text (compared in per-document token space). Returns OK iff
-/// they match; a kFailedPrecondition status describes the first
+/// compared against the shard's rows. Returns OK iff they match; a kFailedPrecondition status describes the first
 /// divergence otherwise.
 Status VerifyFragmentAgainstRows(const catalog::Catalog& catalog,
                                  const std::string& fragment_name,
@@ -104,8 +90,7 @@ Status DropReplicaContainer(const catalog::Catalog& catalog,
 /// Rebuilds the placement's container in one shot from the staging
 /// truth: drops it (tolerating absence), re-evaluates the view, and loads
 /// the shard's rows in the store's native layout. Works for every store
-/// kind — the only rebuild path for text placements, which cannot be
-/// appended to.
+/// kind — the only rebuild path for kinds that take no appends (text).
 Status MaterializeReplica(const StagingData& staging,
                           const catalog::Catalog& catalog,
                           const std::string& fragment_name, size_t shard,
@@ -121,9 +106,7 @@ Status AppendToReplica(const catalog::Catalog& catalog,
 /// Reads the placement's container back into pivot-space view rows (the
 /// inverse of the per-kind load layouts; relational list columns are
 /// parsed back from their JSON text). Order is unspecified and duplicates
-/// appended by incremental maintenance are preserved. Text placements are
-/// not reconstructible row-by-row (terms are fused into per-document
-/// token streams): returns kUnsupported — verify those instead.
+/// appended by incremental maintenance are preserved.
 Result<std::vector<engine::Row>> ReadReplicaRows(
     const catalog::Catalog& catalog, const std::string& fragment_name,
     size_t shard, size_t replica);
@@ -139,8 +122,7 @@ Status VerifyReplicaAgainstRows(const catalog::Catalog& catalog,
 /// Order-independent digest over the distinct rows stored in the
 /// placement — byte-equal contents digest equal. Comparable only between
 /// placements of the same store kind (kinds round-trip values
-/// differently); text placements return kUnsupported (no row readback) —
-/// anti-entropy verifies those against the staging truth instead.
+/// differently).
 Result<uint64_t> FragmentReplicaDigest(const catalog::Catalog& catalog,
                                        const std::string& fragment_name,
                                        size_t shard, size_t replica);
@@ -152,9 +134,9 @@ Result<uint64_t> FragmentReplicaDigest(const catalog::Catalog& catalog,
 /// atom pinned to the new tuple — and appends the new view rows to the
 /// fragment's physical container, updating its statistics.
 ///
-/// Text fragments are rebuilt from scratch (their per-document postings
-/// cannot be appended to); deletions are not supported (the paper, too,
-/// leaves dynamic reorganization as ongoing work).
+/// Fragments of kinds that take no appends (text) are rebuilt from
+/// scratch; deletions are not supported (the paper, too, leaves dynamic
+/// reorganization as ongoing work).
 Status MaintainFragmentsOnInsert(const StagingData& staging,
                                  catalog::Catalog* catalog,
                                  const std::string& relation,
@@ -170,8 +152,8 @@ Status MaintainFragmentsOnInsertBatch(
     const std::vector<std::pair<std::string, engine::Row>>& new_rows);
 
 /// Per-fragment core of the batch maintenance: applies the delta rule for
-/// `new_rows` to exactly one fragment (rebuilding it when it lives in a
-/// text store). The migration engine's catch-up stage replays captured
+/// `new_rows` to exactly one fragment (rebuilding it when a placement's
+/// kind takes no appends). The migration engine's catch-up stage replays captured
 /// update deltas through this against its shadow target.
 Status MaintainOneFragmentOnInsertBatch(
     const StagingData& staging, catalog::Catalog* catalog,

@@ -10,18 +10,9 @@
 #include "common/result.h"
 #include "engine/operator.h"
 #include "pivot/query.h"
+#include "rewriting/store_driver.h"
 
 namespace estocada::rewriting {
-
-/// Per-store work counters accumulated while a plan executes; gives the
-/// demo's "performance statistics split across the underlying DMSs and
-/// ESTOCADA's runtime" (§IV step 3).
-struct RuntimeStats {
-  std::map<std::string, stores::StoreStats> per_store;
-
-  double TotalSimulatedCost() const;
-  std::string ToString() const;
-};
 
 /// Planning-time availability constraints: fragment reads route around
 /// the excluded stores — each atom resolves to its first replica

@@ -52,7 +52,7 @@ bool MatchesPredicate(const JsonValue& doc, const PathPredicate& pred) {
   return CompareWithOp(*v, pred.op, pred.value);
 }
 
-DocumentStore::DocumentStore(CostProfile profile) : profile_(profile) {}
+DocumentStore::DocumentStore(CostProfile profile) : StoreBase(profile) {}
 
 Status DocumentStore::CreateCollection(const std::string& name) {
   ESTOCADA_RETURN_NOT_OK(InjectWriteFault());
@@ -78,39 +78,12 @@ bool DocumentStore::HasCollection(const std::string& name) const {
 
 Result<const DocumentStore::Collection*> DocumentStore::GetCollection(
     const std::string& name) const {
-  auto it = collections_.find(name);
-  if (it == collections_.end()) {
-    return Status::NotFound(StrCat("collection '", name, "' does not exist"));
-  }
-  return &it->second;
+  return FindContainer(collections_, name, "collection");
 }
 
 Result<DocumentStore::Collection*> DocumentStore::GetMutableCollection(
     const std::string& name) {
-  auto it = collections_.find(name);
-  if (it == collections_.end()) {
-    return Status::NotFound(StrCat("collection '", name, "' does not exist"));
-  }
-  return &it->second;
-}
-
-void DocumentStore::Charge(StoreStats* stats, uint64_t ops, uint64_t scanned,
-                           uint64_t lookups, uint64_t returned) const {
-  StoreStats delta;
-  delta.operations = ops;
-  delta.rows_scanned = scanned;
-  delta.index_lookups = lookups;
-  delta.rows_returned = returned;
-  delta.simulated_cost =
-      profile_.per_operation * static_cast<double>(ops) +
-      profile_.per_row_scanned * static_cast<double>(scanned) +
-      profile_.per_index_lookup * static_cast<double>(lookups) +
-      profile_.per_row_returned * static_cast<double>(returned);
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    lifetime_stats_.Add(delta);
-  }
-  if (stats != nullptr) stats->Add(delta);
+  return FindContainer(collections_, name, "collection");
 }
 
 namespace {
@@ -123,9 +96,9 @@ std::vector<std::string> IndexKeysFor(const JsonValue& doc,
   if (v == nullptr) return {};
   std::vector<std::string> keys;
   if (v->is_array()) {
-    for (const JsonValue& e : v->array()) keys.push_back(e.Serialize());
+    for (const JsonValue& e : v->array()) keys.push_back(json::KeyText(e));
   } else {
-    keys.push_back(v->Serialize());
+    keys.push_back(json::KeyText(*v));
   }
   return keys;
 }
@@ -223,7 +196,7 @@ Result<std::vector<JsonValue>> DocumentStore::Find(
   if (indexed != nullptr) {
     ++lookups;
     const auto& index = c->path_indexes.at(indexed->path);
-    auto hit = index.find(indexed->value.Serialize());
+    auto hit = index.find(json::KeyText(indexed->value));
     if (hit != index.end()) {
       for (const std::string& id : hit->second) {
         auto dit = c->docs.find(id);

@@ -2,7 +2,6 @@
 #define ESTOCADA_STORES_DOCUMENT_STORE_H_
 
 #include <map>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -10,7 +9,6 @@
 
 #include "common/result.h"
 #include "json/json.h"
-#include "stores/fault.h"
 #include "stores/store_stats.h"
 
 namespace estocada::stores {
@@ -30,13 +28,10 @@ struct PathPredicate {
 /// dotted path predicates, optional per-path hash indexes — and *no*
 /// joins, the feature boundary the rewriting layer must respect when
 /// delegating (single-collection filters go down, joins stay up).
-class DocumentStore : public FaultInjectable {
+class DocumentStore : public StoreBase {
  public:
   /// Default profile: BSON-protocol round trip + per-document match cost.
-  explicit DocumentStore(CostProfile profile = {/*per_operation=*/12.0,
-                                                /*per_row_scanned=*/0.12,
-                                                /*per_index_lookup=*/0.5,
-                                                /*per_row_returned=*/0.15});
+  explicit DocumentStore(CostProfile profile = kDocumentBlueprint);
 
   Status CreateCollection(const std::string& name);
   Status DropCollection(const std::string& name);
@@ -76,18 +71,12 @@ class DocumentStore : public FaultInjectable {
 
   Result<size_t> Count(const std::string& collection) const;
 
-  /// Snapshot of the stats accumulated across all calls. Reads under the
-  /// stats mutex so concurrent query threads never observe torn counters.
-  StoreStats lifetime_stats() const {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    return lifetime_stats_;
-  }
 
  private:
   struct Collection {
     /// id -> document; std::map for deterministic iteration.
     std::map<std::string, json::JsonValue> docs;
-    /// path -> (serialized value -> doc ids).
+    /// path -> (json::KeyText of the value -> doc ids).
     std::map<std::string,
              std::unordered_map<std::string, std::vector<std::string>>>
         path_indexes;
@@ -97,13 +86,8 @@ class DocumentStore : public FaultInjectable {
   Result<const Collection*> GetCollection(const std::string& name) const;
   Result<Collection*> GetMutableCollection(const std::string& name);
 
-  void Charge(StoreStats* stats, uint64_t ops, uint64_t scanned,
-              uint64_t lookups, uint64_t returned) const;
 
-  CostProfile profile_;
   std::map<std::string, Collection> collections_;
-  mutable StoreStats lifetime_stats_;
-  mutable std::mutex stats_mu_;
 };
 
 /// True iff `doc` satisfies `pred` (missing path = no match; array values

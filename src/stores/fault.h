@@ -25,7 +25,7 @@ struct FaultPlan {
   bool outage = false;
 };
 
-/// Deterministic chaos for the five store stand-ins. One injector is
+/// Deterministic chaos for the store stand-ins. One injector is
 /// shared by all stores of a deployment; each store registers itself under
 /// its catalog name (AttachFaultInjector) and asks the injector before
 /// serving any read. Draws come from one seeded common/rng generator, so a
@@ -81,35 +81,6 @@ class FaultInjector {
   /// Per-store pending forced failures (FailNextReads).
   std::map<std::string, uint64_t> fail_next_;
   Counters counters_;
-};
-
-/// Mixin every store inherits: an optional, initially absent injector
-/// hook. Stores call InjectReadFault() at the top of each read path; with
-/// no injector attached it is a null check and nothing more.
-class FaultInjectable {
- public:
-  /// Registers this store with `injector` under `store_id` (the catalog
-  /// store name). Pass nullptr to detach. Not thread-safe against
-  /// concurrent reads — attach during deployment setup.
-  void AttachFaultInjector(FaultInjector* injector, std::string store_id) {
-    fault_injector_ = injector;
-    fault_store_id_ = std::move(store_id);
-  }
-
- protected:
-  Status InjectReadFault() const {
-    if (fault_injector_ == nullptr) return Status::OK();
-    return fault_injector_->OnRead(fault_store_id_);
-  }
-
-  Status InjectWriteFault() const {
-    if (fault_injector_ == nullptr) return Status::OK();
-    return fault_injector_->OnWrite(fault_store_id_);
-  }
-
- private:
-  FaultInjector* fault_injector_ = nullptr;
-  std::string fault_store_id_;
 };
 
 }  // namespace estocada::stores

@@ -9,7 +9,7 @@ namespace estocada::stores {
 using engine::Row;
 using engine::Value;
 
-GraphStore::GraphStore(CostProfile profile) : profile_(profile) {}
+GraphStore::GraphStore(CostProfile profile) : StoreBase(profile) {}
 
 Status GraphStore::CreateGraph(const std::string& name, size_t arity) {
   ESTOCADA_RETURN_NOT_OK(InjectWriteFault());
@@ -229,38 +229,12 @@ Result<size_t> GraphStore::Arity(const std::string& graph) const {
 
 Result<const GraphStore::Graph*> GraphStore::GetGraph(
     const std::string& name) const {
-  auto it = graphs_.find(name);
-  if (it == graphs_.end()) {
-    return Status::NotFound(StrCat("graph '", name, "' does not exist"));
-  }
-  return &it->second;
+  return FindContainer(graphs_, name, "graph");
 }
 
 Result<GraphStore::Graph*> GraphStore::GetMutableGraph(
     const std::string& name) {
-  auto it = graphs_.find(name);
-  if (it == graphs_.end()) {
-    return Status::NotFound(StrCat("graph '", name, "' does not exist"));
-  }
-  return &it->second;
-}
-
-void GraphStore::Charge(StoreStats* stats, uint64_t ops, uint64_t scanned,
-                        uint64_t lookups, uint64_t returned) const {
-  StoreStats delta;
-  delta.operations = ops;
-  delta.rows_scanned = scanned;
-  delta.index_lookups = lookups;
-  delta.rows_returned = returned;
-  delta.simulated_cost = profile_.per_operation * ops +
-                         profile_.per_row_scanned * scanned +
-                         profile_.per_index_lookup * lookups +
-                         profile_.per_row_returned * returned;
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    lifetime_stats_.Add(delta);
-  }
-  if (stats != nullptr) stats->Add(delta);
+  return FindContainer(graphs_, name, "graph");
 }
 
 }  // namespace estocada::stores

@@ -2,7 +2,6 @@
 #define ESTOCADA_STORES_GRAPH_STORE_H_
 
 #include <map>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -10,7 +9,6 @@
 
 #include "common/result.h"
 #include "engine/value.h"
-#include "stores/fault.h"
 #include "stores/store_stats.h"
 
 namespace estocada::stores {
@@ -35,15 +33,12 @@ enum class ExpandDirection {
 /// is built around); a full Scan exists for bulk export but costs
 /// proportionally to the graph. Node/edge property maps are just more
 /// graphs anchored by id, sharing the same indexes.
-class GraphStore : public FaultInjectable {
+class GraphStore : public StoreBase {
  public:
   /// Default profile models a pointer-chasing native engine: round trips
   /// are cheap, anchored bucket probes cheaper than B-tree lookups, but
   /// unanchored scans cost more per row than a columnar store.
-  explicit GraphStore(CostProfile profile = {/*per_operation=*/6.0,
-                                             /*per_row_scanned=*/0.04,
-                                             /*per_index_lookup=*/0.2,
-                                             /*per_row_returned=*/0.06});
+  explicit GraphStore(CostProfile profile = kGraphBlueprint);
 
   Status CreateGraph(const std::string& name, size_t arity);
   Status DropGraph(const std::string& name);
@@ -92,12 +87,6 @@ class GraphStore : public FaultInjectable {
   Result<size_t> RowCount(const std::string& graph) const;
   Result<size_t> Arity(const std::string& graph) const;
 
-  /// Snapshot of the stats accumulated across all calls. Reads under the
-  /// stats mutex so concurrent query threads never observe torn counters.
-  StoreStats lifetime_stats() const {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    return lifetime_stats_;
-  }
 
  private:
   using Index =
@@ -124,13 +113,8 @@ class GraphStore : public FaultInjectable {
                              std::vector<engine::Row>* out,
                              StoreStats* stats) const;
 
-  void Charge(StoreStats* stats, uint64_t ops, uint64_t scanned,
-              uint64_t lookups, uint64_t returned) const;
 
-  CostProfile profile_;
   std::map<std::string, Graph> graphs_;
-  mutable StoreStats lifetime_stats_;
-  mutable std::mutex stats_mu_;
 };
 
 }  // namespace estocada::stores

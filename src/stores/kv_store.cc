@@ -4,7 +4,7 @@
 
 namespace estocada::stores {
 
-KeyValueStore::KeyValueStore(CostProfile profile) : profile_(profile) {}
+KeyValueStore::KeyValueStore(CostProfile profile) : StoreBase(profile) {}
 
 Status KeyValueStore::CreateCollection(const std::string& name) {
   ESTOCADA_RETURN_NOT_OK(InjectWriteFault());
@@ -30,42 +30,16 @@ bool KeyValueStore::HasCollection(const std::string& name) const {
 
 Result<const KeyValueStore::Collection*> KeyValueStore::GetCollection(
     const std::string& name) const {
-  auto it = collections_.find(name);
-  if (it == collections_.end()) {
-    return Status::NotFound(StrCat("collection '", name, "' does not exist"));
-  }
-  return &it->second;
-}
-
-void KeyValueStore::Charge(StoreStats* stats, uint64_t ops, uint64_t scanned,
-                           uint64_t lookups, uint64_t returned) const {
-  StoreStats delta;
-  delta.operations = ops;
-  delta.rows_scanned = scanned;
-  delta.index_lookups = lookups;
-  delta.rows_returned = returned;
-  delta.simulated_cost =
-      profile_.per_operation * static_cast<double>(ops) +
-      profile_.per_row_scanned * static_cast<double>(scanned) +
-      profile_.per_index_lookup * static_cast<double>(lookups) +
-      profile_.per_row_returned * static_cast<double>(returned);
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    lifetime_stats_.Add(delta);
-  }
-  if (stats != nullptr) stats->Add(delta);
+  return FindContainer(collections_, name, "collection");
 }
 
 Status KeyValueStore::Put(const std::string& collection, const std::string& key,
                           std::string value) {
   ESTOCADA_RETURN_NOT_OK(InjectWriteFault());
-  auto it = collections_.find(collection);
-  if (it == collections_.end()) {
-    return Status::NotFound(
-        StrCat("collection '", collection, "' does not exist"));
-  }
+  ESTOCADA_ASSIGN_OR_RETURN(
+      Collection * c, FindContainer(collections_, collection, "collection"));
   Charge(nullptr, 1, 0, 1, 0);
-  it->second.Put(key, std::move(value));
+  c->Put(key, std::move(value));
   return Status::OK();
 }
 
@@ -73,15 +47,12 @@ Status KeyValueStore::BulkLoad(
     const std::string& collection,
     const std::vector<std::pair<std::string, std::string>>& entries) {
   ESTOCADA_RETURN_NOT_OK(InjectWriteFault());
-  auto it = collections_.find(collection);
-  if (it == collections_.end()) {
-    return Status::NotFound(
-        StrCat("collection '", collection, "' does not exist"));
-  }
+  ESTOCADA_ASSIGN_OR_RETURN(
+      Collection * c, FindContainer(collections_, collection, "collection"));
   // Cost parity with entries.size() individual Puts.
   Charge(nullptr, entries.size(), 0, entries.size(), 0);
-  it->second.BulkLoad(entries);
-  return it->second.Verify();
+  c->BulkLoad(entries);
+  return c->Verify();
 }
 
 Result<std::string> KeyValueStore::Get(const std::string& collection,
@@ -123,13 +94,10 @@ Result<std::vector<std::optional<std::string>>> KeyValueStore::MGet(
 Status KeyValueStore::Delete(const std::string& collection,
                              const std::string& key) {
   ESTOCADA_RETURN_NOT_OK(InjectWriteFault());
-  auto it = collections_.find(collection);
-  if (it == collections_.end()) {
-    return Status::NotFound(
-        StrCat("collection '", collection, "' does not exist"));
-  }
+  ESTOCADA_ASSIGN_OR_RETURN(
+      Collection * c, FindContainer(collections_, collection, "collection"));
   Charge(nullptr, 1, 0, 1, 0);
-  if (!it->second.Erase(key)) {
+  if (!c->Erase(key)) {
     return Status::NotFound(
         StrCat("key '", key, "' not in collection '", collection, "'"));
   }

@@ -2,14 +2,12 @@
 #define ESTOCADA_STORES_KV_STORE_H_
 
 #include <map>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/result.h"
-#include "stores/fault.h"
 #include "stores/open_hash.h"
 #include "stores/store_stats.h"
 
@@ -22,14 +20,11 @@ namespace estocada::stores {
 /// the pivot model encodes with an input-adorned key position. A full Scan
 /// exists (the stores are slave systems, ESTOCADA may bulk-load from them)
 /// but costs proportionally to the collection.
-class KeyValueStore : public FaultInjectable {
+class KeyValueStore : public StoreBase {
  public:
   /// Default profile models a lightweight binary-protocol round trip —
   /// the cheap-lookup blueprint that motivates the §II migration.
-  explicit KeyValueStore(CostProfile profile = {/*per_operation=*/4.0,
-                                                /*per_row_scanned=*/0.02,
-                                                /*per_index_lookup=*/0.3,
-                                                /*per_row_returned=*/0.05});
+  explicit KeyValueStore(CostProfile profile = kKeyValueBlueprint);
 
   Status CreateCollection(const std::string& name);
   Status DropCollection(const std::string& name);
@@ -65,12 +60,6 @@ class KeyValueStore : public FaultInjectable {
 
   Result<size_t> Size(const std::string& collection) const;
 
-  /// Snapshot of the stats accumulated across all calls. Reads under the
-  /// stats mutex so concurrent query threads never observe torn counters.
-  StoreStats lifetime_stats() const {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    return lifetime_stats_;
-  }
 
  private:
   /// Flat open-addressing table (see open_hash.h) — the per-key hot path
@@ -79,13 +68,8 @@ class KeyValueStore : public FaultInjectable {
 
   Result<const Collection*> GetCollection(const std::string& name) const;
 
-  void Charge(StoreStats* stats, uint64_t ops, uint64_t scanned,
-              uint64_t lookups, uint64_t returned) const;
 
-  CostProfile profile_;
   std::map<std::string, Collection> collections_;
-  mutable StoreStats lifetime_stats_;
-  mutable std::mutex stats_mu_;
 };
 
 }  // namespace estocada::stores

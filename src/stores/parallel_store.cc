@@ -1,5 +1,6 @@
 #include "stores/parallel_store.h"
 
+#include <algorithm>
 #include <atomic>
 
 #include "common/strings.h"
@@ -9,8 +10,11 @@ namespace estocada::stores {
 using engine::Row;
 using engine::Value;
 
+// Scans are partition-parallel: the per-row cost amortizes across the
+// worker pool (that is the whole point of delegating bulk work here).
 ParallelStore::ParallelStore(size_t workers, CostProfile profile)
-    : profile_(profile), pool_(std::make_unique<ThreadPool>(workers)) {}
+    : StoreBase(profile, static_cast<double>(std::max<size_t>(workers, 1))),
+      pool_(std::make_unique<ThreadPool>(workers)) {}
 
 Status ParallelStore::CreateRelation(const std::string& name, size_t arity,
                                      size_t partitions) {
@@ -44,40 +48,12 @@ bool ParallelStore::HasRelation(const std::string& name) const {
 
 Result<const ParallelStore::Relation*> ParallelStore::GetRelation(
     const std::string& name) const {
-  auto it = relations_.find(name);
-  if (it == relations_.end()) {
-    return Status::NotFound(StrCat("relation '", name, "' does not exist"));
-  }
-  return &it->second;
+  return FindContainer(relations_, name, "relation");
 }
 
 Result<ParallelStore::Relation*> ParallelStore::GetMutableRelation(
     const std::string& name) {
-  auto it = relations_.find(name);
-  if (it == relations_.end()) {
-    return Status::NotFound(StrCat("relation '", name, "' does not exist"));
-  }
-  return &it->second;
-}
-
-void ParallelStore::Charge(StoreStats* stats, uint64_t ops, uint64_t scanned,
-                           uint64_t lookups, uint64_t returned) const {
-  StoreStats delta;
-  delta.operations = ops;
-  delta.rows_scanned = scanned;
-  delta.index_lookups = lookups;
-  delta.rows_returned = returned;
-  // Scans are partition-parallel: the per-row cost amortizes across the
-  // worker pool (that is the whole point of delegating bulk work here).
-  delta.simulated_cost =
-      profile_.per_operation * static_cast<double>(ops) +
-      profile_.per_row_scanned * static_cast<double>(scanned) /
-          static_cast<double>(pool_->num_threads()) +
-      profile_.per_index_lookup * static_cast<double>(lookups) +
-      profile_.per_row_returned * static_cast<double>(returned);
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  lifetime_stats_.Add(delta);
-  if (stats != nullptr) stats->Add(delta);
+  return FindContainer(relations_, name, "relation");
 }
 
 std::string ParallelStore::IndexKey(const std::vector<size_t>& columns) {

@@ -11,7 +11,6 @@
 #include "common/result.h"
 #include "common/thread_pool.h"
 #include "engine/value.h"
-#include "stores/fault.h"
 #include "stores/store_stats.h"
 
 namespace estocada::stores {
@@ -24,15 +23,12 @@ namespace estocada::stores {
 /// composite-key hash indexes provide the "(userID, product category)"
 /// access path. Per-job launch overhead is part of the cost profile:
 /// bulk work is cheap, point lookups through the job API are not.
-class ParallelStore : public FaultInjectable {
+class ParallelStore : public StoreBase {
  public:
   /// `workers`: thread-pool size (the "cluster"). Default profile models
   /// job-launch latency + cheap per-row distributed scanning.
   explicit ParallelStore(size_t workers = 4,
-                         CostProfile profile = {/*per_operation=*/60.0,
-                                                /*per_row_scanned=*/0.01,
-                                                /*per_index_lookup=*/0.6,
-                                                /*per_row_returned=*/0.05});
+                         CostProfile profile = kParallelBlueprint);
 
   /// Creates a relation with `arity` columns over `partitions` partitions.
   Status CreateRelation(const std::string& name, size_t arity,
@@ -77,12 +73,6 @@ class ParallelStore : public FaultInjectable {
 
   size_t workers() const { return pool_->num_threads(); }
 
-  /// Snapshot of the stats accumulated across all calls. Reads under the
-  /// stats mutex so concurrent query threads never observe torn counters.
-  StoreStats lifetime_stats() const {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    return lifetime_stats_;
-  }
 
  private:
   struct Relation {
@@ -100,16 +90,11 @@ class ParallelStore : public FaultInjectable {
   Result<const Relation*> GetRelation(const std::string& name) const;
   Result<Relation*> GetMutableRelation(const std::string& name);
 
-  void Charge(StoreStats* stats, uint64_t ops, uint64_t scanned,
-              uint64_t lookups, uint64_t returned) const;
 
   static std::string IndexKey(const std::vector<size_t>& columns);
 
-  CostProfile profile_;
   std::unique_ptr<ThreadPool> pool_;
   std::map<std::string, Relation> relations_;
-  mutable StoreStats lifetime_stats_;
-  mutable std::mutex stats_mu_;
 };
 
 }  // namespace estocada::stores

@@ -66,7 +66,7 @@ std::optional<size_t> RelationalStore::Table::ColumnIndex(
   return std::nullopt;
 }
 
-RelationalStore::RelationalStore(CostProfile profile) : profile_(profile) {}
+RelationalStore::RelationalStore(CostProfile profile) : StoreBase(profile) {}
 
 Status RelationalStore::CreateTable(const std::string& name,
                                     std::vector<ColumnDef> columns,
@@ -113,20 +113,12 @@ bool RelationalStore::HasTable(const std::string& name) const {
 
 Result<const RelationalStore::Table*> RelationalStore::GetTable(
     const std::string& name) const {
-  auto it = tables_.find(name);
-  if (it == tables_.end()) {
-    return Status::NotFound(StrCat("table '", name, "' does not exist"));
-  }
-  return &it->second;
+  return FindContainer(tables_, name, "table");
 }
 
 Result<RelationalStore::Table*> RelationalStore::GetMutableTable(
     const std::string& name) {
-  auto it = tables_.find(name);
-  if (it == tables_.end()) {
-    return Status::NotFound(StrCat("table '", name, "' does not exist"));
-  }
-  return &it->second;
+  return FindContainer(tables_, name, "table");
 }
 
 Status RelationalStore::Insert(const std::string& table, Row row) {
@@ -193,25 +185,6 @@ Result<std::vector<std::string>> RelationalStore::Columns(
   out.reserve(t->columns.size());
   for (const ColumnDef& c : t->columns) out.push_back(c.name);
   return out;
-}
-
-void RelationalStore::Charge(StoreStats* stats, uint64_t ops, uint64_t scanned,
-                             uint64_t lookups, uint64_t returned) const {
-  StoreStats delta;
-  delta.operations = ops;
-  delta.rows_scanned = scanned;
-  delta.index_lookups = lookups;
-  delta.rows_returned = returned;
-  delta.simulated_cost =
-      profile_.per_operation * static_cast<double>(ops) +
-      profile_.per_row_scanned * static_cast<double>(scanned) +
-      profile_.per_index_lookup * static_cast<double>(lookups) +
-      profile_.per_row_returned * static_cast<double>(returned);
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    lifetime_stats_.Add(delta);
-  }
-  if (stats != nullptr) stats->Add(delta);
 }
 
 Result<std::vector<Row>> RelationalStore::Scan(const std::string& table,

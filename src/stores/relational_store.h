@@ -3,7 +3,6 @@
 
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -11,14 +10,13 @@
 
 #include "common/result.h"
 #include "engine/value.h"
-#include "stores/fault.h"
 #include "stores/store_stats.h"
 
 namespace estocada::stores {
 
 /// Column types of the relational store. kAny accepts every scalar —
-/// used for columns whose type could not be inferred at creation (e.g. a
-/// materialized view that was empty when first loaded).
+/// fragment tables use it for every column, so they take whatever the
+/// staging data holds.
 enum class ColumnType { kInt, kReal, kStr, kBool, kAny };
 
 struct ColumnDef {
@@ -60,13 +58,10 @@ struct SpjQuery {
 /// executor with a greedy bound-first join order that exploits the
 /// indexes. Full SPJ support is the contract the rewriting layer relies
 /// on when delegating to this store.
-class RelationalStore : public FaultInjectable {
+class RelationalStore : public StoreBase {
  public:
   /// Default cost profile models a client/server SQL round trip.
-  explicit RelationalStore(CostProfile profile = {/*per_operation=*/25.0,
-                                                  /*per_row_scanned=*/0.05,
-                                                  /*per_index_lookup=*/0.8,
-                                                  /*per_row_returned=*/0.05});
+  explicit RelationalStore(CostProfile profile = kRelationalBlueprint);
 
   Status CreateTable(const std::string& name, std::vector<ColumnDef> columns,
                      std::vector<std::string> primary_key = {});
@@ -108,12 +103,6 @@ class RelationalStore : public FaultInjectable {
   Result<std::vector<engine::Row>> Scan(const std::string& table,
                                         StoreStats* stats = nullptr) const;
 
-  /// Snapshot of the stats accumulated across all calls. Reads under the
-  /// stats mutex so concurrent query threads never observe torn counters.
-  StoreStats lifetime_stats() const {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    return lifetime_stats_;
-  }
 
  private:
   struct Table {
@@ -132,13 +121,8 @@ class RelationalStore : public FaultInjectable {
   Result<const Table*> GetTable(const std::string& name) const;
   Result<Table*> GetMutableTable(const std::string& name);
 
-  void Charge(StoreStats* stats, uint64_t ops, uint64_t scanned,
-              uint64_t lookups, uint64_t returned) const;
 
-  CostProfile profile_;
   std::map<std::string, Table> tables_;
-  mutable StoreStats lifetime_stats_;
-  mutable std::mutex stats_mu_;
 };
 
 }  // namespace estocada::stores

@@ -7,7 +7,7 @@
 
 namespace estocada::stores {
 
-TextStore::TextStore(CostProfile profile) : profile_(profile) {}
+TextStore::TextStore(CostProfile profile) : StoreBase(profile) {}
 
 std::vector<std::string> TextStore::Tokenize(const std::string& text) {
   std::vector<std::string> tokens;
@@ -48,42 +48,15 @@ bool TextStore::HasCore(const std::string& name) const {
 
 Result<const TextStore::Core*> TextStore::GetCore(
     const std::string& name) const {
-  auto it = cores_.find(name);
-  if (it == cores_.end()) {
-    return Status::NotFound(StrCat("core '", name, "' does not exist"));
-  }
-  return &it->second;
-}
-
-void TextStore::Charge(StoreStats* stats, uint64_t ops, uint64_t scanned,
-                       uint64_t lookups, uint64_t returned) const {
-  StoreStats delta;
-  delta.operations = ops;
-  delta.rows_scanned = scanned;
-  delta.index_lookups = lookups;
-  delta.rows_returned = returned;
-  delta.simulated_cost =
-      profile_.per_operation * static_cast<double>(ops) +
-      profile_.per_row_scanned * static_cast<double>(scanned) +
-      profile_.per_index_lookup * static_cast<double>(lookups) +
-      profile_.per_row_returned * static_cast<double>(returned);
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    lifetime_stats_.Add(delta);
-  }
-  if (stats != nullptr) stats->Add(delta);
+  return FindContainer(cores_, name, "core");
 }
 
 Status TextStore::AddDocument(
     const std::string& core, const std::string& doc_id,
     const std::map<std::string, std::string>& fields) {
   ESTOCADA_RETURN_NOT_OK(InjectWriteFault());
-  auto it = cores_.find(core);
-  if (it == cores_.end()) {
-    return Status::NotFound(StrCat("core '", core, "' does not exist"));
-  }
-  Core& c = it->second;
-  if (c.docs.count(doc_id)) {
+  ESTOCADA_ASSIGN_OR_RETURN(Core * c, FindContainer(cores_, core, "core"));
+  if (c->docs.count(doc_id)) {
     return Status::AlreadyExists(
         StrCat("document '", doc_id, "' already in core '", core, "'"));
   }
@@ -92,12 +65,12 @@ Status TextStore::AddDocument(
   for (const auto& [field, text] : fields) {
     for (const std::string& tok : Tokenize(text)) {
       if (std::find(seen.begin(), seen.end(), tok) == seen.end()) {
-        c.inverted[tok].push_back(doc_id);
+        c->inverted[tok].push_back(doc_id);
         seen.push_back(tok);
       }
     }
   }
-  c.docs.emplace(doc_id, fields);
+  c->docs.emplace(doc_id, fields);
   return Status::OK();
 }
 
@@ -168,6 +141,14 @@ Result<std::map<std::string, std::string>> TextStore::GetDocument(
   }
   Charge(stats, 0, 0, 0, 1);
   return it->second;
+}
+
+Result<std::map<std::string, std::map<std::string, std::string>>>
+TextStore::Scan(const std::string& core, StoreStats* stats) const {
+  ESTOCADA_RETURN_NOT_OK(InjectReadFault());
+  ESTOCADA_ASSIGN_OR_RETURN(const Core* c, GetCore(core));
+  Charge(stats, 1, c->docs.size(), 0, c->docs.size());
+  return c->docs;
 }
 
 Result<size_t> TextStore::DocumentCount(const std::string& core) const {

@@ -2,13 +2,11 @@
 #define ESTOCADA_STORES_TEXT_STORE_H_
 
 #include <map>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
-#include "stores/fault.h"
 #include "stores/store_stats.h"
 
 namespace estocada::stores {
@@ -18,12 +16,10 @@ namespace estocada::stores {
 /// core built at AddDocument time, and conjunctive term search with
 /// postings-intersection. Tokenization is lowercase alphanumeric-run
 /// splitting. This is the store the product-catalog fragment lives in.
-class TextStore : public FaultInjectable {
+class TextStore : public StoreBase {
  public:
-  explicit TextStore(CostProfile profile = {/*per_operation=*/10.0,
-                                            /*per_row_scanned=*/0.03,
-                                            /*per_index_lookup=*/0.4,
-                                            /*per_row_returned=*/0.1});
+  /// Default profile: search-server round trip + per-posting cost.
+  explicit TextStore(CostProfile profile = kTextBlueprint);
 
   Status CreateCore(const std::string& name);
   Status DropCore(const std::string& name);
@@ -54,14 +50,13 @@ class TextStore : public FaultInjectable {
       const std::string& core, const std::string& doc_id,
       StoreStats* stats = nullptr) const;
 
+  /// Every document of `core` (id -> stored fields). Expensive by design:
+  /// one operation scanning and returning every document.
+  Result<std::map<std::string, std::map<std::string, std::string>>> Scan(
+      const std::string& core, StoreStats* stats = nullptr) const;
+
   Result<size_t> DocumentCount(const std::string& core) const;
 
-  /// Snapshot of the stats accumulated across all calls. Reads under the
-  /// stats mutex so concurrent query threads never observe torn counters.
-  StoreStats lifetime_stats() const {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    return lifetime_stats_;
-  }
 
   /// Lowercase alphanumeric tokens of `text`.
   static std::vector<std::string> Tokenize(const std::string& text);
@@ -74,13 +69,8 @@ class TextStore : public FaultInjectable {
 
   Result<const Core*> GetCore(const std::string& name) const;
 
-  void Charge(StoreStats* stats, uint64_t ops, uint64_t scanned,
-              uint64_t lookups, uint64_t returned) const;
 
-  CostProfile profile_;
   std::map<std::string, Core> cores_;
-  mutable StoreStats lifetime_stats_;
-  mutable std::mutex stats_mu_;
 };
 
 }  // namespace estocada::stores
