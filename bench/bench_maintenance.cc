@@ -75,11 +75,17 @@ BENCHMARK(BM_FullRematerialization)
     ->Arg(8000)
     ->Unit(benchmark::kMicrosecond);
 
+/// Times both strategies at 2,000 and 8,000 orders, prints the table and
+/// writes BENCH_maintenance.json: delta µs per insert at each size, the
+/// rebuild/delta ratio at each size, and the 8,000/2,000 delta ratio —
+/// ratios taken in one run, so they compare across machines.
 void PrintSummary() {
   std::printf("\n== A1 (ablation): incremental fragment maintenance vs "
               "rebuild ==\n");
   std::printf("%8s | %18s %18s | %8s\n", "orders", "delta (us/insert)",
               "rebuild (us/insert)", "ratio");
+  BenchJson json("maintenance");
+  double delta_us_at_2000 = 0;
   for (size_t orders : {2000, 8000}) {
     auto inc = MakeSystem(orders);
     auto reb = MakeSystem(orders);
@@ -99,7 +105,7 @@ void PrintSummary() {
                           Value::Int(i % 100), Value::Real(1.0)}),
                      "inc insert");
         },
-        20);
+        200);
     double reb_us = time_us(
         [&](int i) {
           BenchCheck(reb->sys.LoadRow(
@@ -115,11 +121,20 @@ void PrintSummary() {
                      "rebuild");
         },
         5);
-    std::printf("%8zu | %18.0f %18.0f | %7.1fx\n", orders, inc_us, reb_us,
+    std::printf("%8zu | %18.1f %18.0f | %7.1fx\n", orders, inc_us, reb_us,
                 reb_us / inc_us);
+    const std::string at = std::to_string(orders);
+    json.Add("delta_" + at + "_us", inc_us);
+    json.Add("rebuild_over_delta_" + at, reb_us / inc_us);
+    if (orders == 2000) {
+      delta_us_at_2000 = inc_us;
+    } else {
+      json.Add("delta_8000_over_2000", inc_us / delta_us_at_2000);
+    }
   }
   std::printf("(delta maintenance scales with the affected rows; rebuild "
               "re-joins the whole dataset per insert.)\n");
+  json.Write();
 }
 
 }  // namespace

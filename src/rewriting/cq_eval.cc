@@ -1,18 +1,20 @@
 #include "rewriting/cq_eval.h"
 
+#include <algorithm>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "common/strings.h"
+#include "engine/operator.h"
 #include "pacb/feasibility.h"
 
 namespace estocada::rewriting {
 
-using engine::Expr;
-using engine::ExprPtr;
 using engine::Operator;
 using engine::OperatorPtr;
 using engine::Row;
+using engine::RowBatch;
 using engine::Value;
 using pivot::Atom;
 using pivot::ConjunctiveQuery;
@@ -20,23 +22,125 @@ using pivot::Term;
 
 namespace {
 
-/// Resolves a term to a compile-time value if it is a constant or a
-/// parameter; returns nullopt for free variables.
-std::optional<Value> ResolveGroundTerm(
-    const Term& t, const std::map<std::string, Value>& parameters) {
-  if (t.is_constant()) return Value::FromConstant(t.constant());
-  if (t.is_variable() && pacb::IsParameterVariable(t.var_name())) {
-    auto it = parameters.find(t.var_name());
-    if (it != parameters.end()) return it->second;
-  }
-  return std::nullopt;
+/// The evaluator's equality, as Expr kEq: null never matches, and numbers
+/// compare by value (1 matches 1.0).
+bool Matches(const Value& a, const Value& b) {
+  return !a.is_null() && !b.is_null() && Value::Compare(a, b) == 0;
 }
 
-}  // namespace
+/// Values of a query's ground terms: its constants, the supplied '$'
+/// parameters, and the delta rule's pins (variables fixed to an inserted
+/// row's values).
+struct GroundTerms {
+  const std::map<std::string, Value>& parameters;
+  const std::map<std::string, Value>& pins;
 
-Result<OperatorPtr> CompileCqOverStaging(
-    const ConjunctiveQuery& query, const StagingData& staging,
-    const std::map<std::string, Value>& parameters, bool distinct) {
+  bool IsPinned(const Term& t) const {
+    return t.is_variable() && pins.count(t.var_name()) > 0;
+  }
+
+  /// The term's value, or nullopt for a free variable.
+  std::optional<Value> Resolve(const Term& t) const {
+    if (t.is_constant()) return Value::FromConstant(t.constant());
+    if (!t.is_variable()) return std::nullopt;
+    if (auto it = pins.find(t.var_name()); it != pins.end()) {
+      return it->second;
+    }
+    if (pacb::IsParameterVariable(t.var_name())) {
+      if (auto it = parameters.find(t.var_name()); it != parameters.end()) {
+        return it->second;
+      }
+    }
+    return std::nullopt;
+  }
+};
+
+/// One atom's row test: positions that must equal a ground value, and
+/// positions that must equal an earlier one (a repeated variable).
+struct RowChecks {
+  std::vector<std::pair<size_t, Value>> equals_value;
+  std::vector<std::pair<size_t, size_t>> equals_column;
+
+  bool Pass(const Row& row) const {
+    for (const auto& [pos, value] : equals_value) {
+      if (!Matches(row[pos], value)) return false;
+    }
+    for (const auto& [pos, first] : equals_column) {
+      if (!Matches(row[pos], row[first])) return false;
+    }
+    return true;
+  }
+};
+
+/// Scans one atom's rows in place — its staged relation, or the delta
+/// rule's inserted row — and copies into each batch only the rows that
+/// pass the atom's checks.
+class AtomScanOperator final : public Operator {
+ public:
+  AtomScanOperator(const Atom& atom, const std::vector<Row>& rows,
+                   RowChecks checks)
+      : relation_(atom.relation),
+        columns_(atom.arity()),  // Unnamed: the head maps by position.
+        rows_(rows),
+        checks_(std::move(checks)) {}
+
+  Status Open() override {
+    pos_ = 0;
+    return Status::OK();
+  }
+
+  Result<std::optional<Row>> Next() override {
+    while (pos_ < rows_.size()) {
+      const Row& row = rows_[pos_++];
+      if (checks_.Pass(row)) return std::optional<Row>(row);
+    }
+    return std::optional<Row>();
+  }
+
+  Result<bool> NextBatch(RowBatch* out) override {
+    out->Reset(columns_.size());
+    while (pos_ < rows_.size() &&
+           out->physical_rows() < RowBatch::kDefaultRows) {
+      const Row& row = rows_[pos_++];
+      if (checks_.Pass(row)) out->AppendRow(row);
+    }
+    return !out->empty();
+  }
+
+  std::vector<std::string> columns() const override { return columns_; }
+  std::string label() const override { return StrCat("Scan ", relation_); }
+
+ private:
+  std::string relation_;
+  std::vector<std::string> columns_;
+  const std::vector<Row>& rows_;
+  RowChecks checks_;
+  size_t pos_ = 0;
+};
+
+/// One head position: a ground value, or a column of the join result.
+struct HeadSlot {
+  std::optional<Value> value;
+  size_t column = 0;
+};
+
+/// A compiled query: the join tree plus the head projection over it. A
+/// null tree means the result is provably empty (the delta rule's row
+/// fails its own atom).
+struct CompiledCq {
+  OperatorPtr tree;
+  std::vector<HeadSlot> head;
+};
+
+/// Compiles `query` into scans and hash joins over the staging. Body atom
+/// `pinned_atom` reads `pinned_rows` instead of its staged relation (when
+/// given) and goes first; the rest follow in greedy bound-first order.
+Result<CompiledCq> CompileCqOverStaging(const ConjunctiveQuery& query,
+                                        const StagingData& staging,
+                                        const GroundTerms& ground,
+                                        size_t pinned_atom = 0,
+                                        const std::vector<Row>* pinned_rows =
+                                            nullptr) {
   ESTOCADA_RETURN_NOT_OK(query.Validate());
 
   // Greedy bound-first atom order: maximize shared variables with the
@@ -44,14 +148,22 @@ Result<OperatorPtr> CompileCqOverStaging(
   std::vector<size_t> order;
   std::vector<bool> used(query.body.size(), false);
   std::unordered_set<std::string> scope_vars;
-  for (size_t step = 0; step < query.body.size(); ++step) {
+  auto take = [&](size_t i) {
+    used[i] = true;
+    order.push_back(i);
+    for (const Term& t : query.body[i].terms) {
+      if (t.is_variable()) scope_vars.insert(t.var_name());
+    }
+  };
+  if (pinned_rows != nullptr) take(pinned_atom);
+  while (order.size() < query.body.size()) {
     size_t best = query.body.size();
     int best_score = -1;
     for (size_t i = 0; i < query.body.size(); ++i) {
       if (used[i]) continue;
       int score = 0;
       for (const Term& t : query.body[i].terms) {
-        if (!t.is_variable()) {
+        if (!t.is_variable() || ground.IsPinned(t)) {
           score += 1;  // Constants filter early.
         } else if (scope_vars.count(t.var_name())) {
           score += 4;
@@ -62,17 +174,12 @@ Result<OperatorPtr> CompileCqOverStaging(
         best_score = score;
       }
     }
-    used[best] = true;
-    order.push_back(best);
-    for (const Term& t : query.body[best].terms) {
-      if (t.is_variable()) scope_vars.insert(t.var_name());
-    }
+    take(best);
   }
 
-  OperatorPtr tree;
+  CompiledCq out;
+  bool empty = false;
   std::unordered_map<std::string, size_t> scope;  // var -> output column
-  size_t tree_width = 0;
-
   for (size_t idx : order) {
     const Atom& atom = query.body[idx];
     auto sit = staging.find(atom.relation);
@@ -80,110 +187,148 @@ Result<OperatorPtr> CompileCqOverStaging(
       return Status::NotFound(
           StrCat("relation '", atom.relation, "' has no staged data"));
     }
-    const StagingRelation& rel = sit->second;
-    if (!rel.rows.empty() && rel.rows[0].size() != atom.arity()) {
+    const std::vector<Row>& rows =
+        pinned_rows != nullptr && idx == pinned_atom ? *pinned_rows
+                                                     : sit->second.rows;
+    if (!rows.empty() && rows[0].size() != atom.arity()) {
       return Status::InvalidArgument(
           StrCat("relation '", atom.relation, "' arity mismatch: atom has ",
-                 atom.arity(), ", staged rows have ", rel.rows[0].size()));
+                 atom.arity(), ", staged rows have ", rows[0].size()));
     }
-    OperatorPtr source = std::make_unique<engine::RowsOperator>(
-        rel.columns, rel.rows, atom.relation);
 
-    // Per-atom filters: ground terms and repeated variables.
-    ExprPtr pred;
+    // Per-atom checks: ground terms and repeated variables.
+    RowChecks checks;
     std::unordered_map<std::string, size_t> first_pos;
     for (size_t i = 0; i < atom.terms.size(); ++i) {
       const Term& t = atom.terms[i];
-      ExprPtr clause;
-      if (auto v = ResolveGroundTerm(t, parameters)) {
-        clause = Expr::Binary(Expr::Op::kEq, Expr::Column(i),
-                              Expr::Const(*v));
-      } else if (t.is_variable()) {
-        auto [it, fresh] = first_pos.emplace(t.var_name(), i);
-        if (!fresh) {
-          clause = Expr::Binary(Expr::Op::kEq, Expr::Column(i),
-                                Expr::Column(it->second));
-        }
+      if (auto v = ground.Resolve(t)) {
+        checks.equals_value.emplace_back(i, std::move(*v));
       } else if (t.is_labelled_null()) {
         return Status::InvalidArgument(
             "labelled null in an executable query body");
-      } else if (t.is_variable() &&
-                 pacb::IsParameterVariable(t.var_name())) {
-        return Status::InvalidArgument(
-            StrCat("unbound parameter ", t.var_name()));
-      }
-      if (clause) {
-        pred = pred ? Expr::Binary(Expr::Op::kAnd, pred, clause) : clause;
-      }
-    }
-    // Unbound parameters are an error (they would silently join as vars).
-    for (const Term& t : atom.terms) {
-      if (t.is_variable() && pacb::IsParameterVariable(t.var_name()) &&
-          !parameters.count(t.var_name())) {
+      } else if (pacb::IsParameterVariable(t.var_name())) {
+        // Unbound parameters are an error (they would silently join as
+        // vars).
         return Status::InvalidArgument(
             StrCat("no value supplied for parameter ", t.var_name()));
+      } else if (auto [it, fresh] = first_pos.emplace(t.var_name(), i);
+                 !fresh) {
+        checks.equals_column.emplace_back(i, it->second);
       }
     }
-    if (pred) {
-      source = std::make_unique<engine::FilterOperator>(std::move(source),
-                                                        pred);
+    if (&rows == pinned_rows) {
+      empty = std::none_of(rows.begin(), rows.end(),
+                           [&](const Row& row) { return checks.Pass(row); });
     }
+    OperatorPtr scan =
+        std::make_unique<AtomScanOperator>(atom, rows, std::move(checks));
 
-    if (!tree) {
-      tree = std::move(source);
+    if (!out.tree) {
+      out.tree = std::move(scan);
       for (const auto& [var, pos] : first_pos) scope.emplace(var, pos);
-      tree_width = atom.arity();
       continue;
     }
-    // Join with the running tree on shared variables.
+    // Join on shared variables: build on this atom's rows, stream the
+    // running tree as the probe. Output = atom columns ++ tree columns.
     std::vector<std::pair<size_t, size_t>> keys;
     for (const auto& [var, pos] : first_pos) {
       auto it = scope.find(var);
-      if (it != scope.end()) keys.emplace_back(it->second, pos);
+      if (it != scope.end()) keys.emplace_back(pos, it->second);
     }
-    tree = std::make_unique<engine::HashJoinOperator>(std::move(tree),
-                                                      std::move(source), keys);
+    out.tree = std::make_unique<engine::HashJoinOperator>(
+        std::move(scan), std::move(out.tree), std::move(keys));
+    for (auto& [var, column] : scope) column += atom.arity();
     for (const auto& [var, pos] : first_pos) {
-      scope.emplace(var, tree_width + pos);  // No-op when already present.
+      scope.emplace(var, pos);  // No-op when already bound.
     }
-    tree_width += atom.arity();
   }
 
-  // Project the head.
-  std::vector<std::string> names;
-  std::vector<ExprPtr> exprs;
-  for (size_t i = 0; i < query.head.size(); ++i) {
-    const Term& h = query.head[i];
-    if (auto v = ResolveGroundTerm(h, parameters)) {
-      names.push_back(StrCat("h", i));
-      exprs.push_back(Expr::Const(*v));
+  for (const Term& h : query.head) {
+    if (auto v = ground.Resolve(h)) {
+      out.head.push_back({std::move(*v), 0});
     } else if (h.is_variable()) {
       auto it = scope.find(h.var_name());
       if (it == scope.end()) {
         return Status::InvalidArgument(
             StrCat("head variable '", h.var_name(), "' not bound by body"));
       }
-      names.push_back(h.var_name());
-      exprs.push_back(Expr::Column(it->second));
+      out.head.push_back({std::nullopt, it->second});
     } else {
       return Status::InvalidArgument("unsupported head term");
     }
   }
-  tree = std::make_unique<engine::ProjectOperator>(std::move(tree), names,
-                                                   exprs);
-  if (distinct) {
-    tree = std::make_unique<engine::DistinctOperator>(std::move(tree));
-  }
-  return tree;
+  if (empty) out.tree.reset();
+  return out;
 }
+
+/// Drains the join tree, projecting each row to the head. Under set
+/// semantics a row is kept only the first time it appears; the seen-set
+/// holds indexes into the output, so each kept row is stored once.
+Result<std::vector<Row>> Run(const CompiledCq& cq, bool distinct) {
+  std::vector<Row> out;
+  if (!cq.tree) return out;
+  auto hash = [&out](size_t i) { return engine::RowHash()(out[i]); };
+  auto equal = [&out](size_t a, size_t b) { return out[a] == out[b]; };
+  std::unordered_set<size_t, decltype(hash), decltype(equal)> seen(
+      0, hash, equal);
+  ESTOCADA_RETURN_NOT_OK(cq.tree->Open());
+  RowBatch batch;
+  for (;;) {
+    ESTOCADA_ASSIGN_OR_RETURN(bool more, cq.tree->NextBatch(&batch));
+    if (!more) break;
+    for (size_t i = 0; i < batch.size(); ++i) {
+      const uint32_t p = batch.ActiveIndex(i);
+      Row row;
+      row.reserve(cq.head.size());
+      for (const HeadSlot& h : cq.head) {
+        row.push_back(h.value ? *h.value : batch.column(h.column)[p]);
+      }
+      out.push_back(std::move(row));
+      if (distinct && !seen.insert(out.size() - 1).second) out.pop_back();
+    }
+  }
+  return out;
+}
+
+}  // namespace
 
 Result<std::vector<Row>> EvaluateCqOverStaging(
     const ConjunctiveQuery& query, const StagingData& staging,
     const std::map<std::string, Value>& parameters, bool distinct) {
+  const std::map<std::string, Value> no_pins;
   ESTOCADA_ASSIGN_OR_RETURN(
-      OperatorPtr op, CompileCqOverStaging(query, staging, parameters,
-                                           distinct));
-  return Collect(op.get());
+      CompiledCq cq,
+      CompileCqOverStaging(query, staging, {parameters, no_pins}));
+  return Run(cq, distinct);
+}
+
+Result<std::vector<Row>> EvaluateCqDeltaOverStaging(
+    const ConjunctiveQuery& query, const StagingData& staging, size_t atom,
+    const Row& new_row) {
+  if (atom >= query.body.size() ||
+      query.body[atom].arity() != new_row.size()) {
+    return Status::InvalidArgument(
+        StrCat("delta row of ", new_row.size(),
+               " values does not fit body atom ", atom, " of ",
+               query.ToString()));
+  }
+  // Pin the atom's variables to the row's scalar values. A null stays a
+  // variable (pinned, it would match nothing, not even its own row), and
+  // so does a list (it joins by value).
+  std::map<std::string, Value> pins;
+  const Atom& pinned = query.body[atom];
+  for (size_t i = 0; i < pinned.terms.size(); ++i) {
+    const Term& t = pinned.terms[i];
+    if (t.is_variable() && !new_row[i].is_null() && !new_row[i].is_list()) {
+      pins.emplace(t.var_name(), new_row[i]);
+    }
+  }
+  const std::map<std::string, Value> no_parameters;
+  const std::vector<Row> rows = {new_row};
+  ESTOCADA_ASSIGN_OR_RETURN(
+      CompiledCq cq, CompileCqOverStaging(query, staging,
+                                          {no_parameters, pins}, atom, &rows));
+  return Run(cq, /*distinct=*/true);
 }
 
 }  // namespace estocada::rewriting

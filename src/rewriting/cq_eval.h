@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/result.h"
-#include "engine/operator.h"
 #include "engine/value.h"
 #include "pivot/query.h"
 
@@ -22,21 +21,28 @@ struct StagingRelation {
 /// Dataset relation name -> staged rows.
 using StagingData = std::map<std::string, StagingRelation>;
 
-/// Compiles a conjunctive query over staged relations into an engine
-/// operator tree (hash joins in greedy bound-first order, filters for
-/// constants and repeated variables, projection to the head).
+/// Evaluates a conjunctive query over staged relations. Each atom scans
+/// its staged rows in place and keeps those whose ground terms and
+/// repeated variables hold (equality as Expr kEq: null never matches, and
+/// 1 matches 1.0); atoms join by hash joins in greedy bound-first order,
+/// each building on the new atom's rows and streaming the running result
+/// as the probe side; the survivors are projected to the head.
 /// `parameters` supplies values for '$'-prefixed variables. The result
-/// applies set semantics (Distinct) when `distinct` is set.
-Result<engine::OperatorPtr> CompileCqOverStaging(
-    const pivot::ConjunctiveQuery& query, const StagingData& staging,
-    const std::map<std::string, engine::Value>& parameters = {},
-    bool distinct = true);
-
-/// Convenience: compile + collect.
+/// applies set semantics when `distinct` is set.
 Result<std::vector<engine::Row>> EvaluateCqOverStaging(
     const pivot::ConjunctiveQuery& query, const StagingData& staging,
     const std::map<std::string, engine::Value>& parameters = {},
     bool distinct = true);
+
+/// The delta rule for one inserted tuple: evaluates `query` (set
+/// semantics) with body atom `atom` reading only `new_row` instead of its
+/// staged relation; every other atom reads the staging, which already
+/// holds the tuple. Where the atom binds a variable to a scalar value of
+/// the row, that value is pushed into the other atoms and the head as a
+/// constant; null and list positions stay variables.
+Result<std::vector<engine::Row>> EvaluateCqDeltaOverStaging(
+    const pivot::ConjunctiveQuery& query, const StagingData& staging,
+    size_t atom, const engine::Row& new_row);
 
 }  // namespace estocada::rewriting
 

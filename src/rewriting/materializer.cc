@@ -339,53 +339,21 @@ Status MaintainOneFragmentOnInsertBatch(
     return MaterializeFragment(staging, catalog, fragment_name);
   }
   // Delta rule: for each new tuple and each occurrence of its relation
-  // in the view body, evaluate the view with that atom pinned to the
-  // tuple. Deduplicate across all pins of the batch: several staged
+  // in the view body, evaluate the view with that occurrence reading only
+  // the tuple. Deduplicate across all pins of the batch: several staged
   // rows of one logical update (e.g. one document's path facts) derive
   // the same view row.
   std::vector<Row> delta;
-  std::unordered_set<size_t> seen_hashes;
+  std::unordered_set<Row, engine::RowHash> seen;
   const pivot::ConjunctiveQuery& view = desc->view.query;
   for (const auto& [relation, new_row] : new_rows) {
     for (size_t occ = 0; occ < view.body.size(); ++occ) {
       if (view.body[occ].relation != relation) continue;
-      // Unify the occurrence's terms with the new row.
-      pivot::Substitution pin;
-      bool consistent = true;
-      for (size_t i = 0; i < view.body[occ].terms.size() && consistent;
-           ++i) {
-        const pivot::Term& t = view.body[occ].terms[i];
-        if (new_row[i].is_list()) {
-          // Pivot constants are scalar: a list pinned as its JSON text
-          // would never match the staged list value, silently dropping
-          // the delta. Leave the position unpinned instead — the
-          // evaluation returns a superset of the delta, which is sound
-          // under set semantics (re-appending a stored row is a no-op
-          // for query answers).
-          if (t.is_constant()) consistent = false;
-          continue;
-        }
-        pivot::Term value = pivot::Term::Const(new_row[i].ToConstant());
-        if (t.is_constant()) {
-          consistent = (t == value);
-        } else if (t.is_variable()) {
-          auto [it, fresh] = pin.emplace(t.var_name(), value);
-          if (!fresh) consistent = (it->second == value);
-        }
-      }
-      if (!consistent) continue;
-      pivot::ConjunctiveQuery pinned;
-      pinned.name = view.name;
-      pinned.body = ApplySubstitution(pin, view.body);
-      for (const pivot::Term& h : view.head) {
-        pinned.head.push_back(ApplySubstitution(pin, h));
-      }
-      ESTOCADA_ASSIGN_OR_RETURN(std::vector<Row> rows,
-                                EvaluateCqOverStaging(pinned, staging));
+      ESTOCADA_ASSIGN_OR_RETURN(
+          std::vector<Row> rows,
+          EvaluateCqDeltaOverStaging(view, staging, occ, new_row));
       for (Row& row : rows) {
-        if (seen_hashes.insert(engine::RowHash()(row)).second) {
-          delta.push_back(std::move(row));
-        }
+        if (seen.insert(row).second) delta.push_back(std::move(row));
       }
     }
   }

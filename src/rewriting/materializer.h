@@ -131,8 +131,11 @@ Result<uint64_t> FragmentReplicaDigest(const catalog::Catalog& catalog,
 /// dataset relation `relation` (already present in `staging`), computes
 /// each affected fragment's delta with the standard delta rule — for every
 /// occurrence of `relation` in the view body, evaluate the body with that
-/// atom pinned to the new tuple — and appends the new view rows to the
-/// fragment's physical container, updating its statistics.
+/// occurrence reading only the new tuple, whose scalar values are pushed
+/// into the other atoms as constants (EvaluateCqDeltaOverStaging) — and
+/// appends the new view rows to the fragment's physical container,
+/// updating its statistics. The other atoms still scan their staged
+/// relations, but copy only the rows that match the pushed constants.
 ///
 /// Fragments of kinds that take no appends (text) are rebuilt from
 /// scratch; deletions are not supported (the paper, too, leaves dynamic

@@ -170,6 +170,7 @@ TEST_P(DriverConformance, LoadAppendReadVerifyQuery) {
        Value::List({Value::Real(1.5), Value::Bool(false)})},
       {Value::Int(8), Value::Int(8)},
       {Value::Int(9), Value::Real(9.0)},
+      {Value::Int(10), Value::Null()},
   };
   for (const Row& row : appended) {
     ASSERT_TRUE(sys_.InsertRow("s.r", row).ok()) << engine::RowToString(row);

@@ -4,10 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
 #include <set>
 
 #include "common/strings.h"
 #include "estocada/estocada.h"
+#include "rewriting/materializer.h"
 
 namespace estocada {
 namespace {
@@ -125,6 +128,21 @@ TEST_F(MaintenanceTest, JoinFragmentDeltaBothSides) {
   ExpectConsistent(q);
 }
 
+TEST_F(MaintenanceTest, NullValuedInsertReachesFragments) {
+  // A null in an inserted row must not be pinned as a constant: `= null`
+  // is never true, so the row would derive nothing.
+  ASSERT_TRUE(sys_.DefineFragment("F(a, b) :- R(a, b)", "pg").ok());
+  ASSERT_TRUE(sys_.DefineFragment("FJ(a, c) :- R(a, b), S(b, c)", "spark")
+                  .ok());
+  ASSERT_TRUE(sys_.InsertRow("R", {Value::Int(5), Value::Null()}).ok());
+  ASSERT_TRUE(sys_.InsertRow("S", {Value::Int(10), Value::Null()}).ok());
+  EXPECT_TRUE(sys_.VerifyFragment("F").ok()) << sys_.VerifyFragment("F");
+  EXPECT_TRUE(sys_.VerifyFragment("FJ").ok()) << sys_.VerifyFragment("FJ");
+  EXPECT_EQ(*rel_.RowCount("F"), 6u);
+  ExpectConsistent("q(a, b) :- R(a, b)");
+  ExpectConsistent("q(a, c) :- R(a, b), S(b, c)");
+}
+
 TEST_F(MaintenanceTest, SelfJoinViewDelta) {
   // Both occurrences of R must be pinned in turn.
   ASSERT_TRUE(sys_.DefineFragment("F2(a, c) :- R(a, b), R(b, c)", "pg").ok());
@@ -224,6 +242,121 @@ TEST_F(MaintenanceTest, DuplicateDerivationsDoNotBreakAnswers) {
   std::set<std::string> unique;
   for (const Row& row : r->rows) unique.insert(engine::RowToString(row));
   EXPECT_EQ(unique.size(), r->rows.size());  // No duplicate answers.
+}
+
+bool RowLess(const Row& a, const Row& b) {
+  return std::lexicographical_compare(
+      a.begin(), a.end(), b.begin(), b.end(),
+      [](const Value& x, const Value& y) { return Value::Compare(x, y) < 0; });
+}
+
+/// Rows in a canonical order, duplicates (under Value equality) dropped.
+std::vector<Row> AsSet(std::vector<Row> rows) {
+  std::sort(rows.begin(), rows.end(), RowLess);
+  rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
+  return rows;
+}
+
+/// A join key: Int and Real spellings of one number, null, or a list.
+Value RandomKey(std::mt19937* rng) {
+  const int k = static_cast<int>((*rng)() % 4);
+  switch ((*rng)() % 6) {
+    case 0:
+      return Value::Null();
+    case 1:
+      return Value::List({Value::Int(k)});
+    case 2:
+    case 3:
+      return Value::Real(k);
+    default:
+      return Value::Int(k);
+  }
+}
+
+/// The same kinds of key as JSON text for a multikey document path: an
+/// array stages one row per element, a nested array a list value.
+std::string RandomJsonKey(std::mt19937* rng) {
+  const int k = static_cast<int>((*rng)() % 4);
+  switch ((*rng)() % 5) {
+    case 0:
+      return "null";
+    case 1:
+      return StrCat("[", k, ", [", (k + 1) % 4, "]]");
+    case 2:
+      return StrCat(k, ".0");
+    default:
+      return StrCat(k);
+  }
+}
+
+TEST_F(MaintenanceTest, SeededInsertStreamKeepsFragmentsEqualToRebuild) {
+  pivot::Schema schema;
+  ASSERT_TRUE(schema.AddRelation("O", 3).ok());
+  ASSERT_TRUE(schema.AddRelation("V", 3).ok());
+  ASSERT_TRUE(schema.AddRelation("E", 2).ok());
+  ASSERT_TRUE(sys_.RegisterSchema(schema).ok());
+  ASSERT_TRUE(sys_.RegisterDocumentCollection(
+                      "d", "rev", {{"pid", false}, {"stars", true}})
+                  .ok());
+  // The F_pjoin shape (orders ⋈ visits ⋈ a document path), a self-join
+  // and a constant selection.
+  const std::vector<std::pair<std::string, std::string>> views = {
+      {"FP", "(u, p, i) :- O(o, u, p), V(u, p, d), d.rev.pid(i, p)"},
+      {"FE", "(a, c) :- E(a, b), E(b, c)"},
+      {"FC", "(o, u) :- O(o, u, 1)"},
+  };
+  const char* stores[] = {"spark", "pg", "mongo"};
+  for (size_t v = 0; v < views.size(); ++v) {
+    ASSERT_TRUE(
+        sys_.DefineFragment(views[v].first + views[v].second, stores[v]).ok())
+        << views[v].first;
+  }
+
+  std::mt19937 rng(15);
+  std::vector<std::pair<std::string, Row>> inserted;
+  for (int step = 0; step < 150; ++step) {
+    const unsigned op = rng() % 5;
+    if (op == 0 && !inserted.empty()) {
+      // An exact duplicate of an earlier insert.
+      const auto& [relation, row] = inserted[rng() % inserted.size()];
+      ASSERT_TRUE(sys_.InsertRow(relation, row).ok()) << step;
+    } else if (op == 1) {
+      auto doc = json::Parse(StrCat(R"({"pid": )", RandomJsonKey(&rng),
+                                    R"(, "stars": )", rng() % 3, "}"));
+      ASSERT_TRUE(doc.ok()) << doc.status();
+      ASSERT_TRUE(sys_.InsertDocument("d", "rev", *doc).ok()) << step;
+    } else {
+      std::pair<std::string, Row> insert;
+      if (op == 2) {
+        insert = {"O", {Value::Int(step), RandomKey(&rng), RandomKey(&rng)}};
+      } else if (op == 3) {
+        insert = {"V", {RandomKey(&rng), RandomKey(&rng), Value::Int(step)}};
+      } else {
+        insert = {"E", {RandomKey(&rng), RandomKey(&rng)}};
+      }
+      ASSERT_TRUE(sys_.InsertRow(insert.first, insert.second).ok())
+          << step << ": " << engine::RowToString(insert.second);
+      inserted.push_back(std::move(insert));
+    }
+    for (const auto& [name, body] : views) {
+      Status st = sys_.VerifyFragment(name);
+      ASSERT_TRUE(st.ok()) << "step " << step << ": " << st;
+    }
+  }
+
+  // Each maintained fragment equals a fresh materialization of its view.
+  for (size_t v = 0; v < views.size(); ++v) {
+    const std::string fresh = views[v].first + "_fresh";
+    ASSERT_TRUE(sys_.DefineFragment(fresh + views[v].second, stores[v]).ok())
+        << fresh;
+    auto maintained =
+        rewriting::ReadReplicaRows(sys_.catalog(), views[v].first, 0, 0);
+    auto rebuilt = rewriting::ReadReplicaRows(sys_.catalog(), fresh, 0, 0);
+    ASSERT_TRUE(maintained.ok()) << maintained.status();
+    ASSERT_TRUE(rebuilt.ok()) << rebuilt.status();
+    EXPECT_FALSE(rebuilt->empty()) << fresh;
+    EXPECT_EQ(AsSet(*maintained), AsSet(*rebuilt)) << views[v].first;
+  }
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "catalog/catalog.h"
@@ -35,6 +36,30 @@ StagingData SmallStaging() {
   s.rows = {{Value::Int(2), Value::Str("x")},
             {Value::Int(3), Value::Str("y")},
             {Value::Int(9), Value::Str("z")}};
+  return staging;
+}
+
+/// Rows in a canonical order under Value comparison.
+std::vector<Row> Sorted(std::vector<Row> rows) {
+  std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
+    return std::lexicographical_compare(
+        a.begin(), a.end(), b.begin(), b.end(),
+        [](const Value& x, const Value& y) {
+          return Value::Compare(x, y) < 0;
+        });
+  });
+  return rows;
+}
+
+/// N holds nulls and one number spelled as Int and as Real.
+StagingData NullAndNumberStaging() {
+  StagingData staging;
+  auto& n = staging["N"];
+  n.columns = {"k", "v"};
+  n.rows = {{Value::Int(1), Value::Null()},
+            {Value::Null(), Value::Null()},
+            {Value::Real(1.0), Value::Str("one")},
+            {Value::Int(2), Value::Int(2)}};
   return staging;
 }
 
@@ -74,6 +99,11 @@ TEST(CqEvalTest, RepeatedVariableInAtom) {
   auto rows = EvaluateCqOverStaging(*ParseQuery("q(x) :- E(x, x)"), staging);
   ASSERT_TRUE(rows.ok());
   EXPECT_EQ(rows->size(), 1u);
+  // A (null, null) row never matches: null equals nothing.
+  e.rows = {{Value::Null(), Value::Null()}};
+  auto nulls = EvaluateCqOverStaging(*ParseQuery("q(x) :- E(x, x)"), staging);
+  ASSERT_TRUE(nulls.ok()) << nulls.status();
+  EXPECT_TRUE(nulls->empty());
 }
 
 TEST(CqEvalTest, ParametersBindAndMissingParamFails) {
@@ -85,6 +115,17 @@ TEST(CqEvalTest, ParametersBindAndMissingParamFails) {
   auto without = EvaluateCqOverStaging(*ParseQuery("q(b) :- R($a, b)"),
                                        SmallStaging());
   EXPECT_EQ(without.status().code(), StatusCode::kInvalidArgument);
+  // A parameter reaches the head, and one in a later atom must be
+  // supplied too.
+  auto joined = EvaluateCqOverStaging(
+      *ParseQuery("q($a, c) :- R($a, b), S(b, c)"), SmallStaging(),
+      {{"$a", Value::Int(2)}});
+  ASSERT_TRUE(joined.ok()) << joined.status();
+  EXPECT_EQ(*joined, (std::vector<Row>{{Value::Int(2), Value::Str("y")}}));
+  auto later = EvaluateCqOverStaging(
+      *ParseQuery("q(a) :- R(a, b), S(b, $c)"), SmallStaging(),
+      {{"$a", Value::Int(2)}});
+  EXPECT_EQ(later.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(CqEvalTest, CartesianProductWhenNoSharedVars) {
@@ -92,6 +133,93 @@ TEST(CqEvalTest, CartesianProductWhenNoSharedVars) {
       *ParseQuery("q(a, c) :- R(a, b), S(b2, c)"), SmallStaging());
   ASSERT_TRUE(rows.ok());
   EXPECT_EQ(rows->size(), 2u * 3u);  // 2 distinct R x 3 S... projected.
+  std::vector<Row> every_pair;
+  for (int a : {1, 2}) {
+    for (const char* c : {"x", "y", "z"}) {
+      every_pair.push_back({Value::Int(a), Value::Str(c)});
+    }
+  }
+  EXPECT_EQ(Sorted(*rows), every_pair);
+}
+
+TEST(CqEvalTest, NullConstantMatchesNothing) {
+  auto rows = EvaluateCqOverStaging(*ParseQuery("q(k) :- N(k, null)"),
+                                    NullAndNumberStaging());
+  ASSERT_TRUE(rows.ok()) << rows.status();
+  EXPECT_TRUE(rows->empty());
+}
+
+TEST(CqEvalTest, IntConstantMatchesEqualReal) {
+  for (const char* q : {"q(v) :- N(1, v)", "q(v) :- N(1.0, v)"}) {
+    auto rows = EvaluateCqOverStaging(*ParseQuery(q), NullAndNumberStaging());
+    ASSERT_TRUE(rows.ok()) << q << ": " << rows.status();
+    EXPECT_EQ(Sorted(*rows),
+              (std::vector<Row>{{Value::Null()}, {Value::Str("one")}}))
+        << q;
+  }
+}
+
+TEST(CqEvalTest, HeadTakesColumnsFromBothJoinSides) {
+  // Each join builds on the newly added atom and probes with the running
+  // result, so head columns come from both sides at shifted offsets.
+  StagingData staging = SmallStaging();
+  auto& t = staging["T"];
+  t.columns = {"c", "d"};
+  t.rows = {{Value::Str("x"), Value::Int(100)},
+            {Value::Str("y"), Value::Int(200)},
+            {Value::Str("y"), Value::Int(201)}};
+  auto two = EvaluateCqOverStaging(
+      *ParseQuery("q(c, a, b) :- R(a, b), S(b, c)"), staging);
+  ASSERT_TRUE(two.ok()) << two.status();
+  EXPECT_EQ(Sorted(*two),
+            (std::vector<Row>{
+                {Value::Str("x"), Value::Int(1), Value::Int(2)},
+                {Value::Str("y"), Value::Int(2), Value::Int(3)}}));
+  auto three = EvaluateCqOverStaging(
+      *ParseQuery("q(d, a, c, b) :- R(a, b), S(b, c), T(c, d)"), staging);
+  ASSERT_TRUE(three.ok()) << three.status();
+  EXPECT_EQ(Sorted(*three),
+            (std::vector<Row>{
+                {Value::Int(100), Value::Int(1), Value::Str("x"),
+                 Value::Int(2)},
+                {Value::Int(200), Value::Int(2), Value::Str("y"),
+                 Value::Int(3)},
+                {Value::Int(201), Value::Int(2), Value::Str("y"),
+                 Value::Int(3)}}));
+}
+
+TEST(CqEvalTest, DeltaReadsOnlyTheInsertedRow) {
+  // The pinned atom reads the given row, not its staged relation: a row
+  // absent from staging still derives, and staged rows do not.
+  auto join = EvaluateCqDeltaOverStaging(
+      *ParseQuery("q(a, c) :- R(a, b), S(b, c)"), SmallStaging(), 0,
+      {Value::Int(7), Value::Real(3.0)});
+  ASSERT_TRUE(join.ok()) << join.status();
+  EXPECT_EQ(*join, (std::vector<Row>{{Value::Int(7), Value::Str("y")}}));
+  // A null in the row is left unpinned, so it reaches the head.
+  auto with_null = EvaluateCqDeltaOverStaging(
+      *ParseQuery("q(a, b) :- R(a, b)"), SmallStaging(), 0,
+      {Value::Int(5), Value::Null()});
+  ASSERT_TRUE(with_null.ok()) << with_null.status();
+  EXPECT_EQ(*with_null,
+            (std::vector<Row>{{Value::Int(5), Value::Null()}}));
+  // The row must still pass the atom's own constants and repeats.
+  auto filtered = EvaluateCqDeltaOverStaging(
+      *ParseQuery("q(a) :- R(a, a)"), SmallStaging(), 0,
+      {Value::Null(), Value::Null()});
+  ASSERT_TRUE(filtered.ok()) << filtered.status();
+  EXPECT_TRUE(filtered->empty());
+  auto selected = EvaluateCqDeltaOverStaging(
+      *ParseQuery("q(a) :- R(a, 2)"), SmallStaging(), 0,
+      {Value::Int(4), Value::Real(2.0)});
+  ASSERT_TRUE(selected.ok()) << selected.status();
+  EXPECT_EQ(*selected, (std::vector<Row>{{Value::Int(4)}}));
+  // A row that does not fit the atom is an error.
+  EXPECT_EQ(EvaluateCqDeltaOverStaging(*ParseQuery("q(a) :- R(a, b)"),
+                                       SmallStaging(), 0, {Value::Int(1)})
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(CqEvalTest, UnknownRelationFails) {
