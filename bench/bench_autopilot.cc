@@ -461,8 +461,8 @@ bool RunChaosLeg(BenchJson* json) {
   opt.tick_period_micros = 5'000;
   // Small batches + deep retry budget: the same envelope bench_migration
   // proves out under this fault rate.
-  opt.migration.throttle.batch_rows = 8;
-  opt.migration.max_target_retries = 100000;
+  opt.migration.batch_rows = 8;
+  opt.migration.max_retries = 100000;
   opt.migration.retry_backoff_micros = 50;
   Autopilot pilot(&server, &manager, opt);
 

@@ -171,9 +171,9 @@ int Run() {
   // Small batches keep per-batch fault exposure low (each KV append reads
   // before writing); the deep retry budget absorbs the rest.
   MigrationOptions options;
-  options.throttle.batch_rows = 8;
-  options.throttle.max_rows_per_sec = 2000;  // ~0.2s of migration runway.
-  options.max_target_retries = 100000;
+  options.batch_rows = 8;
+  options.max_rows_per_sec = 2000;  // ~0.2s of migration runway.
+  options.max_retries = 100000;
   options.retry_backoff_micros = 50;
 
   MigrationSpec spec;

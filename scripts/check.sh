@@ -45,16 +45,17 @@ echo "== TSan: run =="
   && ./migration_test && ./tuner_test && ./replication_test \
   && ./scaleout_test && ./graph_test)
 
-echo "== ASan+UBSan: build failure_test + runtime_test + stores_test + replication_test + scaleout_test + serialize_test + rewriting_test + maintenance_test + graph_test + drivers_test =="
+echo "== ASan+UBSan: build failure_test + runtime_test + stores_test + migration_test + tuner_test + replication_test + scaleout_test + serialize_test + rewriting_test + maintenance_test + graph_test + drivers_test =="
 cmake -B build-asan -S . -DESTOCADA_SANITIZE=address >/dev/null
 cmake --build build-asan -j "$JOBS" \
-  --target failure_test runtime_test stores_test replication_test \
-  scaleout_test serialize_test rewriting_test maintenance_test graph_test \
-  drivers_test
+  --target failure_test runtime_test stores_test migration_test tuner_test \
+  replication_test scaleout_test serialize_test rewriting_test \
+  maintenance_test graph_test drivers_test
 
 echo "== ASan+UBSan: run =="
 (cd build-asan/tests && ./failure_test && ./runtime_test && ./stores_test \
-  && ./replication_test && ./scaleout_test && ./serialize_test \
+  && ./migration_test && ./tuner_test && ./replication_test \
+  && ./scaleout_test && ./serialize_test \
   && ./rewriting_test && ./maintenance_test && ./graph_test \
   && ./drivers_test)
 

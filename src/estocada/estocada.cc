@@ -81,7 +81,16 @@ Status Estocada::RegisterAndMaterialize(catalog::StorageDescriptor desc) {
                       : rewriting::MaterializeFragment(staging_, &catalog_,
                                                        name);
   if (!filled.ok()) {
-    // Keep catalog and stores consistent on failure.
+    // Keep catalog and stores consistent on failure: drop the containers
+    // the fill already created (the placement it failed on, and those it
+    // never reached, report kNotFound), then the descriptor.
+    ESTOCADA_ASSIGN_OR_RETURN(const catalog::StorageDescriptor* registered,
+                              catalog_.GetFragment(name));
+    for (size_t s = 0; s < registered->shards.size(); ++s) {
+      for (size_t r = 0; r < registered->shards[s].replicas.size(); ++r) {
+        (void)rewriting::DropReplicaContainer(catalog_, name, s, r);
+      }
+    }
     (void)catalog_.DropFragment(name);
     return filled;
   }
@@ -197,39 +206,6 @@ Status Estocada::BeginReplicaRebuild(const std::string& name,
   return rewriting::CreateReplicaContainer(catalog_, name, 0, replica);
 }
 
-Status Estocada::AppendToReplicaRows(const std::string& name, size_t replica,
-                                     const std::vector<Row>& rows) {
-  ESTOCADA_ASSIGN_OR_RETURN(const catalog::StorageDescriptor* desc,
-                            catalog_.GetFragment(name));
-  const std::vector<catalog::ReplicaPlacement>& replicas =
-      desc->shards[0].replicas;
-  if (replica >= replicas.size()) {
-    return Status::OutOfRange(StrCat("fragment '", name, "' has ",
-                                     replicas.size(),
-                                     " replica(s), asked for #", replica));
-  }
-  if (!replicas[replica].rebuilding) {
-    return Status::FailedPrecondition(
-        StrCat("replica #", replica, " of '", name,
-               "' is live; writes reach it through the fan-out"));
-  }
-  return rewriting::AppendToReplica(catalog_, name, 0, replica, rows);
-}
-
-Status Estocada::RebuildReplicaFromStaging(const std::string& name,
-                                           size_t replica) {
-  ESTOCADA_ASSIGN_OR_RETURN(const catalog::StorageDescriptor* desc,
-                            catalog_.GetFragment(name));
-  const std::vector<catalog::ReplicaPlacement>& replicas =
-      desc->shards[0].replicas;
-  if (replica >= replicas.size() || !replicas[replica].rebuilding) {
-    return Status::FailedPrecondition(
-        StrCat("replica #", replica, " of '", name,
-               "' is not rebuilding; use BeginReplicaRebuild first"));
-  }
-  return rewriting::MaterializeReplica(staging_, catalog_, name, 0, replica);
-}
-
 Status Estocada::AdmitReplica(const std::string& name, size_t replica) {
   ESTOCADA_ASSIGN_OR_RETURN(catalog::StorageDescriptor * desc,
                             catalog_.GetMutableFragment(name));
@@ -269,11 +245,11 @@ Status Estocada::RebuildShardReplicaFromStaging(const std::string& name,
   if (!desc->partitioned()) {
     return Status::InvalidArgument(StrCat(
         "fragment '", name,
-        "' is not partitioned; rebuild its replicas with "
-        "RebuildReplicaFromStaging"));
+        "' is not partitioned; repair its replicas with the "
+        "ReplicaRepairer"));
   }
-  ESTOCADA_RETURN_NOT_OK(
-      rewriting::MaterializeReplica(staging_, catalog_, name, shard, replica));
+  ESTOCADA_RETURN_NOT_OK(rewriting::MaterializeReplica(staging_, &catalog_,
+                                                       name, shard, replica));
   // A one-shot rebuild from the staging truth is current by definition.
   catalog::ShardState& state = desc->shards[shard];
   state.replicas[replica].epoch = state.write_epoch;
@@ -305,26 +281,56 @@ Status RequireShadow(const catalog::Catalog& catalog,
   return Status::OK();
 }
 
+/// The online-copy calls write only a placement nothing serves from: the
+/// one placement of a shadow fragment, or a replica flagged rebuilding.
+Status RequireNonServing(const catalog::Catalog& catalog,
+                         const std::string& name, size_t replica) {
+  ESTOCADA_ASSIGN_OR_RETURN(const catalog::StorageDescriptor* desc,
+                            catalog.GetFragment(name));
+  if (desc->partitioned()) {
+    return Status::FailedPrecondition(
+        StrCat("fragment '", name,
+               "' is partitioned; online copies fill unpartitioned "
+               "fragments"));
+  }
+  const std::vector<catalog::ReplicaPlacement>& replicas =
+      desc->shards[0].replicas;
+  if (replica >= replicas.size()) {
+    return Status::OutOfRange(StrCat("fragment '", name, "' has ",
+                                     replicas.size(),
+                                     " replica(s), asked for #", replica));
+  }
+  if (!desc->is_shadow() && !replicas[replica].rebuilding) {
+    return Status::FailedPrecondition(
+        StrCat("replica #", replica, " of '", name,
+               "' is serving; writes reach it through the fan-out"));
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
-Status Estocada::AppendToShadowFragment(const std::string& name,
-                                        const std::vector<Row>& rows) {
-  ESTOCADA_RETURN_NOT_OK(RequireShadow(catalog_, name));
-  return rewriting::AppendToFragment(&catalog_, name, rows);
+Status Estocada::AppendToPlacement(const std::string& name, size_t replica,
+                                   const std::vector<Row>& rows) {
+  ESTOCADA_RETURN_NOT_OK(RequireNonServing(catalog_, name, replica));
+  return rewriting::AppendToReplica(&catalog_, name, 0, replica, rows);
 }
 
-Status Estocada::MaintainShadowFragment(
-    const std::string& name,
+Status Estocada::MaintainPlacement(
+    const std::string& name, size_t replica,
     const std::vector<std::pair<std::string, Row>>& deltas) {
-  ESTOCADA_RETURN_NOT_OK(RequireShadow(catalog_, name));
-  return rewriting::MaintainOneFragmentOnInsertBatch(staging_, &catalog_,
-                                                     name, deltas);
+  ESTOCADA_RETURN_NOT_OK(RequireNonServing(catalog_, name, replica));
+  ESTOCADA_ASSIGN_OR_RETURN(const catalog::StorageDescriptor* desc,
+                            catalog_.GetFragment(name));
+  ESTOCADA_ASSIGN_OR_RETURN(
+      std::vector<Row> delta,
+      rewriting::ComputeFragmentDelta(staging_, desc->view.query, deltas));
+  return rewriting::AppendToReplica(&catalog_, name, 0, replica, delta);
 }
 
-Status Estocada::RebuildShadowFragment(const std::string& name) {
-  ESTOCADA_RETURN_NOT_OK(RequireShadow(catalog_, name));
-  ESTOCADA_RETURN_NOT_OK(rewriting::DematerializeFragment(&catalog_, name));
-  return rewriting::MaterializeFragment(staging_, &catalog_, name);
+Status Estocada::RebuildPlacement(const std::string& name, size_t replica) {
+  ESTOCADA_RETURN_NOT_OK(RequireNonServing(catalog_, name, replica));
+  return rewriting::MaterializeReplica(staging_, &catalog_, name, 0, replica);
 }
 
 Status Estocada::ActivateShadowFragment(const std::string& name) {

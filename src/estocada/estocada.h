@@ -147,11 +147,12 @@ class Estocada {
   // container and freshness epoch. Reads route to one healthy fresh
   // replica (rewriting/translator.cc); writes fan out to every fresh one
   // (rewriting/materializer.cc). The per-replica calls below are the
-  // ReplicaRepairer's building blocks — like the shadow-fragment calls
-  // they never bump the catalog epoch, because replica routing happens
-  // per translation against the live placement bits, not in cached plans.
-  // They address shard 0's replica set, which is the whole fragment's
-  // when it is unpartitioned.
+  // ReplicaRepairer's building blocks (the placement fill itself goes
+  // through the online-copy calls further down) — they never bump the
+  // catalog epoch, because replica routing happens per translation
+  // against the live placement bits, not in cached plans. They address
+  // shard 0's replica set, which is the whole fragment's when it is
+  // unpartitioned.
 
   /// Declares a fragment replicated across `replica_stores` (K = size;
   /// the first store is the primary, container "<fragment>") and
@@ -206,16 +207,6 @@ class Estocada {
   /// replica of a fragment (nothing would be left to serve reads).
   Status BeginReplicaRebuild(const std::string& name, size_t replica);
 
-  /// Appends backfill/catch-up rows to a rebuilding replica's container.
-  /// Refused for live replicas — those are written by the fan-out only.
-  Status AppendToReplicaRows(const std::string& name, size_t replica,
-                             const std::vector<engine::Row>& rows);
-
-  /// One-shot rebuild of a rebuilding replica's container from the
-  /// staging truth (drop + re-evaluate + native load). The repair path
-  /// for text placements, which cannot take appends; valid for any kind.
-  Status RebuildReplicaFromStaging(const std::string& name, size_t replica);
-
   /// Re-admits a rebuilt replica: stamps it with the fragment's current
   /// write epoch and clears `rebuilding`, so routing and the write
   /// fan-out see it again. Call only after the container verified against
@@ -254,21 +245,6 @@ class Estocada {
                               const std::string& store_name,
                               std::vector<size_t> index_positions = {});
 
-  /// Appends backfill rows to a shadow fragment's container.
-  Status AppendToShadowFragment(const std::string& name,
-                                const std::vector<engine::Row>& rows);
-
-  /// Replays captured update deltas ((relation, row) pairs already in
-  /// staging) against one shadow fragment via the incremental-
-  /// maintenance delta rule.
-  Status MaintainShadowFragment(
-      const std::string& name,
-      const std::vector<std::pair<std::string, engine::Row>>& deltas);
-
-  /// Rebuilds a shadow fragment's container from the staging truth
-  /// (deletions have no append delta; text targets cannot append).
-  Status RebuildShadowFragment(const std::string& name);
-
   /// Flips a shadow fragment to active — the migration cutover. This is
   /// a catalog change: the rewriter is dirtied and the epoch bumps, so
   /// every cached plan of the old layout is invalidated.
@@ -277,6 +253,31 @@ class Estocada {
   /// Rollback: drops a shadow fragment's container and descriptor
   /// without an epoch bump (the planner never saw it).
   Status DropShadowFragment(const std::string& name);
+
+  // ------------------------------------------------- Online copies --
+  // Building blocks of the online-copy pipeline (src/migration/
+  // online_copy.h) that migrations and replica repairs share. Each call
+  // writes one *non-serving* placement — replica `replica` of an
+  // unpartitioned fragment that is a shadow (replica 0, its only one) or
+  // that is flagged `rebuilding` — and is refused for a serving placement,
+  // which writes reach through the maintenance fan-out only. None bumps
+  // an epoch.
+
+  /// Appends backfill rows to the placement's container.
+  Status AppendToPlacement(const std::string& name, size_t replica,
+                           const std::vector<engine::Row>& rows);
+
+  /// Replays captured inserts ((relation, row) pairs already in staging)
+  /// into the placement through the delta rule. The placement's kind must
+  /// take appends; rebuild the others.
+  Status MaintainPlacement(
+      const std::string& name, size_t replica,
+      const std::vector<std::pair<std::string, engine::Row>>& deltas);
+
+  /// Rebuilds the placement's container from the staging truth (drop +
+  /// re-evaluate + native load): the fill for kinds that take no appends
+  /// (text), and the catch-up after a deletion, which has no append delta.
+  Status RebuildPlacement(const std::string& name, size_t replica);
 
   /// The fragment's view evaluated over the staging area with set
   /// semantics — the ground truth its container must hold.
@@ -490,8 +491,9 @@ class Estocada {
   }
 
   /// Registers `desc` and fills its containers — materialized from
-  /// staging, or created empty for a shadow — dropping the descriptor
-  /// again when that fails. Active fragments bump the catalog epoch.
+  /// staging, or created empty for a shadow — dropping the containers
+  /// already created and the descriptor again when that fails. Active
+  /// fragments bump the catalog epoch.
   Status RegisterAndMaterialize(catalog::StorageDescriptor desc);
 
   /// Shared body of Query and the front-end variants.

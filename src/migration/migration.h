@@ -2,13 +2,11 @@
 #define ESTOCADA_MIGRATION_MIGRATION_H_
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
 #include <thread>
 #include <utility>
@@ -16,6 +14,7 @@
 
 #include "advisor/advisor.h"
 #include "common/result.h"
+#include "migration/online_copy.h"
 #include "pacb/view.h"
 #include "runtime/query_server.h"
 
@@ -42,19 +41,6 @@ enum class MigrationStage {
 
 const char* StageName(MigrationStage stage);
 
-/// Budgeted backfill: how much foreground latency a migration may steal.
-/// Each batch briefly takes the server's exclusive lock (that is what
-/// keeps the copy transactional against readers), so small batches and a
-/// rows/sec budget bound the stall the query path can observe.
-struct ThrottlePolicy {
-  /// Rows appended per exclusive-lock acquisition.
-  size_t batch_rows = 256;
-  /// Sustained copy-rate ceiling; 0 = unthrottled.
-  size_t max_rows_per_sec = 0;
-  /// Poll interval while paused on an open target-store breaker.
-  uint64_t pause_poll_micros = 200;
-};
-
 /// What to migrate: a target fragment to build (the view + store), and/or
 /// source fragments to retire at cutover. An empty view (`drop_only`)
 /// retires fragments without building anything — the advisor's
@@ -75,19 +61,8 @@ struct MigrationSpec {
   static MigrationSpec FromRecommendation(const advisor::Recommendation& rec);
 };
 
-struct MigrationOptions {
-  ThrottlePolicy throttle;
-  /// Check the target container against the staging truth before cutover.
-  bool verify = true;
-  /// Retry budget for target-store operations that fail kUnavailable
-  /// (chaos/fault injection); each retry first waits out an open breaker.
-  int max_target_retries = 64;
-  /// Base backoff between those retries (grows linearly, capped at 8x).
-  uint64_t retry_backoff_micros = 100;
-  /// Catch-up rounds before the residual delta backlog is left to the
-  /// atomic cutover section.
-  size_t max_catchup_rounds = 16;
-};
+/// A migration's pacing and retry knobs are its online copy's.
+using MigrationOptions = CopyOptions;
 
 /// Counters of one migration (relaxed atomics, mirroring ServerMetrics).
 struct MigrationMetricsSnapshot {
@@ -115,21 +90,16 @@ struct MigrationStatus {
 };
 
 /// Executes one MigrationSpec against a serving QueryServer while the old
-/// layout keeps answering:
+/// layout keeps answering. The target is filled by an OnlineCopy
+/// (online_copy.h), whose steps the stages drive:
 ///
 ///  * Planned: validates the spec, registers the target as a *shadow*
-///    fragment (invisible to the planner — no epoch bump), creates its
-///    empty container, subscribes to the server's update events, and
-///    snapshots the target view over staging.
-///  * Backfilling: appends the snapshot in throttled batches, each under
-///    a short exclusive-lock window; pauses while the target store's
-///    circuit breaker is open and retries kUnavailable appends.
-///  * CatchingUp: replays update deltas that landed during the backfill
-///    through the incremental-maintenance delta rule (deletions and text
-///    targets schedule a full rebuild instead).
-///  * Verifying/CutOver: one exclusive-lock section replays the residual
-///    deltas, set-compares the target container against the staging
-///    truth, and activates the shadow — the catalog-epoch bump that
+///    fragment (invisible to the planner — no epoch bump) with its empty
+///    container, and starts the copy (update listener, snapshot).
+///  * Backfilling: the copy's throttled backfill.
+///  * CatchingUp: the copy's catch-up rounds.
+///  * Verifying/CutOver: the copy's final exclusive-lock section, whose
+///    commit step activates the shadow — the catalog-epoch bump that
 ///    atomically invalidates every cached plan of the old layout.
 ///  * Retired: drops the retired source fragments (the exclusive-lock
 ///    acquisition is the drain: in-flight readers finish first).
@@ -177,71 +147,24 @@ class MigrationEngine {
   Status StepRetire();
   /// Rollback + transition to kAborted; step_mu_ held.
   void AbortLocked(Status cause);
-  void DetachListener();
-
-  /// Sleeps while the target store's breaker is open (counts one pause
-  /// per episode); returns early when an abort is requested.
-  void PauseWhileBreakerOpen();
-  /// Runs `op` with the kUnavailable retry/pause envelope, feeding the
-  /// target store's breaker with the outcomes.
-  Status RetryTargetOp(const std::function<Status()>& op);
-
-  /// Replays the frozen delta backlog (exclusive lock held via `sys`):
-  /// rebuild when flagged, delta-rule append otherwise. `max_rows` > 0
-  /// caps how many deltas one call replays — chunking bounds the fault
-  /// exposure of each attempt under chaos (an all-or-nothing replay of a
-  /// long backlog would never succeed at a 10% read-fault rate); 0 = all.
-  /// Idempotent under retries — the backlog is only consumed on success.
-  Status DrainDeltasLocked(Estocada* sys, size_t max_rows);
 
   runtime::QueryServer* server_;
   MigrationSpec spec_;
-  MigrationOptions options_;
   std::string target_;  ///< Target fragment name; empty when drop-only.
+  /// Fills the target (idle for a drop-only migration); also holds the
+  /// abort request.
+  OnlineCopy copy_;
 
   /// Serializes stage transitions and rollback.
   std::mutex step_mu_;
   std::atomic<MigrationStage> stage_{MigrationStage::kPlanned};
-  std::atomic<bool> abort_requested_{false};
-  std::atomic<bool> paused_{false};
   bool shadow_defined_ = false;  ///< step_mu_ held.
-  uint64_t listener_token_ = 0;  ///< step_mu_ held; 0 = detached.
+  std::atomic<uint64_t> cutover_epoch_{0};
 
   /// Terminal error (step_mu_-independent so status() never blocks on a
   /// long-running stage).
   mutable std::mutex error_mu_;
   Status error_;
-
-  /// Update-delta log fed by the server's update listener (which runs
-  /// under the server's exclusive lock). Lock order: server mu_ before
-  /// delta_mu_ — the engine only takes delta_mu_ inside WithAdminLock
-  /// sections or alone, never the other way around.
-  mutable std::mutex delta_mu_;
-  std::vector<std::pair<std::string, engine::Row>> deltas_;
-  bool needs_rebuild_ = false;
-
-  /// Relations of the target view (set before the listener attaches,
-  /// immutable afterwards).
-  std::set<std::string> view_relations_;
-
-  /// Backfill state (only touched by the Run thread).
-  std::vector<engine::Row> snapshot_;
-  size_t backfill_pos_ = 0;
-  std::chrono::steady_clock::time_point backfill_start_;
-
-  struct Metrics {
-    std::atomic<uint64_t> rows_copied{0};
-    std::atomic<uint64_t> batches{0};
-    std::atomic<uint64_t> throttle_stalls{0};
-    std::atomic<uint64_t> deltas_captured{0};
-    std::atomic<uint64_t> deltas_replayed{0};
-    std::atomic<uint64_t> catchup_rounds{0};
-    std::atomic<uint64_t> rebuilds{0};
-    std::atomic<uint64_t> target_retries{0};
-    std::atomic<uint64_t> breaker_pauses{0};
-    std::atomic<uint64_t> cutover_epoch{0};
-  };
-  mutable Metrics metrics_;
 };
 
 /// Start/status/abort front of the migration engine for a QueryServer:

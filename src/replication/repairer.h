@@ -4,10 +4,12 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <mutex>
 #include <string>
 #include <vector>
 
 #include "common/result.h"
+#include "migration/online_copy.h"
 #include "runtime/query_server.h"
 
 namespace estocada::replication {
@@ -18,7 +20,7 @@ namespace estocada::replication {
 ///
 /// with Aborted reachable from every pre-Admitted stage. An aborted
 /// rebuild leaves the placement flagged `rebuilding` — out of routing and
-/// out of the write fan-out — so a later repair restarts from a clean
+/// out of the write fan-out — so a later repair starts over from a clean
 /// container and serving correctness never depends on a rebuild
 /// finishing.
 enum class RepairStage {
@@ -32,29 +34,8 @@ enum class RepairStage {
 
 const char* RepairStageName(RepairStage stage);
 
-struct RepairOptions {
-  /// Rows appended per exclusive-lock acquisition during backfill.
-  size_t batch_rows = 256;
-  /// Retry budget for placement-store operations failing kUnavailable.
-  int max_store_retries = 64;
-  /// Base backoff between those retries (grows linearly, capped at 8x).
-  uint64_t retry_backoff_micros = 100;
-  /// Poll interval while paused on the placement store's open breaker.
-  uint64_t pause_poll_micros = 200;
-  /// Catch-up rounds before the residual backlog is left to the atomic
-  /// admission section.
-  size_t max_catchup_rounds = 16;
-  /// Full restarts allowed when a deletion (or a verify mismatch)
-  /// invalidates an in-flight rebuild — deletions have no append delta,
-  /// so the only correct answer is starting over from the new truth.
-  size_t max_restarts = 4;
-  /// Set-compare the rebuilt container against the staging truth before
-  /// admission.
-  bool verify = true;
-  /// Additionally require digest equality with a healthy same-kind
-  /// sibling before admission (skipped for text placements and when no
-  /// comparable sibling is live).
-  bool digest_check = true;
+/// A repair's pacing and retry knobs are its online copy's.
+struct RepairOptions : migration::CopyOptions {
   /// Test hook, fired at every stage entry; a non-OK return aborts the
   /// rebuild right there (deterministic abort-at-stage tests).
   std::function<Status(RepairStage)> stage_hook;
@@ -66,12 +47,7 @@ struct RepairReport {
   size_t replica = 0;
   RepairStage stage = RepairStage::kIdle;  ///< Final stage reached.
   Status error;                            ///< Why it aborted (OK otherwise).
-  uint64_t rows_copied = 0;     ///< Backfill + catch-up rows appended.
-  uint64_t batches = 0;         ///< Exclusive-lock append batches.
-  uint64_t catchup_rounds = 0;  ///< Catch-up iterations executed.
-  uint64_t store_retries = 0;   ///< kUnavailable retries against the store.
-  uint64_t breaker_pauses = 0;  ///< Pauses on the open placement breaker.
-  uint64_t restarts = 0;        ///< Full restarts (deletes / verify misses).
+  migration::CopyProgress progress;        ///< The online copy's counters.
   bool digest_checked = false;  ///< Sibling digest equality was enforced.
 
   bool admitted() const { return stage == RepairStage::kAdmitted; }
@@ -83,27 +59,18 @@ struct RepairReport {
 /// keep serving, verifies the rebuilt container, and atomically re-admits
 /// it into routing and the write fan-out.
 ///
-/// A rebuild mirrors the online-migration engine's shape:
-///
-///  * Backfilling — the placement is flagged `rebuilding` (routing and
-///    the maintenance fan-out stop touching it), its container is
-///    re-created empty, an update listener attaches, the fragment view is
-///    snapshot over staging, and the snapshot is appended in throttled
-///    batches, each under a short exclusive-lock window; store failures
-///    walk the same retry/pause/breaker envelope migrations use.
-///  * CatchingUp — inserts that landed during the backfill are drained by
-///    set difference against the already-appended rows (set semantics
-///    make re-appends benign); a deletion restarts the rebuild, since
-///    deletes have no append delta.
-///  * Verifying — one exclusive-lock section drains the residual rows,
-///    set-compares the container against the staging truth, checks digest
-///    equality with a healthy same-kind sibling, and admits the replica
-///    (epoch stamped to the fragment's write epoch, `rebuilding`
-///    cleared). No catalog-epoch bump: routing is per-translation, so
-///    cached plans pick the replica up immediately.
-///
-/// Text placements cannot take appends; their rebuild is a one-shot
-/// rematerialization from staging inside the same envelope.
+/// A rebuild flags the placement `rebuilding` (routing and the write
+/// fan-out stop touching it) and re-creates its container empty, then
+/// fills it with the OnlineCopy pipeline migrations use
+/// (migration/online_copy.h): backfill from a staging snapshot, catch-up
+/// of the inserts that raced it through the delta rule (a deletion, or a
+/// text placement, rebuilds the placement from staging instead), and one
+/// exclusive-lock section that drains the rest, verifies the container
+/// against the staging truth, checks digest equality with a healthy
+/// same-kind sibling, and admits the replica (epoch stamped to the
+/// fragment's write epoch, `rebuilding` cleared). No catalog-epoch bump:
+/// routing is per-translation, so cached plans pick the replica up
+/// immediately.
 ///
 /// Thread-safe against the serving path (every catalog touch goes through
 /// the server's locks). Run one repairer instance; repairs are
@@ -150,14 +117,8 @@ class ReplicaRepairer {
   std::vector<RepairReport> history() const;
 
  private:
-  /// One full rebuild attempt (all stages); restarts handled inside.
+  /// One rebuild (all stages).
   void RunRebuild(RepairReport* report);
-
-  /// Runs `op` with the kUnavailable retry/pause envelope against
-  /// `store`, feeding its breaker with the outcomes.
-  Status RetryStoreOp(const std::string& store, RepairReport* report,
-                      const std::function<Status()>& op);
-  void PauseWhileBreakerOpen(const std::string& store, RepairReport* report);
 
   runtime::QueryServer* server_;
   RepairOptions options_;

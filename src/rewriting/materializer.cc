@@ -1,6 +1,7 @@
 #include "rewriting/materializer.h"
 
 #include <functional>
+#include <optional>
 #include <set>
 #include <unordered_set>
 
@@ -38,6 +39,15 @@ void MarkListColumns(const std::vector<Row>& rows, StorageDescriptor* desc) {
       if (row[c].is_list()) desc->list_column[c] = true;
     }
   }
+}
+
+/// Describes the fragment's whole view extent `rows`: statistics and
+/// list-column flags start over from them.
+void SetStatistics(const std::vector<Row>& rows, StorageDescriptor* desc) {
+  const size_t arity = desc->view.arity();
+  desc->stats = ComputeStatistics(rows, arity);
+  desc->list_column.assign(arity, false);
+  MarkListColumns(rows, desc);
 }
 
 /// True when the view reads a relation some of `new_rows` went to.
@@ -131,6 +141,43 @@ Status VerifyPlacement(const Placement& p, const std::vector<Row>& expected) {
   return Status::OK();
 }
 
+/// Rebuilds one placement of shard `shard` from the view extent `truth`:
+/// drops its container (tolerating absence) and loads the shard's rows.
+Status ReloadPlacement(const Placement& at, size_t shard,
+                       const std::vector<Row>& truth) {
+  const StoreDriver& driver = DriverFor(at.store.kind);
+  Status dropped = driver.Drop(at);
+  if (!dropped.ok() && dropped.code() != StatusCode::kNotFound) {
+    return dropped;
+  }
+  return ForEachShardBucket(
+      at.desc, truth, [&](size_t s, const std::vector<Row>& bucket) -> Status {
+        if (s != shard) return Status::OK();
+        return driver.Load(at, bucket);
+      });
+}
+
+/// The fragment's view over staging, evaluated on first use only: one
+/// write may rebuild several placements, or none.
+class LazyTruth {
+ public:
+  LazyTruth(const StagingData& staging, const StorageDescriptor& desc)
+      : staging_(staging), desc_(desc) {}
+
+  Result<const std::vector<Row>*> Get() {
+    if (!rows_.has_value()) {
+      ESTOCADA_ASSIGN_OR_RETURN(
+          rows_, EvaluateCqOverStaging(desc_.view.query, staging_, {}, true));
+    }
+    return &*rows_;
+  }
+  const std::optional<std::vector<Row>>& rows() const { return rows_; }
+
+ private:
+  const StagingData& staging_;
+  const StorageDescriptor& desc_;
+  std::optional<std::vector<Row>> rows_;
+};
 
 }  // namespace
 
@@ -162,13 +209,11 @@ Status MaterializeFragment(const StagingData& staging, Catalog* catalog,
   ESTOCADA_ASSIGN_OR_RETURN(
       std::vector<Row> rows,
       EvaluateCqOverStaging(desc->view.query, staging, {}, true));
-  const size_t arity = desc->view.arity();
   // The load is strict: every replica must materialize (unlike the
   // append fan-out, which tolerates stale minorities). Each shard's
   // replicas receive the shard's rows and snap to its write epoch.
-  // Replicas marked rebuilding are skipped — the ReplicaRepairer owns
-  // their containers (this path doubles as the full-rebuild step of
-  // maintenance for kinds that take no appends).
+  // Replicas marked rebuilding are skipped — the online copy filling
+  // them owns their containers.
   ESTOCADA_RETURN_NOT_OK(ForEachShardBucket(
       *desc, rows, [&](size_t s, const std::vector<Row>& bucket) -> Status {
         catalog::ShardState& shard = desc->shards[s];
@@ -182,24 +227,25 @@ Status MaterializeFragment(const StagingData& staging, Catalog* catalog,
         }
         return Status::OK();
       }));
-  desc->stats = ComputeStatistics(rows, arity);
-  desc->list_column.assign(arity, false);
-  MarkListColumns(rows, desc);
+  SetStatistics(rows, desc);
   return Status::OK();
 }
 
 namespace {
 
-/// One shard's write fan-out: appends `rows` to every replica of the
-/// shard that is fresh and not mid-rebuild, bumping the shard's write
-/// epoch once for the logical mutation. Replicas that take the write
+/// One shard's write fan-out: writes the shard's `rows` of a delta to
+/// every replica of the shard that is fresh and not mid-rebuild, bumping
+/// the shard's write epoch once for the logical mutation. A replica whose
+/// kind takes appends appends the rows; any other kind (text) rebuilds
+/// its placement from the staging truth. Replicas that take the write
 /// advance to the new epoch; replicas that fail (dead store) are left
 /// behind — stale, excluded from routing, queued for the repairer. When
 /// *no* replica takes the write the epoch bump is rolled back and the
 /// first error surfaces, so an unreplicated shard behaves like a plain
 /// store write.
-Status FanOutAppendShard(Catalog* catalog, StorageDescriptor* desc,
-                         size_t shard_idx, const std::vector<Row>& rows) {
+Status FanOutShard(Catalog* catalog, StorageDescriptor* desc,
+                   size_t shard_idx, const std::vector<Row>& rows,
+                   LazyTruth* truth) {
   catalog::ShardState& shard = desc->shards[shard_idx];
   const uint64_t old_epoch = shard.write_epoch;
   const uint64_t new_epoch = old_epoch + 1;
@@ -208,10 +254,16 @@ Status FanOutAppendShard(Catalog* catalog, StorageDescriptor* desc,
   Status first_error = Status::OK();
   for (catalog::ReplicaPlacement& r : shard.replicas) {
     if (r.rebuilding || r.epoch != old_epoch) continue;
-    auto store = catalog->GetStore(r.store_name);
-    Status st = store.ok() ? DriverFor((*store)->kind)
-                                 .Append({**store, *desc, r.container}, rows)
-                           : store.status();
+    Status st = [&]() -> Status {
+      ESTOCADA_ASSIGN_OR_RETURN(const StoreHandle* store,
+                                catalog->GetStore(r.store_name));
+      const Placement at{*store, *desc, r.container};
+      if (DriverFor(store->kind).appends()) {
+        return DriverFor(store->kind).Append(at, rows);
+      }
+      ESTOCADA_ASSIGN_OR_RETURN(const std::vector<Row>* all, truth->Get());
+      return ReloadPlacement(at, shard_idx, *all);
+    }();
     if (st.ok()) {
       r.epoch = new_epoch;
       ++successes;
@@ -231,40 +283,31 @@ Status FanOutAppendShard(Catalog* catalog, StorageDescriptor* desc,
   return Status::OK();
 }
 
-/// Partition-aware write routing: each row lands only on the shard owning
-/// its partition-key value. A shard whose entire replica set rejects the
-/// write fails the call; shards that already took their rows keep them
-/// (their epochs advanced consistently), which is sound under set
-/// semantics — re-running the append is a no-op for query answers.
-Status FanOutAppend(Catalog* catalog, StorageDescriptor* desc,
-                    const std::vector<Row>& rows) {
-  MarkListColumns(rows, desc);
+/// Partition-aware write routing of a delta: each row lands only on the
+/// shard owning its partition-key value. A shard whose entire replica set
+/// rejects the write fails the call; shards that already took their rows
+/// keep them (their epochs advanced consistently), which is sound under
+/// set semantics — re-running the write is a no-op for query answers.
+Status FanOutDelta(const StagingData& staging, Catalog* catalog,
+                   StorageDescriptor* desc, const std::vector<Row>& delta) {
+  LazyTruth truth(staging, *desc);
+  MarkListColumns(delta, desc);
   ESTOCADA_RETURN_NOT_OK(ForEachShardBucket(
-      *desc, rows, [&](size_t s, const std::vector<Row>& bucket) -> Status {
+      *desc, delta, [&](size_t s, const std::vector<Row>& bucket) -> Status {
         if (bucket.empty()) return Status::OK();
-        return FanOutAppendShard(catalog, desc, s, bucket);
+        return FanOutShard(catalog, desc, s, bucket, &truth);
       }));
-  desc->stats.row_count += rows.size();
+  // A rebuild read the whole extent: describe it exactly, as a
+  // materialization does. Appends only add their rows.
+  if (truth.rows().has_value()) {
+    SetStatistics(*truth.rows(), desc);
+  } else {
+    desc->stats.row_count += delta.size();
+  }
   return Status::OK();
 }
 
 }  // namespace
-
-Status AppendToFragment(Catalog* catalog, const std::string& fragment_name,
-                        const std::vector<Row>& rows) {
-  if (rows.empty()) return Status::OK();
-  ESTOCADA_ASSIGN_OR_RETURN(StorageDescriptor * desc,
-                            catalog->GetMutableFragment(fragment_name));
-  const size_t arity = desc->view.arity();
-  for (const Row& row : rows) {
-    if (row.size() != arity) {
-      return Status::InvalidArgument(
-          StrCat("fragment '", fragment_name, "' has arity ", arity,
-                 "; cannot append a row of ", row.size(), " values"));
-    }
-  }
-  return FanOutAppend(catalog, desc, rows);
-}
 
 Result<std::vector<Row>> ReadReplicaRows(const Catalog& catalog,
                                          const std::string& fragment_name,
@@ -315,29 +358,9 @@ Status VerifyFragmentAgainstRows(const Catalog& catalog,
       });
 }
 
-Status MaintainOneFragmentOnInsertBatch(
-    const StagingData& staging, Catalog* catalog,
-    const std::string& fragment_name,
+Result<std::vector<Row>> ComputeFragmentDelta(
+    const StagingData& staging, const pivot::ConjunctiveQuery& view,
     const std::vector<std::pair<std::string, Row>>& new_rows) {
-  ESTOCADA_ASSIGN_OR_RETURN(StorageDescriptor * desc,
-                            catalog->GetMutableFragment(fragment_name));
-  if (!ViewReads(desc->view, new_rows)) return Status::OK();
-  // A placement whose kind takes no appends forces the rebuild path for
-  // the whole replica set (the rebuild leaves every serving replica
-  // fresh, so no epoch bump is needed).
-  bool rebuild = false;
-  for (const catalog::ShardState& shard : desc->shards) {
-    for (const catalog::ReplicaPlacement& p : shard.replicas) {
-      if (p.rebuilding) continue;
-      ESTOCADA_ASSIGN_OR_RETURN(const StoreHandle* s,
-                                catalog->GetStore(p.store_name));
-      if (!DriverFor(s->kind).appends()) rebuild = true;
-    }
-  }
-  if (rebuild) {
-    ESTOCADA_RETURN_NOT_OK(DematerializeFragment(catalog, fragment_name));
-    return MaterializeFragment(staging, catalog, fragment_name);
-  }
   // Delta rule: for each new tuple and each occurrence of its relation
   // in the view body, evaluate the view with that occurrence reading only
   // the tuple. Deduplicate across all pins of the batch: several staged
@@ -345,7 +368,6 @@ Status MaintainOneFragmentOnInsertBatch(
   // the same view row.
   std::vector<Row> delta;
   std::unordered_set<Row, engine::RowHash> seen;
-  const pivot::ConjunctiveQuery& view = desc->view.query;
   for (const auto& [relation, new_row] : new_rows) {
     for (size_t occ = 0; occ < view.body.size(); ++occ) {
       if (view.body[occ].relation != relation) continue;
@@ -357,16 +379,15 @@ Status MaintainOneFragmentOnInsertBatch(
       }
     }
   }
-  if (delta.empty()) return Status::OK();
-  return FanOutAppend(catalog, desc, delta);
+  return delta;
 }
 
 Status MaintainFragmentsOnInsertBatch(
     const StagingData& staging, Catalog* catalog,
     const std::vector<std::pair<std::string, Row>>& new_rows) {
   // Collect affected fragment names first (iteration + mutation safety).
-  // Shadow fragments are excluded: their deltas are captured and replayed
-  // by the migration engine's catch-up stage.
+  // Shadow fragments are excluded: the online copy filling each one
+  // captures and replays its deltas itself.
   std::vector<std::string> affected;
   for (const auto& [name, desc] : catalog->fragments()) {
     if (!desc.is_shadow() && ViewReads(desc.view, new_rows)) {
@@ -374,8 +395,13 @@ Status MaintainFragmentsOnInsertBatch(
     }
   }
   for (const std::string& name : affected) {
-    ESTOCADA_RETURN_NOT_OK(
-        MaintainOneFragmentOnInsertBatch(staging, catalog, name, new_rows));
+    ESTOCADA_ASSIGN_OR_RETURN(StorageDescriptor * desc,
+                              catalog->GetMutableFragment(name));
+    ESTOCADA_ASSIGN_OR_RETURN(
+        std::vector<Row> delta,
+        ComputeFragmentDelta(staging, desc->view.query, new_rows));
+    if (delta.empty()) continue;
+    ESTOCADA_RETURN_NOT_OK(FanOutDelta(staging, catalog, desc, delta));
   }
   return Status::OK();
 }
@@ -414,23 +440,19 @@ Status CreateReplicaContainer(const Catalog& catalog,
   return t.driver().Load(t.at(), {});
 }
 
-Status MaterializeReplica(const StagingData& staging, const Catalog& catalog,
+Status MaterializeReplica(const StagingData& staging, Catalog* catalog,
                           const std::string& fragment_name, size_t shard,
                           size_t replica) {
   ESTOCADA_ASSIGN_OR_RETURN(
-      ReplicaTarget t, ResolveReplica(catalog, fragment_name, shard, replica));
+      ReplicaTarget t, ResolveReplica(*catalog, fragment_name, shard, replica));
   ESTOCADA_ASSIGN_OR_RETURN(
       std::vector<Row> rows,
       EvaluateCqOverStaging(t.desc->view.query, staging, {}, true));
-  Status dropped = t.driver().Drop(t.at());
-  if (!dropped.ok() && dropped.code() != StatusCode::kNotFound) {
-    return dropped;
-  }
-  return ForEachShardBucket(
-      *t.desc, rows, [&](size_t s, const std::vector<Row>& bucket) -> Status {
-        if (s != shard) return Status::OK();
-        return t.driver().Load(t.at(), bucket);
-      });
+  ESTOCADA_RETURN_NOT_OK(ReloadPlacement(t.at(), shard, rows));
+  ESTOCADA_ASSIGN_OR_RETURN(StorageDescriptor * desc,
+                            catalog->GetMutableFragment(fragment_name));
+  if (desc->is_shadow()) SetStatistics(rows, desc);
+  return Status::OK();
 }
 
 Status DropReplicaContainer(const Catalog& catalog,
@@ -441,13 +463,20 @@ Status DropReplicaContainer(const Catalog& catalog,
   return t.driver().Drop(t.at());
 }
 
-Status AppendToReplica(const Catalog& catalog,
-                       const std::string& fragment_name, size_t shard,
-                       size_t replica, const std::vector<Row>& rows) {
+Status AppendToReplica(Catalog* catalog, const std::string& fragment_name,
+                       size_t shard, size_t replica,
+                       const std::vector<Row>& rows) {
   if (rows.empty()) return Status::OK();
   ESTOCADA_ASSIGN_OR_RETURN(
-      ReplicaTarget t, ResolveReplica(catalog, fragment_name, shard, replica));
-  return t.driver().Append(t.at(), rows);
+      ReplicaTarget t, ResolveReplica(*catalog, fragment_name, shard, replica));
+  ESTOCADA_RETURN_NOT_OK(t.driver().Append(t.at(), rows));
+  ESTOCADA_ASSIGN_OR_RETURN(StorageDescriptor * desc,
+                            catalog->GetMutableFragment(fragment_name));
+  if (desc->is_shadow()) {
+    MarkListColumns(rows, desc);
+    desc->stats.row_count += rows.size();
+  }
+  return Status::OK();
 }
 
 Result<uint64_t> FragmentReplicaDigest(const Catalog& catalog,

@@ -22,28 +22,10 @@ Status MaterializeFragment(const StagingData& staging,
 
 /// Creates the fragment's *empty* physical container (plus the indexes
 /// implied by its adornments and index_positions) without evaluating the
-/// view. The online-migration backfill uses this to open a shadow target
-/// it then fills in throttled batches via AppendToFragment.
+/// view. A shadow fragment opens this way, and the online copy then fills
+/// its placement in throttled batches via AppendToReplica.
 Status CreateFragmentContainer(catalog::Catalog* catalog,
                                const std::string& fragment_name);
-
-/// Appends already-computed view rows to a fragment's physical container
-/// in the store's native layout, updating row-count statistics and list-
-/// column flags. Kinds that take no appends (text: per-document postings
-/// are immutable) return kUnsupported — rebuild instead.
-///
-/// Each row goes to the shard owning its partition key (the only shard
-/// when unpartitioned), and each shard fans its rows out: the shard's
-/// write epoch advances by one, every fresh non-rebuilding replica
-/// receives the rows, and each replica that takes them moves to the new
-/// epoch. A replica whose store is down stays at its old epoch — stale,
-/// out of the routing set, queued for the repairer. A shard's write
-/// succeeds while at least one replica takes it; with none, the epoch
-/// bump is rolled back and the first store error surfaces (identical to
-/// the unreplicated behavior).
-Status AppendToFragment(catalog::Catalog* catalog,
-                        const std::string& fragment_name,
-                        const std::vector<engine::Row>& rows);
 
 /// Set-compares a fragment's physical content against `expected_rows`
 /// (normally the fragment view evaluated over staging — the ground
@@ -65,16 +47,18 @@ Status VerifyFragmentAgainstRows(const catalog::Catalog& catalog,
 Status DematerializeFragment(catalog::Catalog* catalog,
                              const std::string& fragment_name);
 
-/// --- Per-replica primitives (replica repair and anti-entropy) ---------
+/// --- Per-replica primitives (online copies and anti-entropy) ----------
 ///
 /// Each primitive below addresses exactly one placement — replica
 /// `replica` of shard `shard` (shard 0 is the whole fragment when it is
 /// unpartitioned) — and returns kOutOfRange when the fragment has no such
-/// placement. None of them touches the descriptor's epochs or statistics;
-/// callers (the ReplicaRepairer, through the Estocada facade) sequence
-/// them into a rebuild (drop → create → backfill batches → verify) and
-/// flip the epoch / rebuilding bits themselves under the server's admin
-/// lock.
+/// placement. None of them touches the descriptor's epochs; callers (the
+/// online copy, through the Estocada facade) sequence them into a fill
+/// (create → backfill batches → catch-up → verify) and flip the epoch /
+/// rebuilding / lifecycle bits themselves under the server's admin lock.
+/// The writes keep the fragment statistics only for a shadow fragment,
+/// whose one placement is its whole extent; a rebuilding replica's
+/// serving siblings already carry them.
 
 /// Creates the placement's *empty* container (with the fragment's
 /// indexes) in its store.
@@ -92,14 +76,15 @@ Status DropReplicaContainer(const catalog::Catalog& catalog,
 /// the shard's rows in the store's native layout. Works for every store
 /// kind — the only rebuild path for kinds that take no appends (text).
 Status MaterializeReplica(const StagingData& staging,
-                          const catalog::Catalog& catalog,
+                          catalog::Catalog* catalog,
                           const std::string& fragment_name, size_t shard,
                           size_t replica);
 
 /// Appends already-computed view rows to the placement's container only.
-/// Document _ids are seeded from the container's own count, so restarted
-/// rebuilds never collide.
-Status AppendToReplica(const catalog::Catalog& catalog,
+/// Kinds that take no appends (text) return kUnsupported — rebuild
+/// instead. Document _ids are seeded from the container's own count, so
+/// refilled containers never collide.
+Status AppendToReplica(catalog::Catalog* catalog,
                        const std::string& fragment_name, size_t shard,
                        size_t replica, const std::vector<engine::Row>& rows);
 
@@ -129,17 +114,17 @@ Result<uint64_t> FragmentReplicaDigest(const catalog::Catalog& catalog,
 
 /// Incremental view maintenance: given one tuple freshly appended to
 /// dataset relation `relation` (already present in `staging`), computes
-/// each affected fragment's delta with the standard delta rule — for every
-/// occurrence of `relation` in the view body, evaluate the body with that
-/// occurrence reading only the new tuple, whose scalar values are pushed
-/// into the other atoms as constants (EvaluateCqDeltaOverStaging) — and
-/// appends the new view rows to the fragment's physical container,
-/// updating its statistics. The other atoms still scan their staged
-/// relations, but copy only the rows that match the pushed constants.
-///
-/// Fragments of kinds that take no appends (text) are rebuilt from
-/// scratch; deletions are not supported (the paper, too, leaves dynamic
-/// reorganization as ongoing work).
+/// each affected fragment's delta (ComputeFragmentDelta) and writes it to
+/// every serving placement: appended where the kind takes appends, and
+/// where it does not (text) the placement is rebuilt from the staging
+/// truth. Each row goes to the shard owning its partition key, and the
+/// shard's write epoch advances by one; every fresh non-rebuilding replica
+/// takes the write and moves to the new epoch. A replica whose write fails
+/// (store down) stays at its old epoch — stale, out of the routing set,
+/// queued for the repairer — and the write fails only when no replica of
+/// a shard takes it (the epoch bump is then rolled back). Deletions are not
+/// supported (the paper, too, leaves dynamic reorganization as ongoing
+/// work).
 Status MaintainFragmentsOnInsert(const StagingData& staging,
                                  catalog::Catalog* catalog,
                                  const std::string& relation,
@@ -147,20 +132,24 @@ Status MaintainFragmentsOnInsert(const StagingData& staging,
 
 /// Batch form: one logical update that staged several tuples (e.g. one
 /// document's path facts). Deltas are deduplicated across the batch so a
-/// view row derivable from several of the new tuples is appended once.
-/// Shadow fragments are skipped: the migration engine replays their
-/// deltas itself (via MaintainOneFragmentOnInsertBatch) during catch-up.
+/// view row derivable from several of the new tuples is written once.
+/// Shadow fragments are skipped: the online copy filling each one
+/// captures and replays its deltas itself.
 Status MaintainFragmentsOnInsertBatch(
     const StagingData& staging, catalog::Catalog* catalog,
     const std::vector<std::pair<std::string, engine::Row>>& new_rows);
 
-/// Per-fragment core of the batch maintenance: applies the delta rule for
-/// `new_rows` to exactly one fragment (rebuilding it when a placement's
-/// kind takes no appends). The migration engine's catch-up stage replays captured
-/// update deltas through this against its shadow target.
-Status MaintainOneFragmentOnInsertBatch(
-    const StagingData& staging, catalog::Catalog* catalog,
-    const std::string& fragment_name,
+/// The delta rule: the view rows `new_rows` (tuples already staged) add to
+/// `view`. For every new tuple and every occurrence of its relation in the
+/// view body, the body is evaluated with that occurrence reading only the
+/// tuple, whose scalar values are pushed into the other atoms as
+/// constants (EvaluateCqDeltaOverStaging); the other atoms still scan
+/// their staged relations, but copy only the rows that match. Rows are
+/// deduplicated across the batch. Serving placements take the result
+/// through the maintenance fan-out above, a non-serving one (an online
+/// copy's target) through AppendToReplica.
+Result<std::vector<engine::Row>> ComputeFragmentDelta(
+    const StagingData& staging, const pivot::ConjunctiveQuery& view,
     const std::vector<std::pair<std::string, engine::Row>>& new_rows);
 
 }  // namespace estocada::rewriting

@@ -420,7 +420,7 @@ ScenarioOutcome CheckScenario(const Scenario& s,
       spec.view.query = std::move(*vq);
       spec.store_name = kRelationalStore;
       migration::MigrationOptions mopts;
-      mopts.throttle.batch_rows = 3;  // Several backfill batches per run.
+      mopts.batch_rows = 3;  // Several backfill batches per run.
       migration::MigrationEngine engine(&server, spec, mopts);
 
       check_all("before");
@@ -469,7 +469,7 @@ ScenarioOutcome CheckScenario(const Scenario& s,
     topts.cost_model_bias = 0.0;
     topts.cooldown_ticks = 0;
     topts.max_concurrent_migrations = 2;
-    topts.migration.throttle.batch_rows = 3;
+    topts.migration.batch_rows = 3;
     tuner::Autopilot pilot(&server, &manager, topts);
 
     // Pass 1 feeds the workload log and records which queries the

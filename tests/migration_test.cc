@@ -242,7 +242,7 @@ TEST_F(MigrationTest, VerificationFailureAbortsAndRollsBack) {
   bogus[0] = Value::Int(99999999);
   ASSERT_TRUE(server
                   .WithAdminLock([&](Estocada* sys) {
-                    return sys->AppendToShadowFragment("F_mig", {bogus});
+                    return sys->AppendToPlacement("F_mig", 0, {bogus});
                   })
                   .ok());
   Status st = engine.Run();
@@ -305,8 +305,8 @@ TEST_F(MigrationTest, TextTargetMigratesViaRebuild) {
 TEST_F(MigrationTest, ThrottleBoundsTheCopyRate) {
   QueryServer server(&sys_);
   MigrationOptions options;
-  options.throttle.batch_rows = 16;
-  options.throttle.max_rows_per_sec = 2000;
+  options.batch_rows = 16;
+  options.max_rows_per_sec = 2000;
   MigrationEngine engine(&server, SpecFor(kOrdersView, "spark"), options);
   const auto start = std::chrono::steady_clock::now();
   ASSERT_TRUE(engine.Run().ok());
@@ -385,7 +385,7 @@ TEST_F(MigrationTest, TransientTargetFaultsAreRetriedToCompletion) {
 TEST_F(MigrationTest, NonRetryableFaultAbortsWithRollback) {
   QueryServer server(&sys_);
   MigrationOptions options;
-  options.max_target_retries = 2;
+  options.max_retries = 2;
   options.retry_backoff_micros = 10;
   // A hard outage outlasting the retry budget: the migration must give up
   // and roll back, not wedge.
@@ -412,7 +412,7 @@ TEST_F(MigrationTest, OpenBreakerPausesThenResumes) {
   so.health.open_cooldown_micros = 2000;
   QueryServer server(&sys_, so);
   MigrationOptions options;
-  options.max_target_retries = 1000000;  // Outlast the induced outage.
+  options.max_retries = 1000000;  // Outlast the induced outage.
   options.retry_backoff_micros = 100;
   injector_.SetOutage("redis", true);
   MigrationManager manager(&server);
@@ -460,8 +460,8 @@ TEST_F(MigrationTest, ManagerRunsStatusAndList) {
 TEST_F(MigrationTest, ManagerAbortInterruptsThrottledBackfill) {
   QueryServer server(&sys_);
   MigrationOptions options;
-  options.throttle.batch_rows = 8;
-  options.throttle.max_rows_per_sec = 300;  // ~0.8s of backfill runway.
+  options.batch_rows = 8;
+  options.max_rows_per_sec = 300;  // ~0.8s of backfill runway.
   MigrationManager manager(&server);
   auto id = manager.Start(SpecFor(kOrdersView, "spark", {}, {"F_orders"}),
                           options);
@@ -487,8 +487,8 @@ TEST_F(MigrationTest, ManagerAbortInterruptsThrottledBackfill) {
 TEST_F(MigrationTest, WaitForTimesOutWithoutDisturbingTheMigration) {
   QueryServer server(&sys_);
   MigrationOptions options;
-  options.throttle.batch_rows = 8;
-  options.throttle.max_rows_per_sec = 300;  // ~0.8s of backfill runway.
+  options.batch_rows = 8;
+  options.max_rows_per_sec = 300;  // ~0.8s of backfill runway.
   MigrationManager manager(&server);
   auto id = manager.Start(SpecFor(kOrdersView, "spark", {}, {"F_orders"}),
                           options);
@@ -511,8 +511,8 @@ TEST_F(MigrationTest, WaitForTimesOutWithoutDisturbingTheMigration) {
 TEST_F(MigrationTest, CompletionCallbackFiresOnAbortBeforeWaitReturns) {
   QueryServer server(&sys_);
   MigrationOptions options;
-  options.throttle.batch_rows = 8;
-  options.throttle.max_rows_per_sec = 300;
+  options.batch_rows = 8;
+  options.max_rows_per_sec = 300;
   MigrationManager manager(&server);
   std::atomic<int> calls{0};
   uint64_t seen_id = 0;
@@ -558,8 +558,8 @@ TEST_F(MigrationTest, CompletionCallbackFiresOnSuccess) {
 TEST_F(MigrationTest, QueriesKeepAnsweringCorrectlyThroughoutMigration) {
   QueryServer server(&sys_);
   MigrationOptions options;
-  options.throttle.batch_rows = 16;
-  options.throttle.max_rows_per_sec = 2500;  // Stretch to ~100ms of runway.
+  options.batch_rows = 16;
+  options.max_rows_per_sec = 2500;  // Stretch to ~100ms of runway.
   MigrationManager manager(&server);
   auto truth = sys_.EvaluateOverStaging(kOrdersQuery);
   ASSERT_TRUE(truth.ok());
@@ -616,8 +616,8 @@ TEST_F(MigrationTest, RefragmentsPartitionedFragmentUnderTraffic) {
   }
 
   MigrationOptions options;
-  options.throttle.batch_rows = 8;
-  options.throttle.max_rows_per_sec = 1500;
+  options.batch_rows = 8;
+  options.max_rows_per_sec = 1500;
   MigrationManager manager(&server);
   auto id = manager.Start(
       SpecFor("F_mig(u, n, c) :- mk.users(u, n, c)", "mongo", {},

@@ -8,6 +8,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
+#include <memory>
 #include <set>
 #include <string>
 #include <thread>
@@ -19,6 +21,7 @@
 #include "replication/repairer.h"
 #include "runtime/query_server.h"
 #include "stores/fault.h"
+#include "stores/text_store.h"
 #include "tuner/tuner.h"
 #include "workload/marketplace.h"
 
@@ -119,9 +122,38 @@ class ReplicationTest : public ::testing::Test {
             Value::Str("city" + std::to_string(uid % 7))};
   }
 
+  /// Registers text instances "solr1"/"solr2" and replicates F_t, the
+  /// product-term index, across both.
+  void DefineTextReplicas() {
+    static const char* kNames[2] = {"solr1", "solr2"};
+    for (int i = 0; i < 2; ++i) {
+      solr_[i].AttachFaultInjector(&injector_, kNames[i]);
+      ASSERT_TRUE(sys_.RegisterStore({kNames[i], catalog::StoreKind::kText,
+                                      nullptr, nullptr, nullptr, nullptr,
+                                      &solr_[i]})
+                      .ok());
+    }
+    ASSERT_TRUE(sys_.DefineReplicatedFragment(
+                        "F_t(p, w) :- mk.prodterms(p, w)", {"solr1", "solr2"},
+                        {pivot::Adornment::kFree, pivot::Adornment::kInput})
+                    .ok());
+  }
+
+  /// A stage hook that runs `action` once, on entering kCatchingUp.
+  static std::function<Status(RepairStage)> OnceAtCatchUp(
+      std::function<Status()> action) {
+    auto fired = std::make_shared<bool>(false);
+    return [fired, action = std::move(action)](RepairStage at) {
+      if (at != RepairStage::kCatchingUp || *fired) return Status::OK();
+      *fired = true;
+      return action();
+    };
+  }
+
   workload::MarketplaceData data_;
   stores::FaultInjector injector_{/*seed=*/42};
   stores::RelationalStore pg_[3];
+  stores::TextStore solr_[2];
   Estocada sys_;
 };
 
@@ -260,6 +292,96 @@ TEST_F(ReplicationTest, WriteFanOutSkipsDeadReplicaAndTickRepairsIt) {
   EXPECT_EQ(*again, 0u);
 }
 
+TEST_F(ReplicationTest, TextInsertWithOneReplicaDownKeepsTheHealthyReplica) {
+  ASSERT_NO_FATAL_FAILURE(DefineTextReplicas());
+  QueryServer server(&sys_, FastOptions());
+  constexpr char kZebra[] = "q(p) :- mk.prodterms(p, 'zebra')";
+
+  // Text takes no appends, so the write rebuilds each live placement from
+  // staging: solr1's succeeds, solr2's fails and leaves it stale — the
+  // healthy replica must not be torn down with it.
+  injector_.SetOutage("solr2", true);
+  ASSERT_TRUE(
+      server.InsertRow("mk.prodterms", {Value::Int(1), Value::Str("zebra")})
+          .ok());
+  auto d = sys_.catalog().GetFragment("F_t");
+  ASSERT_TRUE(d.ok()) << d.status();
+  const catalog::ShardState& shard = (*d)->shards[0];
+  EXPECT_TRUE(shard.replicas[0].fresh(shard.write_epoch));
+  EXPECT_FALSE(shard.replicas[1].fresh(shard.write_epoch));
+  EXPECT_TRUE(sys_.VerifyReplica("F_t", 0).ok());
+  auto r = ExpectServesTruth(&server, kZebra);
+  ASSERT_TRUE(r.ok());
+  EXPECT_FALSE(r->degraded_to_staging);
+  EXPECT_FALSE(r->rows.empty());
+
+  // The store comes back; a tick rebuilds and admits the stale replica.
+  injector_.SetOutage("solr2", false);
+  ReplicaRepairer repairer(&server);
+  auto repaired = repairer.Tick();
+  ASSERT_TRUE(repaired.ok()) << repaired.status();
+  EXPECT_EQ(*repaired, 1u);
+  EXPECT_TRUE(sys_.VerifyReplica("F_t", 0).ok());
+  EXPECT_TRUE(sys_.VerifyReplica("F_t", 1).ok());
+  r = ExpectServesTruth(&server, kZebra);
+  ASSERT_TRUE(r.ok());
+  EXPECT_FALSE(r->degraded_to_staging);
+}
+
+// ---------------------------------------------- Repair catch-up paths --
+
+TEST_F(ReplicationTest, InsertDuringRepairIsReplayedIntoTheReplica) {
+  QueryServer server(&sys_, FastOptions());
+  RepairOptions opts;
+  opts.stage_hook = OnceAtCatchUp(
+      [&] { return server.InsertRow("mk.users", UserRow(500'000)); });
+  ReplicaRepairer repairer(&server, opts);
+  RepairReport report = repairer.RepairReplica("F_users", 1);
+  ASSERT_TRUE(report.admitted()) << report.ToString();
+  // The backfill missed the insert; catch-up replayed it as a delta.
+  EXPECT_GE(report.progress.catchup_rounds, 1u);
+  EXPECT_EQ(report.progress.deltas_replayed, 1u);
+  EXPECT_EQ(report.progress.rebuilds, 0u);
+  EXPECT_TRUE(report.digest_checked);
+  EXPECT_TRUE(sys_.VerifyReplica("F_users", 1).ok());
+  EXPECT_EQ(Digest(0), Digest(1));
+  EXPECT_EQ(Digest(1), Digest(2));
+  ExpectServesTruth(&server, kUsersQuery);
+}
+
+TEST_F(ReplicationTest, DeleteDuringRepairRebuildsThePlacementOnce) {
+  QueryServer server(&sys_, FastOptions());
+  auto users = sys_.EvaluateOverStaging(kUsersQuery);
+  ASSERT_TRUE(users.ok() && !users->empty());
+  const Row victim = (*users)[0];
+  RepairOptions opts;
+  opts.stage_hook = OnceAtCatchUp(
+      [&] { return server.DeleteRow("mk.users", victim); });
+  ReplicaRepairer repairer(&server, opts);
+  RepairReport report = repairer.RepairReplica("F_users", 1);
+  ASSERT_TRUE(report.admitted()) << report.ToString();
+  // A deletion has no append delta: catch-up rebuilt the placement from
+  // staging once, and the backfill was not copied a second time.
+  EXPECT_EQ(report.progress.rows_copied, users->size());
+  EXPECT_EQ(report.progress.rebuilds, 1u);
+  EXPECT_GE(report.progress.catchup_rounds, 1u);
+  EXPECT_TRUE(sys_.VerifyReplica("F_users", 1).ok());
+  EXPECT_EQ(Digest(0), Digest(1));
+  ExpectServesTruth(&server, kUsersQuery);
+}
+
+TEST_F(ReplicationTest, TextReplicaRepairsThroughARebuild) {
+  ASSERT_NO_FATAL_FAILURE(DefineTextReplicas());
+  QueryServer server(&sys_, FastOptions());
+  ReplicaRepairer repairer(&server);
+  RepairReport report = repairer.RepairReplica("F_t", 1);
+  ASSERT_TRUE(report.admitted()) << report.ToString();
+  EXPECT_EQ(report.progress.rows_copied, 0u);  // No append path to text.
+  EXPECT_GE(report.progress.rebuilds, 1u);
+  EXPECT_TRUE(report.digest_checked);
+  EXPECT_TRUE(sys_.VerifyReplica("F_t", 1).ok());
+}
+
 // ------------------------------------------------ Abort at every stage --
 
 TEST_F(ReplicationTest, AbortAtEveryStageLeavesServingAndWritesCorrect) {
@@ -351,6 +473,27 @@ TEST_F(ReplicationTest, ScrubDetectsAndRepairsSilentCorruption) {
   EXPECT_EQ(*again, 0u);
 }
 
+// ------------------------------------------------ Definition rollback --
+
+TEST_F(ReplicationTest, FailedDefinitionDropsTheContainersItCreated) {
+  constexpr char kView[] = "F_u2(u, n, c) :- mk.users(u, n, c)";
+  injector_.SetOutage("pg3", true);
+  EXPECT_FALSE(sys_.DefineReplicatedFragment(kView, {"pg1", "pg2", "pg3"})
+                   .ok());
+  EXPECT_FALSE(sys_.catalog().GetFragment("F_u2").ok());
+  EXPECT_FALSE(pg_[0].HasTable("F_u2"));
+  EXPECT_FALSE(pg_[1].HasTable("F_u2#r1"));
+
+  // Nothing was left behind, so the same definition succeeds once the
+  // store is back.
+  injector_.SetOutage("pg3", false);
+  Status st = sys_.DefineReplicatedFragment(kView, {"pg1", "pg2", "pg3"});
+  ASSERT_TRUE(st.ok()) << st;
+  for (size_t i = 0; i < 3; ++i) {
+    EXPECT_TRUE(sys_.VerifyReplica("F_u2", i).ok()) << i;
+  }
+}
+
 // ------------------------------------------------- Catalog round-trip --
 
 TEST_F(ReplicationTest, CatalogRoundTripPreservesReplicaState) {
@@ -440,7 +583,7 @@ TEST_F(ReplicationTest, ConcurrentChaosConvergesToVerifiedTruth) {
   so.health.open_cooldown_micros = 200;
   QueryServer server(&sys_, so);
   RepairOptions ropts;
-  ropts.max_store_retries = 4;
+  ropts.max_retries = 4;
   ropts.retry_backoff_micros = 1;
   ropts.pause_poll_micros = 50;
   ReplicaRepairer repairer(&server, ropts);
