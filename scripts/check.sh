@@ -2,7 +2,8 @@
 # Repo checks: the tier-1 build + test suite + a standalone build of the
 # repo benchmark (perfbench), then a ThreadSanitizer build
 # of the concurrency-sensitive pieces (serving runtime + stores) and their
-# tests, then an ASan+UBSan build of the failure/recovery paths. Every
+# tests, then an ASan+UBSan build of the engine, the chase and the
+# failure/recovery paths. Every
 # step is fail-fast (set -e): the first broken check stops the run.
 #
 # Usage: scripts/check.sh [--fuzz] [jobs]
@@ -45,15 +46,16 @@ echo "== TSan: run =="
   && ./migration_test && ./tuner_test && ./replication_test \
   && ./scaleout_test && ./graph_test)
 
-echo "== ASan+UBSan: build failure_test + runtime_test + stores_test + migration_test + tuner_test + replication_test + scaleout_test + serialize_test + rewriting_test + maintenance_test + graph_test + drivers_test =="
+echo "== ASan+UBSan: build engine_test + chase_test + failure_test + runtime_test + stores_test + migration_test + tuner_test + replication_test + scaleout_test + serialize_test + rewriting_test + maintenance_test + graph_test + drivers_test =="
 cmake -B build-asan -S . -DESTOCADA_SANITIZE=address >/dev/null
 cmake --build build-asan -j "$JOBS" \
-  --target failure_test runtime_test stores_test migration_test tuner_test \
-  replication_test scaleout_test serialize_test rewriting_test \
-  maintenance_test graph_test drivers_test
+  --target engine_test chase_test failure_test runtime_test stores_test \
+  migration_test tuner_test replication_test scaleout_test serialize_test \
+  rewriting_test maintenance_test graph_test drivers_test
 
 echo "== ASan+UBSan: run =="
-(cd build-asan/tests && ./failure_test && ./runtime_test && ./stores_test \
+(cd build-asan/tests && ./engine_test && ./chase_test && ./failure_test \
+  && ./runtime_test && ./stores_test \
   && ./migration_test && ./tuner_test && ./replication_test \
   && ./scaleout_test && ./serialize_test \
   && ./rewriting_test && ./maintenance_test && ./graph_test \

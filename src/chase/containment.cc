@@ -113,9 +113,6 @@ Result<bool> FixedRightContainment::ChaseAndProbe(
   }
   Substitution required;
   if (!RequiredHeadMapping(q2_, scratch_, targets, &required)) return false;
-  if (UsingScanMatcherForDebug()) {
-    return ExistsHomomorphism(q2_.body, scratch_, required);
-  }
   return !matcher_.ForEach(scratch_, required,
                            [](const Match&) { return false; });
 }

@@ -1,7 +1,6 @@
 #include "chase/homomorphism.h"
 
 #include <algorithm>
-#include <atomic>
 
 namespace estocada::chase {
 
@@ -9,20 +8,6 @@ using pivot::Atom;
 using pivot::SymbolId;
 using pivot::Substitution;
 using pivot::Term;
-
-namespace {
-
-std::atomic<bool> g_use_scan_matcher{false};
-
-}  // namespace
-
-void SetUseScanMatcherForDebug(bool on) {
-  g_use_scan_matcher.store(on, std::memory_order_relaxed);
-}
-
-bool UsingScanMatcherForDebug() {
-  return g_use_scan_matcher.load(std::memory_order_relaxed);
-}
 
 HomomorphismMatcher::HomomorphismMatcher(std::vector<Atom> pattern)
     : pattern_(std::move(pattern)) {
@@ -340,10 +325,6 @@ void ForEachHomomorphismScan(const std::vector<Atom>& pattern,
 void ForEachHomomorphism(const std::vector<Atom>& pattern,
                          const Instance& inst, const Substitution& start,
                          const std::function<bool(const Match&)>& on_match) {
-  if (g_use_scan_matcher.load(std::memory_order_relaxed)) {
-    internal::ForEachHomomorphismScan(pattern, inst, start, on_match);
-    return;
-  }
   HomomorphismMatcher matcher(pattern);
   matcher.ForEach(inst, start, on_match);
 }
@@ -363,15 +344,6 @@ std::vector<Match> FindHomomorphisms(const std::vector<Atom>& pattern,
 
 bool ExistsHomomorphism(const std::vector<Atom>& pattern, const Instance& inst,
                         const Substitution& start) {
-  if (g_use_scan_matcher.load(std::memory_order_relaxed)) {
-    bool found = false;
-    internal::ForEachHomomorphismScan(pattern, inst, start,
-                                      [&](const Match&) {
-                                        found = true;
-                                        return false;
-                                      });
-    return found;
-  }
   HomomorphismMatcher matcher(pattern);
   return !matcher.ForEach(inst, start, [](const Match&) { return false; });
 }

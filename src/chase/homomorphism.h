@@ -303,17 +303,6 @@ std::vector<pivot::Atom> NullsToVariables(std::vector<pivot::Atom> atoms);
 /// (what chase termination guarantees under dependency reordering).
 bool HomomorphicallyEquivalent(const Instance& a, const Instance& b);
 
-/// Debug flag: when set, the free-function entry points above route
-/// through the legacy unindexed scan matcher (kept for differential
-/// testing of the indexed kernel; see internal::ForEachHomomorphismScan).
-/// Off by default. Not for production use — the scan path is the slow one.
-void SetUseScanMatcherForDebug(bool on);
-
-/// Current state of the debug flag. Components holding a pre-compiled
-/// HomomorphismMatcher consult this to route through the scan oracle
-/// instead when differential testing is on.
-bool UsingScanMatcherForDebug();
-
 namespace internal {
 
 /// The pre-interning matcher: string-keyed substitutions, per-level

@@ -73,8 +73,8 @@ class RowBatch {
   /// Materializes the i-th logical row as a row-major tuple.
   Row MaterializeRow(size_t i) const;
 
-  /// Appends every logical row to `out` in order (the batch → tuple-vector
-  /// bridge used by Collect and the blocking operators).
+  /// Appends every logical row to `out` in order (the batch → row-vector
+  /// bridge used by Collect, and through it the blocking operators).
   void AppendRowsTo(std::vector<Row>* out) const;
 
   /// Rewrites the columns to contain exactly the selected rows and drops

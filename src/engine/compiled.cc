@@ -5,9 +5,8 @@ namespace estocada::engine {
 namespace {
 
 inline uint64_t MixHash(uint64_t seed, uint64_t h) {
-  // boost::hash_combine-style mixing, matching RowHash's shape so compiled
-  // and tuple paths agree on distribution (not on exact values — only the
-  // compiled path consumes these hashes).
+  // boost::hash_combine-style mixing, the same shape as RowHash (the
+  // values differ; only the compiled kernels consume these hashes).
   return seed ^ (h + 0x9e3779b97f4a7c15ull + (seed << 6) + (seed >> 2));
 }
 

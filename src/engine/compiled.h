@@ -33,7 +33,8 @@ const KeyOps& CompiledKeyOps(size_t arity);
 
 /// Open-addressing chained hash table mapping key hashes to build-side row
 /// chains, sized once from the build cardinality. Chains preserve insertion
-/// order, so probe output order matches the tuple-at-a-time oracle exactly.
+/// order, so each probe row meets its matches in build order and the join's
+/// output order is deterministic.
 /// Keys with equal hashes share a chain; the caller filters candidates with
 /// the compiled equality kernel.
 class FlatJoinTable {

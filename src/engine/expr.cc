@@ -205,7 +205,7 @@ Status Expr::FilterBatch(const RowBatch& batch,
     default:
       break;
   }
-  // Fallback: identical semantics to the tuple path, row at a time.
+  // Fallback: gather each selected row and evaluate it with EvalBool.
   Row scratch;
   scratch.reserve(batch.arity());
   size_t kept = 0;

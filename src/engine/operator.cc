@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <unordered_set>
 
 #include "common/strings.h"
@@ -20,39 +21,12 @@ Result<std::vector<Row>> Collect(Operator* op) {
   return out;
 }
 
-Result<std::vector<Row>> CollectTuples(Operator* op) {
-  ESTOCADA_RETURN_NOT_OK(op->Open());
-  std::vector<Row> out;
-  for (;;) {
-    ESTOCADA_ASSIGN_OR_RETURN(std::optional<Row> row, op->Next());
-    if (!row.has_value()) break;
-    out.push_back(std::move(*row));
-  }
-  return out;
-}
-
-Result<bool> Operator::NextBatch(RowBatch* out) {
-  // Compatibility adapter: chunk the tuple stream of an unconverted
-  // operator. The first row decides the arity (some legacy operators
-  // report columns() lazily or loosely).
-  out->Reset(columns().size());
-  for (size_t i = 0; i < RowBatch::kDefaultRows; ++i) {
-    ESTOCADA_ASSIGN_OR_RETURN(std::optional<Row> row, Next());
-    if (!row.has_value()) break;
-    if (out->physical_rows() == 0 && row->size() != out->arity()) {
-      out->Reset(row->size());
-    }
-    out->AppendRow(std::move(*row));
-  }
-  return !out->empty();
-}
-
 namespace {
 
 /// Emits rows [*pos, *pos + kDefaultRows) of `rows` as one column-major
-/// chunk; advances *pos. The shared source loop of the materialized-input
-/// operators. `may_move` moves values out of `rows` (safe when Open
-/// refetches them).
+/// chunk; advances *pos. The shared output loop of the operators that
+/// materialize their rows (sources and the blocking operators). `may_move`
+/// moves values out of `rows` (safe when Open recomputes them).
 bool EmitSlice(std::vector<Row>& rows, size_t* pos, size_t fallback_arity,
                bool may_move, RowBatch* out) {
   if (*pos >= rows.size()) {
@@ -105,11 +79,6 @@ Status RowsOperator::Open() {
   return Status::OK();
 }
 
-Result<std::optional<Row>> RowsOperator::Next() {
-  if (pos_ >= rows_.size()) return std::optional<Row>();
-  return std::optional<Row>(rows_[pos_++]);
-}
-
 Result<bool> RowsOperator::NextBatch(RowBatch* out) {
   // Copy, not move: RowsOperator re-serves the same rows after re-Open.
   return EmitSlice(rows_, &pos_, columns_.size(), /*may_move=*/false, out);
@@ -129,11 +98,6 @@ Status CallbackScanOperator::Open() {
   ESTOCADA_ASSIGN_OR_RETURN(rows_, fetch_());
   pos_ = 0;
   return Status::OK();
-}
-
-Result<std::optional<Row>> CallbackScanOperator::Next() {
-  if (pos_ >= rows_.size()) return std::optional<Row>();
-  return std::optional<Row>(rows_[pos_++]);
 }
 
 Result<bool> CallbackScanOperator::NextBatch(RowBatch* out) {
@@ -164,12 +128,6 @@ Status GraphFetchOperator::Refill() {
     if (!more) done_ = true;
   }
   return Status::OK();
-}
-
-Result<std::optional<Row>> GraphFetchOperator::Next() {
-  ESTOCADA_RETURN_NOT_OK(Refill());
-  if (pos_ >= buffer_.size()) return std::optional<Row>();
-  return std::optional<Row>(buffer_[pos_++]);
 }
 
 Result<bool> GraphFetchOperator::NextBatch(RowBatch* out) {
@@ -261,11 +219,6 @@ Status ScatterGatherOperator::Open() {
   return Status::OK();
 }
 
-Result<std::optional<Row>> ScatterGatherOperator::Next() {
-  if (pos_ >= rows_.size()) return std::optional<Row>();
-  return std::optional<Row>(rows_[pos_++]);
-}
-
 Result<bool> ScatterGatherOperator::NextBatch(RowBatch* out) {
   // Open re-runs the shard fetches, so the gathered rows can be moved.
   return EmitSlice(rows_, &pos_, columns_.size(), /*may_move=*/true, out);
@@ -281,15 +234,6 @@ FilterOperator::FilterOperator(OperatorPtr input, ExprPtr predicate)
     : input_(std::move(input)), predicate_(std::move(predicate)) {}
 
 Status FilterOperator::Open() { return input_->Open(); }
-
-Result<std::optional<Row>> FilterOperator::Next() {
-  for (;;) {
-    ESTOCADA_ASSIGN_OR_RETURN(std::optional<Row> row, input_->Next());
-    if (!row.has_value()) return std::optional<Row>();
-    ESTOCADA_ASSIGN_OR_RETURN(bool keep, predicate_->EvalBool(*row));
-    if (keep) return row;
-  }
-}
 
 Result<bool> FilterOperator::NextBatch(RowBatch* out) {
   for (;;) {
@@ -333,18 +277,6 @@ Status ProjectOperator::Open() {
   return input_->Open();
 }
 
-Result<std::optional<Row>> ProjectOperator::Next() {
-  ESTOCADA_ASSIGN_OR_RETURN(std::optional<Row> row, input_->Next());
-  if (!row.has_value()) return std::optional<Row>();
-  Row out;
-  out.reserve(exprs_.size());
-  for (const ExprPtr& e : exprs_) {
-    ESTOCADA_ASSIGN_OR_RETURN(Value v, e->Eval(*row));
-    out.push_back(std::move(v));
-  }
-  return std::optional<Row>(std::move(out));
-}
-
 Result<bool> ProjectOperator::NextBatch(RowBatch* out) {
   ESTOCADA_ASSIGN_OR_RETURN(bool more, input_->NextBatch(&in_));
   if (!more) {
@@ -381,13 +313,6 @@ Status LimitOperator::Open() {
   return input_->Open();
 }
 
-Result<std::optional<Row>> LimitOperator::Next() {
-  if (produced_ >= limit_) return std::optional<Row>();
-  ESTOCADA_ASSIGN_OR_RETURN(std::optional<Row> row, input_->Next());
-  if (row.has_value()) ++produced_;
-  return row;
-}
-
 Result<bool> LimitOperator::NextBatch(RowBatch* out) {
   if (produced_ >= limit_) {
     out->Reset(0);
@@ -418,14 +343,6 @@ DistinctOperator::DistinctOperator(OperatorPtr input)
 Status DistinctOperator::Open() {
   seen_.clear();
   return input_->Open();
-}
-
-Result<std::optional<Row>> DistinctOperator::Next() {
-  for (;;) {
-    ESTOCADA_ASSIGN_OR_RETURN(std::optional<Row> row, input_->Next());
-    if (!row.has_value()) return std::optional<Row>();
-    if (seen_.emplace(*row, true).second) return row;
-  }
 }
 
 Result<bool> DistinctOperator::NextBatch(RowBatch* out) {
@@ -466,9 +383,9 @@ Status SortOperator::Open() {
   return Status::OK();
 }
 
-Result<std::optional<Row>> SortOperator::Next() {
-  if (pos_ >= rows_.size()) return std::optional<Row>();
-  return std::optional<Row>(rows_[pos_++]);
+Result<bool> SortOperator::NextBatch(RowBatch* out) {
+  // Open re-sorts a fresh drain, so the sorted rows can be moved out.
+  return EmitSlice(rows_, &pos_, columns().size(), /*may_move=*/true, out);
 }
 
 std::string SortOperator::label() const {
@@ -500,32 +417,6 @@ std::string HashJoinOperator::label() const {
 }
 
 Status HashJoinOperator::Open() {
-  build_.clear();
-  map_built_ = false;
-  table_built_ = false;
-  current_probe_.reset();
-  current_matches_ = nullptr;
-  match_pos_ = 0;
-  // Drain the build (left) input once; the structure over it — Row-keyed
-  // map for the tuple path, columnar batch + compiled flat table for the
-  // batch path — materializes lazily on first Next()/NextBatch().
-  ESTOCADA_ASSIGN_OR_RETURN(build_rows_, Collect(left_.get()));
-  return right_->Open();
-}
-
-void HashJoinOperator::BuildTupleMap() {
-  map_built_ = true;
-  for (Row& row : build_rows_) {
-    Row key;
-    key.reserve(key_pairs_.size());
-    for (const auto& [l, r] : key_pairs_) key.push_back(row[l]);
-    build_[std::move(key)].push_back(std::move(row));
-  }
-  build_rows_.clear();
-}
-
-void HashJoinOperator::BuildBatchTable() {
-  table_built_ = true;
   build_key_cols_.clear();
   probe_key_cols_.clear();
   for (const auto& [l, r] : key_pairs_) {
@@ -534,11 +425,25 @@ void HashJoinOperator::BuildBatchTable() {
   }
   // Resolve the compiled kernel for this key arity once per Open.
   key_ops_ = &CompiledKeyOps(key_pairs_.size());
-  const size_t arity =
-      build_rows_.empty() ? left_->columns().size() : build_rows_[0].size();
-  build_batch_.Reset(arity);
-  for (Row& row : build_rows_) build_batch_.AppendRow(std::move(row));
-  build_rows_.clear();
+  // Drain the build side chunk by chunk straight into the build columns;
+  // the chunks are ours to consume, so their values are moved.
+  build_batch_.Reset(left_->columns().size());
+  ESTOCADA_RETURN_NOT_OK(left_->Open());
+  RowBatch chunk;
+  for (;;) {
+    ESTOCADA_ASSIGN_OR_RETURN(bool more, left_->NextBatch(&chunk));
+    if (!more) break;
+    if (build_batch_.physical_rows() == 0) build_batch_.Reset(chunk.arity());
+    const size_t n = chunk.size();
+    for (size_t c = 0; c < chunk.arity(); ++c) {
+      std::vector<Value>& from = chunk.column(c);
+      std::vector<Value>& to = build_batch_.column(c);
+      for (size_t i = 0; i < n; ++i) {
+        to.push_back(std::move(from[chunk.ActiveIndex(i)]));
+      }
+    }
+    build_batch_.SetPhysicalRows(build_batch_.physical_rows() + n);
+  }
   table_.Reset(build_batch_.physical_rows());
   for (size_t i = 0; i < build_batch_.physical_rows(); ++i) {
     table_.Insert(key_ops_->hash(build_batch_, build_key_cols_.data(),
@@ -546,29 +451,10 @@ void HashJoinOperator::BuildBatchTable() {
                                  static_cast<uint32_t>(i)),
                   static_cast<uint32_t>(i));
   }
-}
-
-Result<std::optional<Row>> HashJoinOperator::Next() {
-  if (!map_built_) BuildTupleMap();
-  for (;;) {
-    if (current_matches_ != nullptr && match_pos_ < current_matches_->size()) {
-      Row out = (*current_matches_)[match_pos_++];
-      out.insert(out.end(), current_probe_->begin(), current_probe_->end());
-      return std::optional<Row>(std::move(out));
-    }
-    ESTOCADA_ASSIGN_OR_RETURN(current_probe_, right_->Next());
-    if (!current_probe_.has_value()) return std::optional<Row>();
-    Row key;
-    key.reserve(key_pairs_.size());
-    for (const auto& [l, r] : key_pairs_) key.push_back((*current_probe_)[r]);
-    auto it = build_.find(key);
-    current_matches_ = it == build_.end() ? nullptr : &it->second;
-    match_pos_ = 0;
-  }
+  return right_->Open();
 }
 
 Result<bool> HashJoinOperator::NextBatch(RowBatch* out) {
-  if (!table_built_) BuildBatchTable();
   const size_t left_arity = build_batch_.arity();
   const size_t key_arity = build_key_cols_.size();
   for (;;) {
@@ -629,41 +515,8 @@ std::string BindJoinOperator::label() const {
 
 Status BindJoinOperator::Open() {
   cache_.clear();
-  current_input_.reset();
-  current_matches_ = nullptr;
-  match_pos_ = 0;
   fetch_calls_ = 0;
   return input_->Open();
-}
-
-Result<std::optional<Row>> BindJoinOperator::Next() {
-  for (;;) {
-    if (current_matches_ != nullptr && match_pos_ < current_matches_->size()) {
-      Row out = *current_input_;
-      const Row& fetched = (*current_matches_)[match_pos_++];
-      out.insert(out.end(), fetched.begin(), fetched.end());
-      return std::optional<Row>(std::move(out));
-    }
-    ESTOCADA_ASSIGN_OR_RETURN(current_input_, input_->Next());
-    if (!current_input_.has_value()) return std::optional<Row>();
-    Row binding;
-    binding.reserve(bind_columns_.size());
-    for (size_t c : bind_columns_) {
-      if (c >= current_input_->size()) {
-        return Status::OutOfRange(
-            StrCat("BindJoin: bind column ", c, " out of range"));
-      }
-      binding.push_back((*current_input_)[c]);
-    }
-    auto it = cache_.find(binding);
-    if (it == cache_.end()) {
-      ++fetch_calls_;
-      ESTOCADA_ASSIGN_OR_RETURN(std::vector<Row> fetched, fetch_(binding));
-      it = cache_.emplace(std::move(binding), std::move(fetched)).first;
-    }
-    current_matches_ = &it->second;
-    match_pos_ = 0;
-  }
 }
 
 Result<bool> BindJoinOperator::NextBatch(RowBatch* out) {
@@ -759,16 +612,6 @@ Status UnionAllOperator::Open() {
   return inputs_[0]->Open();
 }
 
-Result<std::optional<Row>> UnionAllOperator::Next() {
-  for (;;) {
-    ESTOCADA_ASSIGN_OR_RETURN(std::optional<Row> row,
-                              inputs_[current_]->Next());
-    if (row.has_value()) return row;
-    if (++current_ >= inputs_.size()) return std::optional<Row>();
-    ESTOCADA_RETURN_NOT_OK(inputs_[current_]->Open());
-  }
-}
-
 Result<bool> UnionAllOperator::NextBatch(RowBatch* out) {
   for (;;) {
     ESTOCADA_ASSIGN_OR_RETURN(bool more, inputs_[current_]->NextBatch(out));
@@ -794,6 +637,11 @@ std::vector<std::string> NestOperator::columns() const {
   }
   out.push_back(nested_name_);
   return out;
+}
+
+Result<bool> NestOperator::NextBatch(RowBatch* out) {
+  // Open regroups a fresh drain, so the groups can be moved out.
+  return EmitSlice(output_, &pos_, columns().size(), /*may_move=*/true, out);
 }
 
 std::string NestOperator::label() const {
@@ -840,11 +688,6 @@ Status NestOperator::Open() {
   return Status::OK();
 }
 
-Result<std::optional<Row>> NestOperator::Next() {
-  if (pos_ >= output_.size()) return std::optional<Row>();
-  return std::optional<Row>(output_[pos_++]);
-}
-
 UnnestOperator::UnnestOperator(OperatorPtr input, size_t list_column)
     : input_(std::move(input)), list_column_(list_column) {}
 
@@ -853,34 +696,56 @@ std::string UnnestOperator::label() const {
 }
 
 Status UnnestOperator::Open() {
-  current_.reset();
+  in_.Reset(0);
+  in_pos_ = 0;
   elem_pos_ = 0;
   return input_->Open();
 }
 
-Result<std::optional<Row>> UnnestOperator::Next() {
+Result<bool> UnnestOperator::NextBatch(RowBatch* out) {
   for (;;) {
-    if (current_.has_value()) {
-      const Value& lv = (*current_)[list_column_];
+    // Refill only once the current chunk is spent, so an input that has
+    // reported end of stream is never pulled again.
+    if (in_pos_ >= in_.size()) {
+      ESTOCADA_ASSIGN_OR_RETURN(bool more, input_->NextBatch(&in_));
+      if (!more) {
+        out->Reset(in_.arity());
+        return false;
+      }
+      if (list_column_ >= in_.arity()) {
+        return Status::OutOfRange(
+            StrCat("Unnest: column ", list_column_, " out of range"));
+      }
+      in_pos_ = 0;
+      elem_pos_ = 0;
+    }
+    out->Reset(in_.arity());
+    size_t emitted = 0;
+    while (in_pos_ < in_.size() && emitted < RowBatch::kDefaultRows) {
+      const uint32_t p = in_.ActiveIndex(in_pos_);
+      const Value& lv = in_.column(list_column_)[p];
       if (!lv.is_list()) {
-        return Status::InvalidArgument(
-            StrCat("Unnest: column ", list_column_, " is not a list: ",
-                   lv.ToString()));
+        return Status::InvalidArgument(StrCat("Unnest: column ", list_column_,
+                                              " is not a list: ",
+                                              lv.ToString()));
       }
-      if (elem_pos_ < lv.list().size()) {
-        Row out = *current_;
-        out[list_column_] = lv.list()[elem_pos_++];
-        return std::optional<Row>(std::move(out));
+      const std::vector<Value>& elems = lv.list();
+      for (; elem_pos_ < elems.size() && emitted < RowBatch::kDefaultRows;
+           ++elem_pos_, ++emitted) {
+        for (size_t c = 0; c < in_.arity(); ++c) {
+          out->column(c).push_back(c == list_column_ ? elems[elem_pos_]
+                                                     : in_.column(c)[p]);
+        }
       }
-      current_.reset();
+      if (elem_pos_ >= elems.size()) {
+        ++in_pos_;
+        elem_pos_ = 0;
+      }
     }
-    ESTOCADA_ASSIGN_OR_RETURN(current_, input_->Next());
-    if (!current_.has_value()) return std::optional<Row>();
-    if (list_column_ >= current_->size()) {
-      return Status::OutOfRange(
-          StrCat("Unnest: column ", list_column_, " out of range"));
+    if (emitted > 0) {
+      out->SetPhysicalRows(emitted);
+      return true;
     }
-    elem_pos_ = 0;
   }
 }
 
@@ -899,6 +764,11 @@ std::vector<std::string> AggregateOperator::columns() const {
   }
   for (const AggSpec& a : aggs_) out.push_back(a.output_name);
   return out;
+}
+
+Result<bool> AggregateOperator::NextBatch(RowBatch* out) {
+  // Open re-aggregates a fresh drain, so the groups can be moved out.
+  return EmitSlice(output_, &pos_, columns().size(), /*may_move=*/true, out);
 }
 
 std::string AggregateOperator::label() const {
@@ -1013,11 +883,6 @@ Status AggregateOperator::Open() {
   }
   pos_ = 0;
   return Status::OK();
-}
-
-Result<std::optional<Row>> AggregateOperator::Next() {
-  if (pos_ >= output_.size()) return std::optional<Row>();
-  return std::optional<Row>(output_[pos_++]);
 }
 
 }  // namespace estocada::engine

@@ -3,7 +3,6 @@
 
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -19,34 +18,19 @@ namespace estocada::engine {
 
 /// Physical operator of ESTOCADA's lightweight execution engine (the
 /// paper's "Runtime Execution Engine" evaluating the non-delegated
-/// operations over a nested relational model). Two pull interfaces share
-/// one Open():
-///
-///  * Batch-at-a-time (the production path): Open(), then NextBatch()
-///    until it returns false. Each true return delivers at least one row.
-///  * Tuple-at-a-time (the original Volcano-style path, kept as the
-///    internal debug oracle — see CollectTuples): Open(), then Next()
-///    until nullopt.
-///
-/// The base-class NextBatch is a compatibility adapter that pulls rows
-/// from Next(), so unconverted operators compose transparently with batch
-/// parents; converted operators override it with vectorized loops and
-/// keep their Next() implementation intact. One execution must drive an
-/// operator through a single interface (both share Open-reset state), but
-/// a batch parent over a tuple child — and vice versa — is fine.
+/// operations over a nested relational model). Execution is
+/// batch-at-a-time: Open(), then NextBatch() until it returns false.
 class Operator {
  public:
   virtual ~Operator() = default;
 
   virtual Status Open() = 0;
-  /// Next output row, or nullopt at end of stream.
-  virtual Result<std::optional<Row>> Next() = 0;
 
   /// Next chunk of output rows: fills `out` (resetting it first) and
   /// returns true, or returns false at end of stream. A true return
-  /// carries at least one logical row. Default implementation adapts
-  /// Next() — override for a vectorized path.
-  virtual Result<bool> NextBatch(RowBatch* out);
+  /// carries at least one logical row. After a false return the caller
+  /// must Open again before pulling more.
+  virtual Result<bool> NextBatch(RowBatch* out) = 0;
 
   /// Column names of the output (for plan display and name resolution).
   virtual std::vector<std::string> columns() const = 0;
@@ -63,11 +47,6 @@ using OperatorPtr = std::unique_ptr<Operator>;
 /// Drains `op` into a vector via the batch interface (Open + NextBatch*).
 Result<std::vector<Row>> Collect(Operator* op);
 
-/// Drains `op` tuple-at-a-time (Open + Next*). The old execution funnel,
-/// kept as the oracle for the batch-vs-tuple differential (TESTING.md) —
-/// the engine analogue of the chase kernel's ForEachHomomorphismScan.
-Result<std::vector<Row>> CollectTuples(Operator* op);
-
 /// Indented multi-line rendering of an operator tree.
 std::string PlanToString(const Operator& op, int indent = 0);
 
@@ -80,7 +59,6 @@ class RowsOperator final : public Operator {
   RowsOperator(std::vector<std::string> columns, std::vector<Row> rows,
                std::string label = "rows");
   Status Open() override;
-  Result<std::optional<Row>> Next() override;
   Result<bool> NextBatch(RowBatch* out) override;
   std::vector<std::string> columns() const override { return columns_; }
   std::string label() const override;
@@ -100,7 +78,6 @@ class CallbackScanOperator final : public Operator {
   CallbackScanOperator(std::vector<std::string> columns, Fetch fetch,
                        std::string label);
   Status Open() override;
-  Result<std::optional<Row>> Next() override;
   Result<bool> NextBatch(RowBatch* out) override;
   std::vector<std::string> columns() const override { return columns_; }
   std::string label() const override { return label_; }
@@ -132,7 +109,6 @@ class GraphFetchOperator final : public Operator {
   GraphFetchOperator(std::vector<std::string> columns, ChunkReset reset,
                      ChunkFetch fetch, std::string label);
   Status Open() override;
-  Result<std::optional<Row>> Next() override;
   Result<bool> NextBatch(RowBatch* out) override;
   std::vector<std::string> columns() const override { return columns_; }
   std::string label() const override { return label_; }
@@ -167,7 +143,6 @@ class ScatterGatherOperator final : public Operator {
                         std::vector<std::string> shard_keys, std::string label,
                         ThreadPool* pool);
   Status Open() override;
-  Result<std::optional<Row>> Next() override;
   Result<bool> NextBatch(RowBatch* out) override;
   std::vector<std::string> columns() const override { return columns_; }
   std::string label() const override;
@@ -188,7 +163,6 @@ class FilterOperator final : public Operator {
  public:
   FilterOperator(OperatorPtr input, ExprPtr predicate);
   Status Open() override;
-  Result<std::optional<Row>> Next() override;
   Result<bool> NextBatch(RowBatch* out) override;
   std::vector<std::string> columns() const override {
     return input_->columns();
@@ -210,7 +184,6 @@ class ProjectOperator final : public Operator {
   ProjectOperator(OperatorPtr input, std::vector<std::string> names,
                   std::vector<ExprPtr> exprs);
   Status Open() override;
-  Result<std::optional<Row>> Next() override;
   Result<bool> NextBatch(RowBatch* out) override;
   std::vector<std::string> columns() const override { return names_; }
   std::string label() const override;
@@ -230,7 +203,6 @@ class LimitOperator final : public Operator {
  public:
   LimitOperator(OperatorPtr input, size_t limit);
   Status Open() override;
-  Result<std::optional<Row>> Next() override;
   Result<bool> NextBatch(RowBatch* out) override;
   std::vector<std::string> columns() const override {
     return input_->columns();
@@ -251,7 +223,6 @@ class DistinctOperator final : public Operator {
  public:
   explicit DistinctOperator(OperatorPtr input);
   Status Open() override;
-  Result<std::optional<Row>> Next() override;
   Result<bool> NextBatch(RowBatch* out) override;
   std::vector<std::string> columns() const override {
     return input_->columns();
@@ -272,7 +243,7 @@ class SortOperator final : public Operator {
  public:
   SortOperator(OperatorPtr input, std::vector<size_t> sort_columns);
   Status Open() override;
-  Result<std::optional<Row>> Next() override;
+  Result<bool> NextBatch(RowBatch* out) override;
   std::vector<std::string> columns() const override {
     return input_->columns();
   }
@@ -291,13 +262,13 @@ class SortOperator final : public Operator {
 // ------------------------------------------------------ Binary operators --
 
 /// Classic build/probe hash equijoin on pairs of (left col, right col).
-/// Output = left columns ++ right columns.
+/// Output = left columns ++ right columns, probe-major: each right row is
+/// followed by its matching left rows in build (insertion) order.
 class HashJoinOperator final : public Operator {
  public:
   HashJoinOperator(OperatorPtr left, OperatorPtr right,
                    std::vector<std::pair<size_t, size_t>> key_pairs);
   Status Open() override;
-  Result<std::optional<Row>> Next() override;
   Result<bool> NextBatch(RowBatch* out) override;
   std::vector<std::string> columns() const override;
   std::string label() const override;
@@ -306,25 +277,9 @@ class HashJoinOperator final : public Operator {
   }
 
  private:
-  /// Tuple path: materializes `build_` from the drained build rows.
-  void BuildTupleMap();
-  /// Batch path: materializes the columnar build side + flat hash table,
-  /// resolving the compiled per-arity key kernel.
-  void BuildBatchTable();
-
   OperatorPtr left_;
   OperatorPtr right_;
   std::vector<std::pair<size_t, size_t>> key_pairs_;
-  /// Build side as drained at Open; consumed by whichever path runs.
-  std::vector<Row> build_rows_;
-  // Tuple-path state.
-  bool map_built_ = false;
-  std::unordered_map<Row, std::vector<Row>, RowHash> build_;
-  std::optional<Row> current_probe_;
-  const std::vector<Row>* current_matches_ = nullptr;
-  size_t match_pos_ = 0;
-  // Batch-path state (compiled loop).
-  bool table_built_ = false;
   RowBatch build_batch_;
   FlatJoinTable table_;
   std::vector<uint32_t> build_key_cols_;
@@ -349,7 +304,6 @@ class BindJoinOperator final : public Operator {
                    std::vector<std::string> fetched_columns, Fetch fetch,
                    std::string target_label);
   Status Open() override;
-  Result<std::optional<Row>> Next() override;
   Result<bool> NextBatch(RowBatch* out) override;
   std::vector<std::string> columns() const override;
   std::string label() const override;
@@ -357,9 +311,9 @@ class BindJoinOperator final : public Operator {
     return {input_.get()};
   }
 
-  /// Installs a batched fetch used by the batch path when an input chunk
-  /// carries more than one distinct uncached binding. Optional — without
-  /// it the batch path falls back to per-binding `fetch` calls.
+  /// Installs a batched fetch used when an input chunk carries more than
+  /// one distinct uncached binding. Optional — without it each missing
+  /// binding costs one `fetch` call.
   void set_batch_fetch(BatchFetch batch_fetch) {
     batch_fetch_ = std::move(batch_fetch);
   }
@@ -376,9 +330,6 @@ class BindJoinOperator final : public Operator {
   BatchFetch batch_fetch_;
   std::string target_label_;
   std::unordered_map<Row, std::vector<Row>, RowHash> cache_;
-  std::optional<Row> current_input_;
-  const std::vector<Row>* current_matches_ = nullptr;
-  size_t match_pos_ = 0;
   size_t fetch_calls_ = 0;
   RowBatch in_;
 };
@@ -388,7 +339,6 @@ class UnionAllOperator final : public Operator {
  public:
   explicit UnionAllOperator(std::vector<OperatorPtr> inputs);
   Status Open() override;
-  Result<std::optional<Row>> Next() override;
   Result<bool> NextBatch(RowBatch* out) override;
   std::vector<std::string> columns() const override;
   std::string label() const override { return "UnionAll"; }
@@ -410,7 +360,7 @@ class NestOperator final : public Operator {
   NestOperator(OperatorPtr input, std::vector<size_t> group_columns,
                std::string nested_column_name);
   Status Open() override;
-  Result<std::optional<Row>> Next() override;
+  Result<bool> NextBatch(RowBatch* out) override;
   std::vector<std::string> columns() const override;
   std::string label() const override;
   std::vector<const Operator*> children() const override {
@@ -432,7 +382,7 @@ class UnnestOperator final : public Operator {
  public:
   UnnestOperator(OperatorPtr input, size_t list_column);
   Status Open() override;
-  Result<std::optional<Row>> Next() override;
+  Result<bool> NextBatch(RowBatch* out) override;
   std::vector<std::string> columns() const override {
     return input_->columns();
   }
@@ -444,8 +394,9 @@ class UnnestOperator final : public Operator {
  private:
   OperatorPtr input_;
   size_t list_column_;
-  std::optional<Row> current_;
-  size_t elem_pos_ = 0;
+  RowBatch in_;
+  size_t in_pos_ = 0;  ///< Logical row of `in_` being expanded.
+  size_t elem_pos_ = 0;  ///< Next list element of that row.
 };
 
 /// Aggregate functions of the grouping operator.
@@ -463,7 +414,7 @@ class AggregateOperator final : public Operator {
   AggregateOperator(OperatorPtr input, std::vector<size_t> group_columns,
                     std::vector<AggSpec> aggregates);
   Status Open() override;
-  Result<std::optional<Row>> Next() override;
+  Result<bool> NextBatch(RowBatch* out) override;
   std::vector<std::string> columns() const override;
   std::string label() const override;
   std::vector<const Operator*> children() const override {

@@ -89,14 +89,6 @@ class AtomScanOperator final : public Operator {
     return Status::OK();
   }
 
-  Result<std::optional<Row>> Next() override {
-    while (pos_ < rows_.size()) {
-      const Row& row = rows_[pos_++];
-      if (checks_.Pass(row)) return std::optional<Row>(row);
-    }
-    return std::optional<Row>();
-  }
-
   Result<bool> NextBatch(RowBatch* out) override {
     out->Reset(columns_.size());
     while (pos_ < rows_.size() &&

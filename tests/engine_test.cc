@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <map>
 #include <set>
 
@@ -336,9 +338,10 @@ TEST(OperatorTest, ComposedPipeline) {
 }
 
 // -------------------------------------------------- Batch boundaries --
-// The batch path chunks streams at RowBatch::kDefaultRows (1024); these
-// pin the edges: single-row streams, exactly one chunk, one chunk plus a
-// spill row, empty relations, and predicates that wipe out whole chunks.
+// Streams are chunked at RowBatch::kDefaultRows (1024); these pin the
+// edges: single-row streams, exactly one chunk, one chunk plus a spill
+// row, empty relations, predicates that wipe out whole chunks, and the
+// blocking and expanding operators whose output spans several chunks.
 
 std::vector<Row> IntRows(int64_t n) {
   std::vector<Row> rows;
@@ -346,35 +349,54 @@ std::vector<Row> IntRows(int64_t n) {
   return rows;
 }
 
-/// Both drains — batch (Collect) and tuple oracle (CollectTuples) — must
-/// agree; trees are re-Opened between the two runs.
-void ExpectBothPathsYield(Operator* op, size_t expected_rows) {
-  auto batch = Collect(op);
-  ASSERT_TRUE(batch.ok()) << batch.status();
-  EXPECT_EQ(batch->size(), expected_rows);
-  auto tuple = CollectTuples(op);
-  ASSERT_TRUE(tuple.ok()) << tuple.status();
-  EXPECT_EQ(*batch, *tuple);
+/// Drains `op` twice — the second Open must reset every operator's state —
+/// and expects exactly `expected`, in order, both times.
+void ExpectRows(Operator* op, const std::vector<Row>& expected) {
+  for (int drain = 0; drain < 2; ++drain) {
+    auto rows = Collect(op);
+    ASSERT_TRUE(rows.ok()) << rows.status();
+    EXPECT_EQ(*rows, expected) << "drain " << drain;
+  }
+}
+
+/// Opens `op` and returns the size of every batch it delivers; each true
+/// NextBatch return must carry at least one row.
+std::vector<size_t> BatchSizes(Operator* op) {
+  std::vector<size_t> sizes;
+  EXPECT_TRUE(op->Open().ok());
+  RowBatch batch;
+  for (;;) {
+    auto more = op->NextBatch(&batch);
+    EXPECT_TRUE(more.ok()) << more.status();
+    if (!more.ok() || !*more) break;
+    EXPECT_GE(batch.size(), 1u) << "true NextBatch return with 0 rows";
+    sizes.push_back(batch.size());
+  }
+  return sizes;
 }
 
 TEST(BatchBoundaryTest, SingleRowStream) {
   auto op = Rows({"a"}, IntRows(1));
-  ExpectBothPathsYield(op.get(), 1);
+  ExpectRows(op.get(), IntRows(1));
 }
 
 TEST(BatchBoundaryTest, ExactlyOneBatch) {
   auto op = Rows({"a"}, IntRows(RowBatch::kDefaultRows));
-  ExpectBothPathsYield(op.get(), RowBatch::kDefaultRows);
+  ExpectRows(op.get(), IntRows(RowBatch::kDefaultRows));
+  EXPECT_EQ(BatchSizes(op.get()),
+            std::vector<size_t>({RowBatch::kDefaultRows}));
 }
 
 TEST(BatchBoundaryTest, OneBatchPlusOne) {
   auto op = Rows({"a"}, IntRows(RowBatch::kDefaultRows + 1));
-  ExpectBothPathsYield(op.get(), RowBatch::kDefaultRows + 1);
+  ExpectRows(op.get(), IntRows(RowBatch::kDefaultRows + 1));
+  EXPECT_EQ(BatchSizes(op.get()),
+            std::vector<size_t>({RowBatch::kDefaultRows, 1}));
 }
 
 TEST(BatchBoundaryTest, EmptyRelation) {
   auto op = Rows({"a"}, {});
-  ExpectBothPathsYield(op.get(), 0);
+  ExpectRows(op.get(), {});
   RowBatch batch;
   ASSERT_TRUE(op->Open().ok());
   auto more = op->NextBatch(&batch);
@@ -386,11 +408,11 @@ TEST(BatchBoundaryTest, EmptyRelationThroughJoinAndFilter) {
   auto join = std::make_unique<HashJoinOperator>(
       Rows({"a"}, {}), Rows({"b"}, IntRows(10)),
       std::vector<std::pair<size_t, size_t>>{{0, 0}});
-  ExpectBothPathsYield(join.get(), 0);
+  ExpectRows(join.get(), {});
   auto filter = std::make_unique<FilterOperator>(
       Rows({"a"}, {}),
       Expr::Binary(Expr::Op::kEq, Expr::Column(0), Expr::Const(Value::Int(1))));
-  ExpectBothPathsYield(filter.get(), 0);
+  ExpectRows(filter.get(), {});
 }
 
 TEST(BatchBoundaryTest, SelectionDropsWholeBatches) {
@@ -402,18 +424,8 @@ TEST(BatchBoundaryTest, SelectionDropsWholeBatches) {
       Rows({"a"}, IntRows(n)),
       Expr::Binary(Expr::Op::kEq, Expr::Column(0),
                    Expr::Const(Value::Int(n - 1))));
-  ASSERT_TRUE(filter->Open().ok());
-  RowBatch batch;
-  size_t rows = 0;
-  while (true) {
-    auto more = filter->NextBatch(&batch);
-    ASSERT_TRUE(more.ok()) << more.status();
-    if (!*more) break;
-    EXPECT_GE(batch.size(), 1u) << "true NextBatch return with 0 rows";
-    rows += batch.size();
-  }
-  EXPECT_EQ(rows, 1u);
-  ExpectBothPathsYield(filter.get(), 1);
+  EXPECT_EQ(BatchSizes(filter.get()), std::vector<size_t>({1}));
+  ExpectRows(filter.get(), {{Value::Int(n - 1)}});
 }
 
 TEST(BatchBoundaryTest, SelectionDropsEverything) {
@@ -422,125 +434,307 @@ TEST(BatchBoundaryTest, SelectionDropsEverything) {
       Rows({"a"}, IntRows(n)),
       Expr::Binary(Expr::Op::kLt, Expr::Column(0),
                    Expr::Const(Value::Int(0))));
-  ExpectBothPathsYield(filter.get(), 0);
+  ExpectRows(filter.get(), {});
 }
 
 TEST(BatchBoundaryTest, JoinAcrossChunkBoundary) {
   // Probe side spans two chunks; every probe row matches one build row.
   const int64_t n = static_cast<int64_t>(RowBatch::kDefaultRows) + 7;
   std::vector<Row> probe;
+  std::vector<Row> expected;
   for (int64_t i = 0; i < n; ++i) {
     probe.push_back({Value::Int(i % 50), Value::Int(i)});
+    expected.push_back({Value::Int(i % 50), Value::Int(i % 50), Value::Int(i)});
   }
   auto join = std::make_unique<HashJoinOperator>(
       Rows({"k"}, IntRows(50)), Rows({"k2", "v2"}, probe),
       std::vector<std::pair<size_t, size_t>>{{0, 0}});
-  ExpectBothPathsYield(join.get(), static_cast<size_t>(n));
+  ExpectRows(join.get(), expected);
 }
 
-// ---------------------------------------- Batch-vs-tuple differential --
-// Seeded generator: random small tables composed under random operator
-// trees, every plan executed through both drains. The tuple path is the
-// oracle (the engine analogue of the chase kernel's
-// ForEachHomomorphismScan differential in TESTING.md).
+TEST(BatchBoundaryTest, UnnestExpansionSpansChunks) {
+  // 3 rows of 700-element lists: 2100 output rows, cut at kDefaultRows
+  // in the middle of the second and third lists.
+  std::vector<Row> nested;
+  std::vector<Row> expected;
+  for (int64_t r = 0; r < 3; ++r) {
+    std::vector<Value> items;
+    for (int64_t e = 0; e < 700; ++e) {
+      items.push_back(Value::Int(r * 1000 + e));
+      expected.push_back({Value::Int(r), Value::Int(r * 1000 + e)});
+    }
+    nested.push_back({Value::Int(r), Value::List(std::move(items))});
+  }
+  UnnestOperator unnest(Rows({"r", "items"}, nested), 1);
+  EXPECT_EQ(BatchSizes(&unnest),
+            std::vector<size_t>({RowBatch::kDefaultRows,
+                                 RowBatch::kDefaultRows,
+                                 2100 - 2 * RowBatch::kDefaultRows}));
+  ExpectRows(&unnest, expected);
+}
 
-OperatorPtr RandomSource(Rng* rng, size_t* arity) {
-  *arity = 1 + rng->Uniform(3);
+TEST(BatchBoundaryTest, SortOutputSpansChunks) {
+  // 2 chunks plus 5 rows, keyed on a small domain so stability shows.
+  const int64_t n = 2 * static_cast<int64_t>(RowBatch::kDefaultRows) + 5;
+  std::vector<Row> rows;
+  for (int64_t i = 0; i < n; ++i) {
+    rows.push_back({Value::Int((n - i) % 7), Value::Int(i)});
+  }
+  std::vector<Row> expected = rows;
+  std::stable_sort(expected.begin(), expected.end(),
+                   [](const Row& a, const Row& b) {
+                     return a[0].int_value() < b[0].int_value();
+                   });
+  SortOperator sort(Rows({"k", "i"}, rows), {0});
+  EXPECT_EQ(BatchSizes(&sort), std::vector<size_t>({RowBatch::kDefaultRows,
+                                                    RowBatch::kDefaultRows,
+                                                    5}));
+  ExpectRows(&sort, expected);
+}
+
+TEST(BatchBoundaryTest, AggregateOutputSpansChunks) {
+  // kDefaultRows + 300 groups of two rows each, in first-seen order.
+  const int64_t groups = static_cast<int64_t>(RowBatch::kDefaultRows) + 300;
+  std::vector<Row> rows;
+  std::vector<Row> expected;
+  for (int64_t g = 0; g < groups; ++g) {
+    rows.push_back({Value::Int(g), Value::Int(1)});
+    expected.push_back({Value::Int(g), Value::Int(2), Value::Int(g + 1)});
+  }
+  for (int64_t g = 0; g < groups; ++g) {
+    rows.push_back({Value::Int(g), Value::Int(g)});
+  }
+  AggregateOperator agg(Rows({"g", "v"}, rows), {0},
+                        {{AggFn::kCount, 0, "n"}, {AggFn::kSum, 1, "s"}});
+  EXPECT_EQ(BatchSizes(&agg),
+            std::vector<size_t>({RowBatch::kDefaultRows, 300}));
+  ExpectRows(&agg, expected);
+}
+
+// ---------------------------------------------- Seeded differential --
+// Random small tables composed under random operator trees. Each
+// generated plan carries the rows it must produce, computed alongside it
+// by plain loops over the inputs' expected rows, so no engine operator is
+// its own oracle. Row *order* is asserted exactly.
+
+/// A generated operator tree and its expected output.
+struct Plan {
+  OperatorPtr op;
+  std::vector<Row> expected;
+  size_t arity = 0;
+};
+
+Row Concat(const Row& a, const Row& b) {
+  Row out = a;
+  out.insert(out.end(), b.begin(), b.end());
+  return out;
+}
+
+Plan RandomSource(Rng* rng) {
+  Plan plan;
+  plan.arity = 1 + rng->Uniform(3);
   const size_t n = rng->Uniform(60);  // includes empty relations
   std::vector<std::string> cols;
-  for (size_t c = 0; c < *arity; ++c) cols.push_back("c" + std::to_string(c));
-  std::vector<Row> rows;
+  for (size_t c = 0; c < plan.arity; ++c) {
+    cols.push_back("c" + std::to_string(c));
+  }
   for (size_t i = 0; i < n; ++i) {
     Row row;
-    for (size_t c = 0; c < *arity; ++c) {
+    for (size_t c = 0; c < plan.arity; ++c) {
       // Small domain so joins and filters actually hit.
       row.push_back(Value::Int(static_cast<int64_t>(rng->Uniform(8))));
     }
-    rows.push_back(std::move(row));
+    plan.expected.push_back(std::move(row));
   }
-  return Rows(cols, rows);
+  plan.op = Rows(cols, plan.expected);
+  return plan;
 }
 
-OperatorPtr RandomTree(Rng* rng, int depth, size_t* arity) {
-  if (depth == 0) return RandomSource(rng, arity);
-  switch (rng->Uniform(6)) {
+/// Projects `plan` onto `arity` columns (column c reads input c mod the
+/// input arity) so it can join a union with that arity.
+Plan AlignArity(Plan plan, size_t arity) {
+  if (plan.arity == arity) return plan;
+  std::vector<std::string> names;
+  std::vector<ExprPtr> exprs;
+  for (size_t c = 0; c < arity; ++c) {
+    names.push_back("u" + std::to_string(c));
+    exprs.push_back(Expr::Column(c % plan.arity));
+  }
+  for (Row& row : plan.expected) {
+    Row out;
+    for (size_t c = 0; c < arity; ++c) out.push_back(row[c % plan.arity]);
+    row = std::move(out);
+  }
+  plan.op = std::make_unique<ProjectOperator>(
+      std::move(plan.op), std::move(names), std::move(exprs));
+  plan.arity = arity;
+  return plan;
+}
+
+/// `kinds` is 6 for the original operator mix, 8 to add UnionAll and Sort.
+Plan RandomTree(Rng* rng, int depth, size_t kinds) {
+  if (depth == 0) return RandomSource(rng);
+  switch (rng->Uniform(kinds)) {
     case 0: {  // Filter: random comparison against a small constant.
-      OperatorPtr in = RandomTree(rng, depth - 1, arity);
-      Expr::Op cmp = rng->Chance(0.5) ? Expr::Op::kEq : Expr::Op::kLt;
-      auto pred = Expr::Binary(
-          cmp, Expr::Column(rng->Uniform(*arity)),
-          Expr::Const(Value::Int(static_cast<int64_t>(rng->Uniform(8)))));
-      return std::make_unique<FilterOperator>(std::move(in), std::move(pred));
+      Plan in = RandomTree(rng, depth - 1, kinds);
+      const bool eq = rng->Chance(0.5);
+      const int64_t k = static_cast<int64_t>(rng->Uniform(8));
+      const size_t col = rng->Uniform(in.arity);
+      auto pred = Expr::Binary(eq ? Expr::Op::kEq : Expr::Op::kLt,
+                               Expr::Column(col), Expr::Const(Value::Int(k)));
+      Plan out;
+      out.arity = in.arity;
+      std::copy_if(in.expected.begin(), in.expected.end(),
+                   std::back_inserter(out.expected), [&](const Row& row) {
+                     const int64_t v = row[col].int_value();
+                     return eq ? v == k : v < k;
+                   });
+      out.op = std::make_unique<FilterOperator>(std::move(in.op),
+                                                std::move(pred));
+      return out;
     }
     case 1: {  // Project: random column picks (possibly duplicated).
-      OperatorPtr in = RandomTree(rng, depth - 1, arity);
-      size_t out_arity = 1 + rng->Uniform(*arity);
+      Plan in = RandomTree(rng, depth - 1, kinds);
+      Plan out;
+      out.arity = 1 + rng->Uniform(in.arity);
+      std::vector<size_t> picks;
       std::vector<std::string> names;
       std::vector<ExprPtr> exprs;
-      for (size_t c = 0; c < out_arity; ++c) {
+      for (size_t c = 0; c < out.arity; ++c) {
         names.push_back("p" + std::to_string(c));
-        exprs.push_back(Expr::Column(rng->Uniform(*arity)));
+        picks.push_back(rng->Uniform(in.arity));
+        exprs.push_back(Expr::Column(picks.back()));
       }
-      *arity = out_arity;
-      return std::make_unique<ProjectOperator>(std::move(in),
-                                               std::move(names),
-                                               std::move(exprs));
+      for (const Row& row : in.expected) {
+        Row projected;
+        for (size_t pick : picks) projected.push_back(row[pick]);
+        out.expected.push_back(std::move(projected));
+      }
+      out.op = std::make_unique<ProjectOperator>(
+          std::move(in.op), std::move(names), std::move(exprs));
+      return out;
     }
     case 2: {  // HashJoin on one random key pair per side.
-      size_t la = 0, ra = 0;
-      OperatorPtr l = RandomTree(rng, depth - 1, &la);
-      OperatorPtr r = RandomTree(rng, depth - 1, &ra);
-      std::vector<std::pair<size_t, size_t>> keys{
-          {rng->Uniform(la), rng->Uniform(ra)}};
-      *arity = la + ra;
-      return std::make_unique<HashJoinOperator>(std::move(l), std::move(r),
-                                                std::move(keys));
+      Plan l = RandomTree(rng, depth - 1, kinds);
+      Plan r = RandomTree(rng, depth - 1, kinds);
+      const size_t lk = rng->Uniform(l.arity);
+      const size_t rk = rng->Uniform(r.arity);
+      // Probe-major nested loop: each right row meets the matching left
+      // rows in build (insertion) order.
+      Plan out;
+      out.arity = l.arity + r.arity;
+      for (const Row& right : r.expected) {
+        for (const Row& left : l.expected) {
+          if (left[lk] == right[rk]) {
+            out.expected.push_back(Concat(left, right));
+          }
+        }
+      }
+      out.op = std::make_unique<HashJoinOperator>(
+          std::move(l.op), std::move(r.op),
+          std::vector<std::pair<size_t, size_t>>{{lk, rk}});
+      return out;
     }
     case 3: {  // BindJoin against a deterministic synthetic target.
-      OperatorPtr in = RandomTree(rng, depth - 1, arity);
-      size_t bind_col = rng->Uniform(*arity);
-      BindJoinOperator::Fetch fetch =
-          [](const Row& binding) -> Result<std::vector<Row>> {
-        // 0 rows for odd keys, 2 rows for even: exercises both the
-        // no-match drop and the fan-out.
-        int64_t k = binding[0].int_value();
+      Plan in = RandomTree(rng, depth - 1, kinds);
+      const size_t bind_col = rng->Uniform(in.arity);
+      // 0 rows for odd keys, 2 rows for even: exercises both the no-match
+      // drop and the fan-out.
+      auto target = [](int64_t k) {
         if (k % 2 == 1) return std::vector<Row>{};
         return std::vector<Row>{{Value::Int(k * 10)}, {Value::Int(k * 10 + 1)}};
       };
-      *arity += 1;
-      return std::make_unique<BindJoinOperator>(
-          std::move(in), std::vector<size_t>{bind_col},
+      Plan out;
+      out.arity = in.arity + 1;
+      for (const Row& row : in.expected) {
+        for (const Row& fetched : target(row[bind_col].int_value())) {
+          out.expected.push_back(Concat(row, fetched));
+        }
+      }
+      BindJoinOperator::Fetch fetch =
+          [target](const Row& binding) -> Result<std::vector<Row>> {
+        return target(binding[0].int_value());
+      };
+      out.op = std::make_unique<BindJoinOperator>(
+          std::move(in.op), std::vector<size_t>{bind_col},
           std::vector<std::string>{"f"}, std::move(fetch), "synthetic");
+      return out;
     }
-    case 4: {  // Distinct.
-      OperatorPtr in = RandomTree(rng, depth - 1, arity);
-      return std::make_unique<DistinctOperator>(std::move(in));
+    case 4: {  // Distinct: first occurrence wins.
+      Plan in = RandomTree(rng, depth - 1, kinds);
+      Plan out;
+      out.arity = in.arity;
+      std::set<Row> seen;
+      for (const Row& row : in.expected) {
+        if (seen.insert(row).second) out.expected.push_back(row);
+      }
+      out.op = std::make_unique<DistinctOperator>(std::move(in.op));
+      return out;
     }
-    default: {  // Limit at a boundary-ish cut.
-      OperatorPtr in = RandomTree(rng, depth - 1, arity);
-      return std::make_unique<LimitOperator>(std::move(in),
-                                             rng->Uniform(40));
+    case 5: {  // Limit at a boundary-ish cut.
+      Plan in = RandomTree(rng, depth - 1, kinds);
+      const size_t limit = rng->Uniform(40);
+      Plan out;
+      out.arity = in.arity;
+      out.expected.assign(
+          in.expected.begin(),
+          in.expected.begin() +
+              static_cast<std::ptrdiff_t>(std::min(limit, in.expected.size())));
+      out.op = std::make_unique<LimitOperator>(std::move(in.op), limit);
+      return out;
+    }
+    case 6: {  // UnionAll of 2-3 subtrees: concatenation.
+      Plan out;
+      std::vector<OperatorPtr> inputs;
+      const size_t n = 2 + rng->Uniform(2);
+      for (size_t i = 0; i < n; ++i) {
+        Plan in = RandomTree(rng, depth - 1, kinds);
+        if (i == 0) out.arity = in.arity;
+        in = AlignArity(std::move(in), out.arity);
+        out.expected.insert(out.expected.end(), in.expected.begin(),
+                            in.expected.end());
+        inputs.push_back(std::move(in.op));
+      }
+      out.op = std::make_unique<UnionAllOperator>(std::move(inputs));
+      return out;
+    }
+    default: {  // Sort on one or two columns: stable.
+      Plan in = RandomTree(rng, depth - 1, kinds);
+      std::vector<size_t> keys{rng->Uniform(in.arity)};
+      if (rng->Chance(0.5)) keys.push_back(rng->Uniform(in.arity));
+      Plan out;
+      out.arity = in.arity;
+      out.expected = in.expected;
+      std::stable_sort(out.expected.begin(), out.expected.end(),
+                       [&keys](const Row& a, const Row& b) {
+                         for (size_t c : keys) {
+                           if (a[c].int_value() != b[c].int_value()) {
+                             return a[c].int_value() < b[c].int_value();
+                           }
+                         }
+                         return false;
+                       });
+      out.op = std::make_unique<SortOperator>(std::move(in.op), keys);
+      return out;
     }
   }
 }
 
 TEST(BatchDifferentialTest, TwoHundredSeededPlans) {
-  for (uint64_t seed = 1; seed <= 200; ++seed) {
-    // Same seed -> same tree, built twice so each drain gets a fresh
-    // operator state even if an operator misbehaves across re-Opens.
-    size_t arity = 0;
-    Rng rng_a(seed);
-    OperatorPtr batch_tree = RandomTree(&rng_a, 1 + seed % 3, &arity);
-    Rng rng_b(seed);
-    OperatorPtr tuple_tree = RandomTree(&rng_b, 1 + seed % 3, &arity);
-
-    auto batch = Collect(batch_tree.get());
-    auto tuple = CollectTuples(tuple_tree.get());
-    ASSERT_EQ(batch.ok(), tuple.ok()) << "seed " << seed;
-    if (!batch.ok()) continue;
-    ASSERT_EQ(*batch, *tuple)
-        << "seed " << seed << ": batch path returned " << batch->size()
-        << " row(s), tuple oracle " << tuple->size();
+  // The original six-operator mix, then the same seeds with UnionAll and
+  // Sort added.
+  for (size_t kinds : {6, 8}) {
+    for (uint64_t seed = 1; seed <= 200; ++seed) {
+      Rng rng(seed);
+      Plan plan = RandomTree(&rng, 1 + seed % 3, kinds);
+      auto rows = Collect(plan.op.get());
+      ASSERT_TRUE(rows.ok()) << "seed " << seed << ": " << rows.status();
+      ASSERT_EQ(*rows, plan.expected)
+          << kinds << " kinds, seed " << seed << ": engine returned "
+          << rows->size() << " row(s), reference " << plan.expected.size()
+          << "\n"
+          << PlanToString(*plan.op);
+    }
   }
 }
 

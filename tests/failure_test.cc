@@ -28,19 +28,24 @@ using engine::OperatorPtr;
 using engine::Row;
 using engine::Value;
 
-/// An operator that yields `good` rows and then fails.
+/// An operator that yields `good` rows (1..good) as one batch and fails
+/// on the next call — the failure lands after a batch was delivered.
 class FailAfterOperator final : public Operator {
  public:
   FailAfterOperator(size_t good, Status error)
       : good_(good), error_(std::move(error)) {}
   Status Open() override {
-    produced_ = 0;
+    delivered_ = false;
     return Status::OK();
   }
-  Result<std::optional<Row>> Next() override {
-    if (produced_ >= good_) return error_;
-    ++produced_;
-    return std::optional<Row>({Value::Int(static_cast<int64_t>(produced_))});
+  Result<bool> NextBatch(engine::RowBatch* out) override {
+    out->Reset(1);
+    if (delivered_ || good_ == 0) return error_;
+    for (size_t i = 1; i <= good_; ++i) {
+      out->AppendRow({Value::Int(static_cast<int64_t>(i))});
+    }
+    delivered_ = true;
+    return true;
   }
   std::vector<std::string> columns() const override { return {"x"}; }
   std::string label() const override { return "FailAfter"; }
@@ -48,15 +53,15 @@ class FailAfterOperator final : public Operator {
  private:
   size_t good_;
   Status error_;
-  size_t produced_ = 0;
+  bool delivered_ = false;
 };
 
 /// An operator whose Open fails.
 class FailOpenOperator final : public Operator {
  public:
   Status Open() override { return Status::Unsupported("cannot open"); }
-  Result<std::optional<Row>> Next() override {
-    return Status::Internal("Next after failed Open");
+  Result<bool> NextBatch(engine::RowBatch* /*out*/) override {
+    return Status::Internal("NextBatch after failed Open");
   }
   std::vector<std::string> columns() const override { return {"x"}; }
   std::string label() const override { return "FailOpen"; }
@@ -67,6 +72,17 @@ TEST(FailureInjectionTest, MidStreamErrorPropagatesThroughFilter) {
       3, Status::Internal("disk on fire"));
   engine::FilterOperator op(std::move(src),
                             engine::Expr::Const(Value::Bool(true)));
+  // The good rows arrive as a batch before the failure surfaces.
+  ASSERT_TRUE(op.Open().ok());
+  engine::RowBatch batch;
+  auto first = op.NextBatch(&batch);
+  ASSERT_TRUE(first.ok()) << first.status();
+  EXPECT_TRUE(*first);
+  EXPECT_EQ(batch.size(), 3u);
+  auto second = op.NextBatch(&batch);
+  ASSERT_FALSE(second.ok());
+  EXPECT_EQ(second.status().code(), StatusCode::kInternal);
+  // A full drain fails as a whole rather than returning a truncated set.
   auto rows = Collect(&op);
   ASSERT_FALSE(rows.ok());
   EXPECT_EQ(rows.status().code(), StatusCode::kInternal);
@@ -92,6 +108,14 @@ TEST(FailureInjectionTest, MidStreamErrorPropagatesThroughHashJoinProbe) {
       1, Status::Internal("probe side died"));
   engine::HashJoinOperator join(std::move(left), std::move(right),
                                 {{0, 0}});
+  // The first probe chunk joins and is delivered; the next pull fails.
+  ASSERT_TRUE(join.Open().ok());
+  engine::RowBatch batch;
+  auto first = join.NextBatch(&batch);
+  ASSERT_TRUE(first.ok()) << first.status();
+  EXPECT_TRUE(*first);
+  EXPECT_EQ(batch.size(), 1u);
+  EXPECT_EQ(join.NextBatch(&batch).status().code(), StatusCode::kInternal);
   auto rows = Collect(&join);
   EXPECT_EQ(rows.status().code(), StatusCode::kInternal);
 }
