@@ -2,8 +2,8 @@
 # Repo checks: the tier-1 build + test suite + a standalone build of the
 # repo benchmark (perfbench), then a ThreadSanitizer build
 # of the concurrency-sensitive pieces (serving runtime + stores) and their
-# tests, then an ASan+UBSan build of the engine, the chase and the
-# failure/recovery paths. Every
+# tests, then an ASan+UBSan build of the engine, the chase, the PACB
+# rewriter, the regression seeds and the failure/recovery paths. Every
 # step is fail-fast (set -e): the first broken check stops the run.
 #
 # Usage: scripts/check.sh [--fuzz] [jobs]
@@ -46,12 +46,13 @@ echo "== TSan: run =="
   && ./migration_test && ./tuner_test && ./replication_test \
   && ./scaleout_test && ./graph_test)
 
-echo "== ASan+UBSan: build engine_test + chase_test + failure_test + runtime_test + stores_test + migration_test + tuner_test + replication_test + scaleout_test + serialize_test + rewriting_test + maintenance_test + graph_test + drivers_test =="
+echo "== ASan+UBSan: build engine_test + chase_test + failure_test + runtime_test + stores_test + migration_test + tuner_test + replication_test + scaleout_test + serialize_test + rewriting_test + maintenance_test + graph_test + drivers_test + pacb_test + regression_seeds =="
 cmake -B build-asan -S . -DESTOCADA_SANITIZE=address >/dev/null
 cmake --build build-asan -j "$JOBS" \
   --target engine_test chase_test failure_test runtime_test stores_test \
   migration_test tuner_test replication_test scaleout_test serialize_test \
-  rewriting_test maintenance_test graph_test drivers_test
+  rewriting_test maintenance_test graph_test drivers_test pacb_test \
+  regression_seeds
 
 echo "== ASan+UBSan: run =="
 (cd build-asan/tests && ./engine_test && ./chase_test && ./failure_test \
@@ -59,7 +60,7 @@ echo "== ASan+UBSan: run =="
   && ./migration_test && ./tuner_test && ./replication_test \
   && ./scaleout_test && ./serialize_test \
   && ./rewriting_test && ./maintenance_test && ./graph_test \
-  && ./drivers_test)
+  && ./drivers_test && ./pacb_test && ./regression_seeds)
 
 if [[ "$FUZZ" == "1" ]]; then
   echo "== fuzz: 2-minute differential soak =="

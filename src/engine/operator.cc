@@ -613,6 +613,8 @@ Status UnionAllOperator::Open() {
 }
 
 Result<bool> UnionAllOperator::NextBatch(RowBatch* out) {
+  // Exhausted (or never opened with inputs): stay at end of stream.
+  if (current_ >= inputs_.size()) return false;
   for (;;) {
     ESTOCADA_ASSIGN_OR_RETURN(bool more, inputs_[current_]->NextBatch(out));
     if (more) return true;

@@ -773,17 +773,21 @@ Result<Estocada::QueryResult> Estocada::RunQuery(
   return ExecutePlanned(std::move(plans), q, parameters);
 }
 
-Result<rewriting::PlanSet> Estocada::PlanPrepared(
-    const pivot::ConjunctiveQuery& query,
-    const std::map<std::string, Value>& parameters,
-    const rewriting::PlanConstraints& constraints) const {
+Result<pacb::RewritingResult> Estocada::RewritePrepared(
+    const pivot::ConjunctiveQuery& query) const {
   if (!rewriter_ready()) {
     return Status::Internal(
-        "PlanPrepared called with a stale rewriter; run PrepareRewriter() "
+        "RewritePrepared called with a stale rewriter; run PrepareRewriter() "
         "after catalog changes");
   }
-  rewriting::Planner planner(&catalog_, rewriter_.get());
-  return planner.PlanQuery(query, parameters, {}, constraints);
+  ESTOCADA_ASSIGN_OR_RETURN(pacb::RewritingResult result,
+                            rewriter_->Rewrite(query));
+  if (result.rewritings.empty()) {
+    return Status::NoRewriting(
+        StrCat("no rewriting over the registered fragments answers ",
+               query.ToString()));
+  }
+  return result;
 }
 
 Result<rewriting::PlanSet> Estocada::PlanFromRewritings(

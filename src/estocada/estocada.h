@@ -4,6 +4,7 @@
 #include <atomic>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -432,14 +433,19 @@ class Estocada {
     return !rewriter_dirty_ && rewriter_ != nullptr;
   }
 
-  /// Plans a query without mutating the facade; requires rewriter_ready().
-  /// Runs the full PACB rewrite + translation + cost-based choice.
-  /// `constraints` (from the runtime's circuit breakers) drops rewritings
-  /// over unavailable stores before the cost-based choice.
-  Result<rewriting::PlanSet> PlanPrepared(
-      const pivot::ConjunctiveQuery& query,
-      const std::map<std::string, engine::Value>& parameters = {},
-      const rewriting::PlanConstraints& constraints = {}) const;
+  /// Constants the rewriter's constraint set names (schema/encoding
+  /// dependencies and view definitions); requires rewriter_ready(). The
+  /// serving runtime lifts every other body constant into a parameter.
+  const std::set<pivot::Constant>& named_constants() const {
+    return rewriter_->named_constants();
+  }
+
+  /// Rewrites a query without mutating the facade; requires
+  /// rewriter_ready(). Runs the full PACB rewrite — the system's most
+  /// expensive step — and returns the rewriting set, kNoRewriting when it
+  /// is empty. PlanFromRewritings turns the set into executable plans.
+  Result<pacb::RewritingResult> RewritePrepared(
+      const pivot::ConjunctiveQuery& query) const;
 
   /// Translates previously computed PACB rewritings (e.g. a plan-cache
   /// hit) into executable plans for this call's parameters — the rewrite,

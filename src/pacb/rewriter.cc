@@ -37,6 +37,27 @@ Status Rewriter::Prepare() {
       adornments_[v.name()] = v.adornments;
     }
   }
+  // The forward set holds every schema dependency and every view's body
+  // and head, so its constants are exactly the named ones.
+  named_constants_.clear();
+  auto name_constants = [&](const std::vector<Atom>& atoms) {
+    for (const Atom& a : atoms) {
+      for (const Term& t : a.terms) {
+        if (t.is_constant()) named_constants_.insert(t.constant());
+      }
+    }
+  };
+  for (const pivot::Dependency& d : forward) {
+    if (d.is_tgd()) {
+      name_constants(d.tgd.body);
+      name_constants(d.tgd.head);
+    } else {
+      name_constants(d.egd.body);
+      for (const Term* t : {&d.egd.left, &d.egd.right}) {
+        if (t->is_constant()) named_constants_.insert(t->constant());
+      }
+    }
+  }
   forward_deps_ = std::make_shared<const std::vector<pivot::Dependency>>(
       std::move(forward));
   backward_deps_ = std::make_shared<const std::vector<pivot::Dependency>>(

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -118,6 +119,15 @@ class Rewriter {
   const pivot::Schema& schema() const { return schema_; }
   const AdornmentMap& view_adornments() const { return adornments_; }
 
+  /// Every constant the constraint set names: in a schema/encoding
+  /// dependency or in a view definition. Computed by Prepare(). A query
+  /// constant outside this set is generic for the rewriter: renaming it
+  /// changes no containment under the constraints, so the serving runtime
+  /// may lift it into a parameter and share the rewriting across values.
+  const std::set<pivot::Constant>& named_constants() const {
+    return named_constants_;
+  }
+
  private:
   struct UniversalPlan {
     /// View atoms produced by the forward chase (ground: nulls+constants).
@@ -158,6 +168,7 @@ class Rewriter {
   std::shared_ptr<const std::vector<pivot::Dependency>> forward_deps_;
   std::shared_ptr<const std::vector<pivot::Dependency>> backward_deps_;
   AdornmentMap adornments_;
+  std::set<pivot::Constant> named_constants_;
   bool prepared_ = false;
 
   friend class NaiveChaseBackchase;

@@ -103,6 +103,30 @@ CanonicalQuery Canonicalize(const ConjunctiveQuery& q) {
   return out;
 }
 
+CanonicalQuery CanonicalizeLifted(const ConjunctiveQuery& q,
+                                  const std::set<pivot::Constant>& named) {
+  ConjunctiveQuery lifted = q;
+  std::map<pivot::Constant, std::string> names;
+  for (Atom& a : lifted.body) {
+    for (Term& t : a.terms) {
+      if (!t.is_constant() || t.constant().is_null() ||
+          named.count(t.constant()) > 0) {
+        continue;
+      }
+      // '#' is no identifier character of the pivot parser.
+      auto it = names.try_emplace(t.constant(), StrCat("$#", names.size()));
+      t = Term::Var(it.first->second);
+    }
+  }
+  CanonicalQuery out = Canonicalize(lifted);
+  for (const auto& [constant, name] : names) {
+    auto it = out.parameter_renaming.find(name);
+    out.lifted.emplace(it->second, engine::Value::FromConstant(constant));
+    out.parameter_renaming.erase(it);
+  }
+  return out;
+}
+
 std::map<std::string, engine::Value> RemapParameters(
     const CanonicalQuery& canonical,
     const std::map<std::string, engine::Value>& parameters) {
@@ -112,7 +136,26 @@ std::map<std::string, engine::Value> RemapParameters(
     out.emplace(it == canonical.parameter_renaming.end() ? name : it->second,
                 value);
   }
+  for (const auto& [name, value] : canonical.lifted) out[name] = value;
   return out;
+}
+
+bool LiftSurvives(const CanonicalQuery& canonical,
+                  const pacb::RewritingResult& result) {
+  auto mentions = [](const ConjunctiveQuery& q, const std::string& var) {
+    for (const Atom& a : q.body) {
+      for (const Term& t : a.terms) {
+        if (t.is_variable() && t.var_name() == var) return true;
+      }
+    }
+    return false;
+  };
+  for (const pacb::Rewriting& rw : result.rewritings) {
+    for (const auto& [name, value] : canonical.lifted) {
+      if (!mentions(rw.query, name)) return false;
+    }
+  }
+  return true;
 }
 
 std::vector<std::string> RewritingSetKeys(const pacb::RewritingResult& result) {

@@ -19,6 +19,9 @@ MetricsSnapshot ServerMetrics::snapshot() const {
   s.failovers = failovers_.load(kRelaxed);
   s.degraded = degraded_.load(kRelaxed);
   s.replica_rebuilds = replica_rebuilds_.load(kRelaxed);
+  s.memo_hits = memo_hits_.load(kRelaxed);
+  s.memo_misses = memo_misses_.load(kRelaxed);
+  s.lift_rejections = lift_rejections_.load(kRelaxed);
   s.latency = latency_.snapshot();
   return s;
 }
@@ -35,6 +38,9 @@ void ServerMetrics::Reset() {
   failovers_.store(0, kRelaxed);
   degraded_.store(0, kRelaxed);
   replica_rebuilds_.store(0, kRelaxed);
+  memo_hits_.store(0, kRelaxed);
+  memo_misses_.store(0, kRelaxed);
+  lift_rejections_.store(0, kRelaxed);
   latency_.Reset();
 }
 
@@ -46,6 +52,9 @@ std::string MetricsSnapshot::ToString() const {
                 "plan cache:      ", cache_hits, " hit(s), ", cache_misses,
                 " miss(es) (", rate, " hit rate)\n",
                 "PACB rewrites:   ", rewrites, "\n",
+                "text memo:       ", memo_hits, " hit(s), ", memo_misses,
+                " miss(es); ", lift_rejections,
+                " lifted rewriting set(s) rejected by the merge guard\n",
                 "resilience:      ", retries, " retry(ies), ", breaker_trips,
                 " breaker trip(s), ", reroutes, " reroute(s), ", failovers,
                 " failover(s), ", degraded, " degraded, ", replica_rebuilds,

@@ -23,6 +23,11 @@ struct MetricsSnapshot {
   uint64_t failovers = 0;        ///< Re-plans that excluded unhealthy stores.
   uint64_t degraded = 0;         ///< Answers served from the staging area.
   uint64_t replica_rebuilds = 0; ///< Replicas rebuilt and re-admitted.
+  uint64_t memo_hits = 0;        ///< Texts found in the canonical memo.
+  uint64_t memo_misses = 0;      ///< Texts parsed and canonicalized.
+  /// Lifted rewriting sets the merge guard rejected (the text was then
+  /// planned with its own constants).
+  uint64_t lift_rejections = 0;
   LatencyHistogram::Snapshot latency;
 
   double CacheHitRate() const {
@@ -52,6 +57,9 @@ class ServerMetrics {
   void RecordFailover() { failovers_.fetch_add(1, kRelaxed); }
   void RecordDegraded() { degraded_.fetch_add(1, kRelaxed); }
   void RecordReplicaRebuild() { replica_rebuilds_.fetch_add(1, kRelaxed); }
+  void RecordMemoHit() { memo_hits_.fetch_add(1, kRelaxed); }
+  void RecordMemoMiss() { memo_misses_.fetch_add(1, kRelaxed); }
+  void RecordLiftRejection() { lift_rejections_.fetch_add(1, kRelaxed); }
 
   /// Call once per finished query with its end-to-end latency.
   void RecordQuery(bool ok, double latency_micros) {
@@ -83,6 +91,9 @@ class ServerMetrics {
   std::atomic<uint64_t> failovers_{0};
   std::atomic<uint64_t> degraded_{0};
   std::atomic<uint64_t> replica_rebuilds_{0};
+  std::atomic<uint64_t> memo_hits_{0};
+  std::atomic<uint64_t> memo_misses_{0};
+  std::atomic<uint64_t> lift_rejections_{0};
   LatencyHistogram latency_;
 };
 

@@ -63,8 +63,25 @@ Result<Estocada::QueryResult> QueryServer::ServeFromStaging(
   return result;
 }
 
+Result<PlanCache::CachedRewritings> QueryServer::RewritingsLocked(
+    const CanonicalQuery& canonical, uint64_t epoch, uint64_t health_epoch) {
+  PlanCache::CachedRewritings cached =
+      cache_.Lookup(canonical.key, epoch, health_epoch);
+  if (cached != nullptr) {
+    metrics_.RecordCacheHit();
+    return cached;
+  }
+  metrics_.RecordCacheMiss();
+  metrics_.RecordRewrite();
+  ESTOCADA_ASSIGN_OR_RETURN(pacb::RewritingResult rewritings,
+                            system_->RewritePrepared(canonical.query));
+  cached = std::make_shared<const pacb::RewritingResult>(std::move(rewritings));
+  cache_.Insert(canonical.key, epoch, cached, health_epoch);
+  return cached;
+}
+
 Result<Estocada::QueryResult> QueryServer::ServeLocked(
-    const CanonicalQuery& canonical,
+    const std::string& query_text,
     const std::map<std::string, engine::Value>& parameters, int attempt,
     uint64_t* planned_health_epoch) {
   uint64_t epoch = system_->catalog_epoch();
@@ -80,43 +97,64 @@ Result<Estocada::QueryResult> QueryServer::ServeLocked(
   if (planned_health_epoch != nullptr) *planned_health_epoch = health_epoch;
   rewriting::PlanConstraints constraints{excluded, probation};
 
+  ESTOCADA_ASSIGN_OR_RETURN(std::shared_ptr<const CanonicalQuery> canonical,
+                            CanonicalizeCached(query_text, epoch));
+  std::map<std::string, engine::Value> remapped =
+      RemapParameters(*canonical, parameters);
+
   // The cache holds the *complete* rewriting set of a query shape;
   // exclusions are applied at translation time, so an entry stays correct
   // for whatever breaker state holds at the moment it is used. Keying on
   // the health epoch additionally drops entries across availability
   // changes, re-admitting them against the new store set.
-  PlanCache::CachedRewritings cached =
-      cache_.Lookup(canonical.key, epoch, health_epoch);
-  Result<rewriting::PlanSet> planned = [&]() -> Result<rewriting::PlanSet> {
-    if (cached != nullptr) {
-      metrics_.RecordCacheHit();
-      // Translation only — the PACB rewrite is skipped.
-      return system_->PlanFromRewritings(*cached, parameters, constraints);
+  Result<PlanCache::CachedRewritings> rewritings =
+      RewritingsLocked(*canonical, epoch, health_epoch);
+  if (!canonical->lifted.empty() &&
+      (!rewritings.ok() || !LiftSurvives(*canonical, **rewritings))) {
+    // The lifted set stays cached: a later text of this shape re-reads
+    // the verdict from it instead of rewriting again, and goes straight
+    // to its own constants.
+    const bool guard_fired = rewritings.ok();
+    metrics_.RecordLiftRejection();
+    ESTOCADA_ASSIGN_OR_RETURN(pivot::ConjunctiveQuery q,
+                              pivot::ParseQuery(query_text));
+    canonical = std::make_shared<const CanonicalQuery>(Canonicalize(q));
+    remapped = RemapParameters(*canonical, parameters);
+    rewritings = RewritingsLocked(*canonical, epoch, health_epoch);
+    if (guard_fired && !rewritings.ok() &&
+        rewritings.status().code() == StatusCode::kChaseFailure) {
+      // The lifted chase settled, and the constant chase can differ from
+      // it only at the merges the guard saw: there the constants clash,
+      // so no rewriting exists. The staging area still answers exactly,
+      // also where evaluation equates constants the chase tells apart
+      // (1 and 1.0).
+      Result<Estocada::QueryResult> staged = ServeFromStaging(
+          *canonical, remapped, std::move(excluded), attempt);
+      if (staged.ok()) {
+        staged->plan_text =
+            "(staging fallback: the query's constants clash in the chase)";
+      }
+      return staged;
     }
-    metrics_.RecordCacheMiss();
-    metrics_.RecordRewrite();
-    return system_->PlanPrepared(canonical.query, parameters, constraints);
-  }();
+  }
+  Result<rewriting::PlanSet> planned =
+      rewritings.ok()
+          ? system_->PlanFromRewritings(**rewritings, remapped, constraints)
+          : Result<rewriting::PlanSet>(rewritings.status());
   if (!planned.ok()) {
     if (options_.fault_tolerant &&
         planned.status().code() == StatusCode::kUnavailable) {
       // Planning starved by the exclusions: no rewriting avoids every
       // open-circuit store. Bottom of the ladder — answer from staging.
-      return ServeFromStaging(canonical, parameters, std::move(excluded),
+      return ServeFromStaging(*canonical, remapped, std::move(excluded),
                               attempt);
     }
     return planned.status();
   }
-  if (cached == nullptr) {
-    cache_.Insert(canonical.key, epoch,
-                  std::make_shared<const pacb::RewritingResult>(
-                      planned->rewriting_result),
-                  health_epoch);
-  }
 
   std::vector<std::string> plan_stores = planned->best_plan().stores_used;
   Result<Estocada::QueryResult> result =
-      system_->ExecutePlanned(std::move(*planned), canonical.query, parameters);
+      system_->ExecutePlanned(std::move(*planned), canonical->query, remapped);
   if (result.ok()) {
     if (options_.fault_tolerant) {
       for (const std::string& store : plan_stores) {
@@ -139,20 +177,57 @@ Result<Estocada::QueryResult> QueryServer::ServeLocked(
   return result;
 }
 
+void QueryServer::MemoInsertLocked(const std::string& query_text,
+                                   MemoEntry entry, Memo* retired) {
+  if (canon_current_.size() >= kCanonGenerationCap &&
+      canon_current_.count(query_text) == 0) {
+    retired->swap(canon_previous_);
+    canon_previous_.swap(canon_current_);
+  }
+  // Replaces a stale entry of the same text (an older lift epoch).
+  canon_current_.insert_or_assign(query_text, std::move(entry));
+}
+
 Result<std::shared_ptr<const CanonicalQuery>> QueryServer::CanonicalizeCached(
-    const std::string& query_text) {
+    const std::string& query_text, uint64_t epoch) {
+  auto fresh = [epoch](const MemoEntry& e) {
+    return e.any_epoch || e.epoch == epoch;
+  };
+  Memo retired;  // Freed after canon_mu_ is released.
   {
     std::lock_guard<std::mutex> lock(canon_mu_);
-    auto it = canon_cache_.find(query_text);
-    if (it != canon_cache_.end()) return it->second;
+    auto it = canon_current_.find(query_text);
+    if (it != canon_current_.end() && fresh(it->second)) {
+      metrics_.RecordMemoHit();
+      return it->second.canonical;
+    }
+    auto old = canon_previous_.find(query_text);
+    if (old != canon_previous_.end() && fresh(old->second)) {
+      metrics_.RecordMemoHit();
+      MemoEntry promoted = std::move(old->second);
+      canon_previous_.erase(old);
+      std::shared_ptr<const CanonicalQuery> canonical = promoted.canonical;
+      MemoInsertLocked(query_text, std::move(promoted), &retired);
+      return canonical;
+    }
   }
+  metrics_.RecordMemoMiss();
   ESTOCADA_ASSIGN_OR_RETURN(pivot::ConjunctiveQuery q,
                             pivot::ParseQuery(query_text));
-  auto canonical = std::make_shared<const CanonicalQuery>(Canonicalize(q));
+  MemoEntry entry;
+  entry.canonical = std::make_shared<const CanonicalQuery>(
+      CanonicalizeLifted(q, system_->named_constants()));
+  entry.epoch = epoch;
+  entry.any_epoch = true;
+  for (const pivot::Atom& a : q.body) {
+    for (const pivot::Term& t : a.terms) {
+      if (t.is_constant()) entry.any_epoch = false;
+    }
+  }
+  std::shared_ptr<const CanonicalQuery> canonical = entry.canonical;
   {
     std::lock_guard<std::mutex> lock(canon_mu_);
-    if (canon_cache_.size() >= kCanonCacheCap) canon_cache_.clear();
-    canon_cache_.emplace(query_text, canonical);
+    MemoInsertLocked(query_text, std::move(entry), &retired);
   }
   return canonical;
 }
@@ -160,12 +235,6 @@ Result<std::shared_ptr<const CanonicalQuery>> QueryServer::CanonicalizeCached(
 Result<Estocada::QueryResult> QueryServer::ServeTimed(
     const std::string& query_text,
     const std::map<std::string, engine::Value>& parameters) {
-  ESTOCADA_ASSIGN_OR_RETURN(std::shared_ptr<const CanonicalQuery> canon,
-                            CanonicalizeCached(query_text));
-  const CanonicalQuery& canonical = *canon;
-  std::map<std::string, engine::Value> remapped =
-      RemapParameters(canonical, parameters);
-
   const auto start = std::chrono::steady_clock::now();
   Status last_error = Status::OK();
   int attempt = 1;
@@ -183,8 +252,8 @@ Result<Estocada::QueryResult> QueryServer::ServeTimed(
       std::shared_lock read_lock(mu_);
       if (system_->rewriter_ready()) {
         served = true;
-        Result<Estocada::QueryResult> result =
-            ServeLocked(canonical, remapped, attempt, &planned_health_epoch);
+        Result<Estocada::QueryResult> result = ServeLocked(
+            query_text, parameters, attempt, &planned_health_epoch);
         if (result.ok() || !options_.fault_tolerant ||
             !RetryPolicy::IsRetryable(result.status())) {
           if (result.ok()) result->reroutes = reroutes;

@@ -58,7 +58,8 @@ struct ServerOptions {
 ///  * structurally identical queries share one plan-cache entry keyed by
 ///    their canonical form, so the PACB rewrite — the most expensive step
 ///    of the query path — runs once per query shape per fragment layout
-///    instead of once per call;
+///    instead of once per call; body constants are lifted into parameters
+///    first, so texts that differ only in constants share it too;
 ///  * the epoch versioning guarantees a plan cached before a fragment
 ///    change is never served after it;
 ///  * store failures walk a degradation ladder instead of killing the
@@ -197,17 +198,26 @@ class QueryServer {
 
  private:
   /// One execution attempt under the shared lock the caller already
-  /// holds: cache-lookup → (on miss) rewrite → translate with the current
-  /// breaker exclusions → execute, feeding breaker state with the
-  /// outcome. Falls back to the staging area when planning is starved by
-  /// the exclusions. `attempt` is 1-based and only labels the result.
+  /// holds: canonicalize (memoized, body constants lifted into
+  /// parameters) → cache-lookup → (on miss) rewrite → merge guard →
+  /// translate with the current breaker exclusions → execute, feeding
+  /// breaker state with the outcome. When the guard rejects the lifted
+  /// rewriting set, the text is planned with its own constants instead.
+  /// Falls back to the staging area when planning is starved by the
+  /// exclusions, or when those constants clash in the chase. `attempt` is
+  /// 1-based and only labels the result.
   /// `planned_health_epoch` (optional) receives the health epoch the
   /// attempt planned against, so the caller can tell whether a failure
   /// changed the routing landscape (breaker trip → immediate re-route).
   Result<Estocada::QueryResult> ServeLocked(
-      const CanonicalQuery& canonical,
+      const std::string& query_text,
       const std::map<std::string, engine::Value>& parameters, int attempt,
       uint64_t* planned_health_epoch = nullptr);
+
+  /// The PACB rewriting set of `canonical` at (`epoch`, `health_epoch`):
+  /// the plan cache's entry, or a fresh rewrite that is then cached.
+  Result<PlanCache::CachedRewritings> RewritingsLocked(
+      const CanonicalQuery& canonical, uint64_t epoch, uint64_t health_epoch);
 
   /// Degradation-ladder bottom: answer from the staging area.
   Result<Estocada::QueryResult> ServeFromStaging(
@@ -225,11 +235,13 @@ class QueryServer {
       const std::string& query_text,
       const std::map<std::string, engine::Value>& parameters);
 
-  /// Parse + canonicalize `query_text`, memoized. Canonicalization is a
-  /// pure function of the text (no catalog input), so entries never need
-  /// invalidation — the cache is merely size-bounded.
+  /// Parse + CanonicalizeLifted of `query_text`, memoized. The lift
+  /// depends on the rewriter's named constants, so an entry records the
+  /// catalog `epoch` it was lifted under and is redone at a later one;
+  /// an entry whose text has no body constant holds at every epoch. Call
+  /// with the shared lock held and the rewriter ready.
   Result<std::shared_ptr<const CanonicalQuery>> CanonicalizeCached(
-      const std::string& query_text);
+      const std::string& query_text, uint64_t epoch);
 
   /// Fires `event` at every registered listener (exclusive lock held).
   void NotifyUpdate(const UpdateEvent& event);
@@ -245,13 +257,27 @@ class QueryServer {
   /// catalog/data changes and rewriter rebuilds.
   std::shared_mutex mu_;
   PlanCache cache_;
-  /// Raw query text → canonical form (guarded by canon_mu_; dropped
-  /// wholesale when it hits kCanonCacheCap — repeated serving texts
-  /// re-warm it in one query each).
+  /// Raw query text → canonical form, in two generations (guarded by
+  /// canon_mu_). New entries go to the current one; when it holds
+  /// kCanonGenerationCap texts it becomes the previous one and the old
+  /// previous one is dropped. A hit in the previous generation moves the
+  /// entry back to the current one, so a text served at least once per
+  /// generation is never re-parsed, however many one-off texts stream by.
+  struct MemoEntry {
+    std::shared_ptr<const CanonicalQuery> canonical;
+    uint64_t epoch = 0;      ///< Catalog epoch of the lift.
+    bool any_epoch = false;  ///< No body constant: the lift is a no-op.
+  };
+  using Memo = std::unordered_map<std::string, MemoEntry>;
+  /// Inserts into the current generation, rotating first when it is full;
+  /// the dropped generation moves to `*retired`, so the caller frees it
+  /// after releasing canon_mu_.
+  void MemoInsertLocked(const std::string& query_text, MemoEntry entry,
+                        Memo* retired);
   std::mutex canon_mu_;
-  std::unordered_map<std::string, std::shared_ptr<const CanonicalQuery>>
-      canon_cache_;
-  static constexpr size_t kCanonCacheCap = 4096;
+  Memo canon_current_;
+  Memo canon_previous_;
+  static constexpr size_t kCanonGenerationCap = 2048;
   ServerMetrics metrics_;
   HealthRegistry health_;
   /// Backoff-jitter draws (behind its own mutex; failures are rare).

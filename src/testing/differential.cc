@@ -118,6 +118,110 @@ ConjunctiveQuery PermuteQuery(const ConjunctiveQuery& q, uint64_t seed) {
   return perm;
 }
 
+/// Family (j)'s guard probe: a self-join on the key of a relation with a
+/// key EGD that selects two different values of one non-key column. The
+/// EGD equates the two constants, so the chase fails on the text and the
+/// lifted form merges two parameters. Nullopt when no relation has such a
+/// column with two distinct liftable values.
+std::optional<QuerySpec> KeyClashProbe(const Scenario& s,
+                                       const std::set<pivot::Constant>& named) {
+  for (const pivot::Dependency& d : s.schema.dependencies()) {
+    if (!d.is_egd() || d.label().rfind("key:", 0) != 0) continue;
+    const pivot::Atom& left = d.egd.body[0];
+    auto pos = std::find(left.terms.begin(), left.terms.end(), d.egd.left);
+    auto staged = s.staging.find(left.relation);
+    if (pos == left.terms.end() || staged == s.staging.end()) continue;
+    const size_t j = static_cast<size_t>(pos - left.terms.begin());
+    std::vector<pivot::Constant> values;
+    for (const Row& row : staged->second.rows) {
+      pivot::Constant c = row[j].ToConstant();
+      if (c.is_null() || named.count(c) > 0 ||
+          std::find(values.begin(), values.end(), c) != values.end()) {
+        continue;
+      }
+      values.push_back(std::move(c));
+      if (values.size() == 2) break;
+    }
+    if (values.size() < 2) continue;
+    ConjunctiveQuery q;
+    q.name = "q";
+    q.head = {pivot::Term::Var("k")};
+    for (size_t side = 0; side < 2; ++side) {
+      pivot::Atom a;
+      a.relation = left.relation;
+      a.terms.push_back(pivot::Term::Var("k"));
+      for (size_t m = 1; m < left.terms.size(); ++m) {
+        a.terms.push_back(m == j ? pivot::Term::Const(values[side])
+                                 : pivot::Term::Var(StrCat("v", side, m)));
+      }
+      q.body.push_back(std::move(a));
+    }
+    return QuerySpec{q.ToString(), {}};
+  }
+  return std::nullopt;
+}
+
+/// `q` with every liftable body constant replaced by another value found
+/// at one of its positions in the staged data, distinct constants by
+/// distinct values: a text of the same lifted shape. Nullopt when some
+/// constant has no such replacement.
+std::optional<std::string> SameShapeText(const ConjunctiveQuery& q,
+                                         const Scenario& s,
+                                         const std::set<pivot::Constant>& named) {
+  std::map<pivot::Constant, pivot::Constant> replacement;
+  std::set<pivot::Constant> used;
+  ConjunctiveQuery out = q;
+  for (pivot::Atom& a : out.body) {
+    auto staged = s.staging.find(a.relation);
+    for (size_t m = 0; m < a.terms.size(); ++m) {
+      pivot::Term& t = a.terms[m];
+      if (!t.is_constant() || t.constant().is_null() ||
+          named.count(t.constant()) > 0) {
+        continue;
+      }
+      auto it = replacement.find(t.constant());
+      if (it == replacement.end() && staged != s.staging.end()) {
+        for (const Row& row : staged->second.rows) {
+          pivot::Constant c = row[m].ToConstant();
+          if (c.is_null() || c == t.constant() || named.count(c) > 0 ||
+              used.count(c) > 0) {
+            continue;
+          }
+          used.insert(c);
+          it = replacement.emplace(t.constant(), std::move(c)).first;
+          break;
+        }
+      }
+      if (it == replacement.end()) return std::nullopt;
+      t = pivot::Term::Const(it->second);
+    }
+  }
+  return out.ToString();
+}
+
+/// `result` with each lifted parameter of `lifted` replaced by its value.
+pacb::RewritingResult SubstituteLifted(const runtime::CanonicalQuery& lifted,
+                                       pacb::RewritingResult result) {
+  for (pacb::Rewriting& rw : result.rewritings) {
+    for (pivot::Atom& a : rw.query.body) {
+      for (pivot::Term& t : a.terms) {
+        if (!t.is_variable()) continue;
+        auto it = lifted.lifted.find(t.var_name());
+        if (it != lifted.lifted.end()) {
+          t = pivot::Term::Const(it->second.ToConstant());
+        }
+      }
+    }
+  }
+  return result;
+}
+
+std::string KeysText(const std::vector<std::string>& keys) {
+  std::string out = "{";
+  for (const std::string& k : keys) out += k + "; ";
+  return out + "}";
+}
+
 }  // namespace
 
 ScenarioOutcome CheckScenario(const Scenario& s,
@@ -195,7 +299,10 @@ ScenarioOutcome CheckScenario(const Scenario& s,
 
     // ---- (a) every PACB rewriting answers like the oracle. ----
     if (options.check_rewritings) {
-      auto plans = dep.sys.PlanPrepared(*cq, qs.parameters);
+      auto rewritings = dep.sys.RewritePrepared(*cq);
+      auto plans = rewritings.ok()
+                       ? dep.sys.PlanFromRewritings(*rewritings, qs.parameters)
+                       : Result<rewriting::PlanSet>(rewritings.status());
       if (!plans.ok()) {
         if (plans.status().code() == StatusCode::kNoRewriting) {
           ++out.skipped_unanswerable;
@@ -306,6 +413,80 @@ ScenarioOutcome CheckScenario(const Scenario& s,
                       "': chase results of the original and the permuted "
                       "body are not homomorphically equivalent\noriginal:\n",
                       inst.ToString(), "permuted:\n", inst2.ToString()));
+        }
+      }
+    }
+  }
+
+  // ---- (j) lifting invariance: constants lifted into parameters change
+  // neither the rewriting set nor the answer. ----
+  if (options.check_lifting) {
+    runtime::ServerOptions sopts;
+    sopts.worker_threads = 1;
+    runtime::QueryServer server(&dep.sys, sopts);
+    const std::set<pivot::Constant>& named = dep.sys.named_constants();
+    std::vector<QuerySpec> probes;
+    for (size_t qi = 0; qi < s.queries.size(); ++qi) {
+      if (oracles[qi].has_value()) probes.push_back(s.queries[qi]);
+    }
+    if (auto clash = KeyClashProbe(s, named)) probes.push_back(*clash);
+    // Served through the server, compared with the text's own oracle.
+    auto serve = [&](const std::string& text,
+                     const std::map<std::string, engine::Value>& params) {
+      auto res = server.Query(text, params);
+      auto oracle = dep.sys.EvaluateOverStaging(text, params);
+      if (!res.ok() || !oracle.ok()) {
+        fail("lifting-invariance",
+             StrCat("query '", text, "': served ",
+                    res.ok() ? "ok" : res.status().ToString(), ", oracle ",
+                    oracle.ok() ? "ok" : oracle.status().ToString()));
+      } else if (Canon(res->rows) != Canon(*oracle)) {
+        fail("lifting-invariance",
+             StrCat("query '", text, "' served with lifted constants: ",
+                    DiffRows(Canon(*oracle), Canon(res->rows))));
+      }
+    };
+    for (const QuerySpec& qs : probes) {
+      auto cq = pivot::ParseQuery(qs.text);
+      if (!cq.ok()) continue;  // Reported as "generator" above.
+      runtime::CanonicalQuery lifted = runtime::CanonicalizeLifted(*cq, named);
+      if (lifted.lifted.empty()) continue;
+      ++out.lifting_checks;
+
+      // The rewriting set, with the lifted values substituted back, is the
+      // text's own — or the merge guard rejects it.
+      auto lifted_set = dep.sys.RewritePrepared(lifted.query);
+      auto own_set = dep.sys.RewritePrepared(*cq);
+      if (lifted_set.ok() && !runtime::LiftSurvives(lifted, *lifted_set)) {
+        ++out.lift_guard_fired;
+      } else if (lifted_set.ok() != own_set.ok() ||
+                 (!own_set.ok() &&
+                  lifted_set.status().code() != own_set.status().code())) {
+        fail("lifting-invariance",
+             StrCat("query '", qs.text, "': lifted rewrite ",
+                    lifted_set.ok() ? "ok" : lifted_set.status().ToString(),
+                    ", own rewrite ",
+                    own_set.ok() ? "ok" : own_set.status().ToString()));
+      } else if (own_set.ok()) {
+        auto keys_lifted = runtime::RewritingSetKeys(
+            SubstituteLifted(lifted, std::move(*lifted_set)));
+        auto keys_own = runtime::RewritingSetKeys(*own_set);
+        if (keys_lifted != keys_own) {
+          fail("lifting-invariance",
+               StrCat("query '", qs.text, "': rewriting sets differ: lifted=",
+                      KeysText(keys_lifted), " own=", KeysText(keys_own)));
+        }
+      }
+
+      serve(qs.text, qs.parameters);
+      // Another text of the same shape reuses the cached plan.
+      if (auto other = SameShapeText(*cq, s, named)) {
+        const uint64_t hits = server.cache_stats().hits;
+        serve(*other, qs.parameters);
+        if (server.cache_stats().hits == hits) {
+          fail("lifting-invariance",
+               StrCat("query '", *other, "' missed the plan cache entry of '",
+                      qs.text, "'"));
         }
       }
     }
@@ -1407,7 +1588,9 @@ std::string SweepReport::Summary() const {
                 migration_checks, " migration checks, ", autopilot_checks,
                 " autopilot checks, ", replication_checks,
                 " replication checks, ", partition_checks,
-                " partition checks, ", graph_checks, " graph checks");
+                " partition checks, ", graph_checks, " graph checks, ",
+                lifting_checks, " lifting checks (", lift_guard_fired,
+                " guard firings)");
 }
 
 SweepReport RunSweep(uint64_t first_seed, size_t count,
@@ -1429,6 +1612,8 @@ SweepReport RunSweep(uint64_t first_seed, size_t count,
     sweep.replication_checks += rep.outcome.replication_checks;
     sweep.partition_checks += rep.outcome.partition_checks;
     sweep.graph_checks += rep.outcome.graph_checks;
+    sweep.lifting_checks += rep.outcome.lifting_checks;
+    sweep.lift_guard_fired += rep.outcome.lift_guard_fired;
     if (!rep.outcome.ok()) {
       ++sweep.failures;
       if (sweep.failed.size() < max_stored_failures) {

@@ -9,8 +9,8 @@
 
 namespace estocada::testing {
 
-/// Knobs of the differential harness. The four booleans select the
-/// metamorphic invariant families of the fuzzer:
+/// Knobs of the differential harness. The booleans select the metamorphic
+/// invariant families of the fuzzer:
 ///  (a) every PACB rewriting, executed through the runtime, returns the
 ///      staging oracle's tuples;
 ///  (b) the naive chase & backchase and the PACB rewriter agree on small
@@ -51,7 +51,15 @@ namespace estocada::testing {
 ///      expansion, scan, bounded-reachability, property-join, and
 ///      gmatch-lowered queries served by the graph store match the
 ///      oracle; and with the graph store killed the degradation ladder
-///      still returns oracle-correct answers whenever it reports success.
+///      still returns oracle-correct answers whenever it reports success;
+///  (j) lifting invariance: every query with a liftable body constant (and
+///      a self-join probe whose constants a key EGD equates) rewrites, with
+///      its constants lifted into parameters, to the rewriting set of the
+///      text itself once the lifted values are substituted back — unless
+///      the merge guard rejects the lifted set, which is counted; served
+///      through the QueryServer it returns the oracle's rows; and a second
+///      text of the same shape with other constants hits the plan cache
+///      and returns its own oracle's rows.
 struct HarnessOptions {
   bool check_rewritings = true;   ///< Invariant family (a).
   bool check_naive = true;        ///< Invariant family (b).
@@ -62,6 +70,7 @@ struct HarnessOptions {
   bool check_replication = true;  ///< Invariant family (g).
   bool check_partition = true;    ///< Invariant family (h).
   bool check_graph = true;        ///< Invariant family (i).
+  bool check_lifting = true;      ///< Invariant family (j).
   /// (b) is exponential in the universal plan; skip it beyond this size.
   size_t max_universal_plan_for_naive = 8;
   /// Subset-size cap fed to the naive enumeration; PACB rewritings above
@@ -81,7 +90,8 @@ struct HarnessOptions {
 /// ("rewriting-oracle", "naive-vs-pacb", "chase-idempotence",
 /// "chase-permutation", "chaos-correctness", "migration-invariance",
 /// "autopilot-equivalence", "replication-invariance",
-/// "partition-invariance", "graph-invariance", plus "setup" / "oracle" /
+/// "partition-invariance", "graph-invariance", "lifting-invariance", plus
+/// "setup" / "oracle" /
 /// "plan" / "generator" for harness-level breakage).
 struct Mismatch {
   std::string invariant;
@@ -102,6 +112,8 @@ struct ScenarioOutcome {
   size_t replication_checks = 0;   ///< Invariant (g) verified answers.
   size_t partition_checks = 0;     ///< Invariant (h) verified answers.
   size_t graph_checks = 0;         ///< Invariant (i) verified answers.
+  size_t lifting_checks = 0;       ///< Invariant (j) lifted queries checked.
+  size_t lift_guard_fired = 0;     ///< (j) lifted sets the guard rejected.
   size_t skipped_unanswerable = 0; ///< Queries with no rewriting (skipped).
   std::vector<Mismatch> mismatches;
 
@@ -156,6 +168,8 @@ struct SweepReport {
   size_t replication_checks = 0;
   size_t partition_checks = 0;
   size_t graph_checks = 0;
+  size_t lifting_checks = 0;
+  size_t lift_guard_fired = 0;
   std::vector<SeedReport> failed;
 
   bool ok() const { return failures == 0; }

@@ -511,6 +511,22 @@ TEST(BatchBoundaryTest, AggregateOutputSpansChunks) {
   ExpectRows(&agg, expected);
 }
 
+TEST(BatchBoundaryTest, UnionAllStaysExhaustedAfterEndOfStream) {
+  // Pulls past the end must keep returning false, not index past the
+  // last input.
+  std::vector<OperatorPtr> inputs;
+  inputs.push_back(Rows({"a"}, IntRows(2)));
+  UnionAllOperator op(std::move(inputs));
+  ASSERT_TRUE(op.Open().ok());
+  RowBatch batch;
+  for (bool expect_more : {true, false, false}) {
+    auto more = op.NextBatch(&batch);
+    ASSERT_TRUE(more.ok()) << more.status();
+    EXPECT_EQ(*more, expect_more);
+  }
+  ExpectRows(&op, IntRows(2));
+}
+
 // ---------------------------------------------- Seeded differential --
 // Random small tables composed under random operator trees. Each
 // generated plan carries the rows it must produce, computed alongside it

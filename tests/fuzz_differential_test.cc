@@ -1,6 +1,6 @@
 /// Tier-1 entry point of the randomized differential-testing subsystem
 /// (src/testing): sweeps a few hundred generated scenarios through the
-/// staging oracle and the nine metamorphic invariant families, plus unit
+/// staging oracle and the ten metamorphic invariant families, plus unit
 /// tests of the scenario generator and the failure shrinker.
 ///
 /// Replay a failing seed directly:
@@ -34,7 +34,7 @@ void ExpectSweepClean(uint64_t first_seed) {
   EXPECT_EQ(sweep.failures, 0u) << sweep.Summary();
   EXPECT_EQ(sweep.scenarios, kSeedsPerShard);
   // Coverage: a sweep that silently skipped an invariant family would
-  // still "pass"; the counters prove all nine families actually ran.
+  // still "pass"; the counters prove all ten families actually ran.
   EXPECT_GT(sweep.queries, 0u);
   EXPECT_GT(sweep.rewritings, 0u) << "invariant (a) never executed";
   EXPECT_GT(sweep.naive_comparisons, 0u) << "invariant (b) never compared";
@@ -45,6 +45,8 @@ void ExpectSweepClean(uint64_t first_seed) {
   EXPECT_GT(sweep.replication_checks, 0u) << "invariant (g) never checked";
   EXPECT_GT(sweep.partition_checks, 0u) << "invariant (h) never checked";
   EXPECT_GT(sweep.graph_checks, 0u) << "invariant (i) never checked";
+  EXPECT_GT(sweep.lifting_checks, 0u) << "invariant (j) never checked";
+  EXPECT_GT(sweep.lift_guard_fired, 0u) << "invariant (j) never hit the guard";
 }
 
 TEST(FuzzDifferential, SweepShard1) { ExpectSweepClean(1); }
@@ -176,6 +178,7 @@ TEST(HarnessApi, FamiliesCanBeDisabled) {
   opts.check_replication = false;
   opts.check_partition = false;
   opts.check_graph = false;
+  opts.check_lifting = false;
   ScenarioOutcome outcome = CheckScenario(*s, opts);
   EXPECT_TRUE(outcome.ok());
   EXPECT_EQ(outcome.rewritings_executed, 0u);
@@ -187,6 +190,7 @@ TEST(HarnessApi, FamiliesCanBeDisabled) {
   EXPECT_EQ(outcome.replication_checks, 0u);
   EXPECT_EQ(outcome.partition_checks, 0u);
   EXPECT_EQ(outcome.graph_checks, 0u);
+  EXPECT_EQ(outcome.lifting_checks, 0u);
 }
 
 }  // namespace

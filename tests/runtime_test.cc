@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "common/histogram.h"
+#include "common/strings.h"
 #include "pivot/parser.h"
 #include "runtime/canonical.h"
 #include "runtime/metrics.h"
@@ -82,6 +83,81 @@ TEST(CanonicalTest, RemapParametersFollowsRenaming) {
   ASSERT_EQ(remapped.size(), 1u);
   EXPECT_EQ(remapped.begin()->first, canonical.parameter_renaming["$uid"]);
   EXPECT_EQ(remapped.begin()->second, Value::Int(7));
+}
+
+// ------------------------------------------------------ Constant lifting --
+
+CanonicalQuery LiftedOf(const std::string& query_text,
+                        const std::set<pivot::Constant>& named = {}) {
+  auto q = pivot::ParseQuery(query_text);
+  EXPECT_TRUE(q.ok()) << q.status();
+  return CanonicalizeLifted(*q, named);
+}
+
+TEST(LiftTest, TextsDifferingOnlyInConstantsShareAKey) {
+  CanonicalQuery a = LiftedOf("q(x) :- R(x, 'a'), S(x, 3)");
+  CanonicalQuery b = LiftedOf("out(y) :- S(y, 9), R(y, 'zz')");
+  EXPECT_EQ(a.key, b.key);
+  ASSERT_EQ(a.lifted.size(), 2u);
+  // The values travel in the parameter map, under the canonical names.
+  std::map<std::string, Value> values = RemapParameters(a, {});
+  EXPECT_EQ(values, a.lifted);
+  std::set<std::string> rendered;
+  for (const auto& [name, value] : values) rendered.insert(value.ToString());
+  EXPECT_EQ(rendered, (std::set<std::string>{"a", "3"}));
+}
+
+TEST(LiftTest, EqualityPatternStaysInTheKey) {
+  CanonicalQuery same = LiftedOf("q(x) :- R(x, 5, 5)");
+  CanonicalQuery diff = LiftedOf("q(x) :- R(x, 5, 6)");
+  EXPECT_EQ(same.lifted.size(), 1u);
+  EXPECT_EQ(diff.lifted.size(), 2u);
+  EXPECT_NE(same.key, diff.key);
+  // Grouping follows the chase's constant equality: there Int 1 and Real
+  // 1.0 are distinct constants (an EGD equating them fails the chase), so
+  // they lift into distinct parameters.
+  EXPECT_EQ(LiftedOf("q(x) :- R(x, 1, 1.0)").lifted.size(), 2u);
+}
+
+TEST(LiftTest, NamedHeadAndNullConstantsStayInline) {
+  CanonicalQuery c = LiftedOf("q(x, 'h') :- R(x, 'cat3', null, 'cat5')",
+                              {pivot::Constant::Str("cat3")});
+  EXPECT_EQ(c.lifted.size(), 1u);
+  EXPECT_NE(c.key.find("'cat3'"), std::string::npos);
+  EXPECT_NE(c.key.find("'h'"), std::string::npos);
+  EXPECT_NE(c.key.find("null"), std::string::npos);
+  EXPECT_EQ(c.key.find("'cat5'"), std::string::npos);
+}
+
+TEST(LiftTest, CallerParametersNeverCollideWithLiftedOnes) {
+  CanonicalQuery c = LiftedOf("q(x) :- R(x, $u, 7)");
+  ASSERT_EQ(c.lifted.size(), 1u);
+  const std::string lifted_name = c.lifted.begin()->first;
+  // A stray caller entry spelled like the internal pre-canonical name of
+  // a lifted constant passes through under its own name.
+  auto remapped = RemapParameters(
+      c, {{"$u", Value::Int(1)}, {"$#0", Value::Int(99)}});
+  EXPECT_EQ(remapped.at(c.parameter_renaming.at("$u")), Value::Int(1));
+  EXPECT_EQ(remapped.at(lifted_name), Value::Int(7));
+  EXPECT_EQ(remapped.at("$#0"), Value::Int(99));
+}
+
+TEST(LiftTest, GuardRejectsASetThatLostALiftedParameter) {
+  CanonicalQuery c = LiftedOf("q(x) :- R(x, 'a')");
+  ASSERT_EQ(c.lifted.size(), 1u);
+  const std::string p = c.lifted.begin()->first;
+  auto rewriting = [](const std::string& text) {
+    pacb::Rewriting rw;
+    rw.query = *pivot::ParseQuery(text);
+    return rw;
+  };
+  pacb::RewritingResult kept;
+  kept.rewritings.push_back(rewriting(StrCat("q(x) :- V(x, ", p, ")")));
+  EXPECT_TRUE(LiftSurvives(c, kept));
+  pacb::RewritingResult lost = kept;
+  lost.rewritings.push_back(rewriting("q(x) :- W(x)"));
+  EXPECT_FALSE(LiftSurvives(c, lost));
+  EXPECT_TRUE(LiftSurvives(LiftedOf("q(x) :- R(x, y)"), lost));
 }
 
 // ------------------------------------------------------------ Plan cache --
@@ -552,6 +628,187 @@ TEST_F(QueryServerTest, ParseErrorsCountAsErrors) {
   auto r = server.Query("this is not a query");
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(server.metrics().errors, 1u);
+}
+
+TEST_F(QueryServerTest, InlinedConstantsShareOnePlanButNamedOnesStayInline) {
+  // Three categories that have products.
+  std::vector<std::string> categories;
+  for (const Row& row : data_.staging["mk.products"].rows) {
+    std::string category = row[2].ToString();
+    if (std::find(categories.begin(), categories.end(), category) ==
+        categories.end()) {
+      categories.push_back(category);
+    }
+  }
+  ASSERT_GE(categories.size(), 3u);
+  QueryServer server(&sys_);
+  ASSERT_TRUE(server
+                  .DefineFragment(StrCat("F_named(p) :- mk.products(p, n, '",
+                                         categories[0], "', pr)"),
+                                  "mongo")
+                  .ok());
+  auto ask = [&](const std::string& category) {
+    std::string text =
+        StrCat("pc(p) :- mk.products(p, n, '", category, "', pr)");
+    auto r = server.Query(text);
+    EXPECT_TRUE(r.ok()) << r.status();
+    auto truth = sys_.EvaluateOverStaging(text);
+    EXPECT_TRUE(truth.ok()) << truth.status();
+    if (r.ok() && truth.ok()) {
+      EXPECT_EQ(Canon(r->rows), Canon(*truth)) << text;
+      EXPECT_FALSE(truth->empty()) << text;
+    }
+    return r;
+  };
+  // The first category is named by F_named's body: it stays inline, so
+  // F_named answers.
+  auto named = ask(categories[0]);
+  ASSERT_TRUE(named.ok());
+  EXPECT_NE(named->rewriting_text.find("F_named"), std::string::npos);
+  const size_t entries = server.cache_stats().entries;
+  // The others are lifted: one new entry, whose rewriting set has no
+  // F_named rewriting (the second text is a hit on it).
+  for (size_t i : {1, 2}) {
+    auto r = ask(categories[i]);
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(r->rewriting_text.find("F_named"), std::string::npos);
+    EXPECT_EQ(r->rewritings_considered, 1u);
+    EXPECT_EQ(r->runtime_stats.per_store.count("mongo"), 0u);
+  }
+  EXPECT_EQ(server.cache_stats().entries, entries + 1);
+  MetricsSnapshot m = server.metrics();
+  EXPECT_EQ(m.cache_hits, 1u);
+  EXPECT_EQ(m.rewrites, 2u);
+  EXPECT_EQ(m.lift_rejections, 0u);
+}
+
+TEST_F(QueryServerTest, ANewFragmentNamingAConstantStopsItsLift) {
+  QueryServer server(&sys_);
+  const std::string text = "pc(p) :- mk.products(p, n, 'cat4', pr)";
+  auto before = server.Query(text);
+  ASSERT_TRUE(before.ok()) << before.status();
+  EXPECT_EQ(before->rewriting_text.find("'cat4'"), std::string::npos);
+  // The memoized lift of `text` predates F_c4, which names 'cat4'.
+  ASSERT_TRUE(server
+                  .DefineFragment("F_c4(p) :- mk.products(p, n, 'cat4', pr)",
+                                  "mongo")
+                  .ok());
+  auto after = server.Query(text);
+  ASSERT_TRUE(after.ok()) << after.status();
+  EXPECT_NE(after->rewriting_text.find("F_c4"), std::string::npos);
+  EXPECT_EQ(after->rewritings_considered, 2u);
+  EXPECT_EQ(server.metrics().memo_misses, 2u);  // Re-lifted, not reused.
+  auto truth = sys_.EvaluateOverStaging(text);
+  ASSERT_TRUE(truth.ok());
+  EXPECT_EQ(Canon(after->rows), Canon(*truth));
+  EXPECT_EQ(Canon(before->rows), Canon(*truth));
+}
+
+TEST_F(QueryServerTest, UserParametersAndLiftedConstantsCoexist) {
+  QueryServer server(&sys_);
+  // A user parameter named like a canonical one, beside a lifted constant,
+  // and a stray map entry spelled like a lifted parameter's internal name.
+  const std::string text =
+      "vis(p) :- mk.visits($p0, p, d), mk.orders(o, 3, p, t)";
+  for (int64_t uid : {3, 5}) {
+    std::map<std::string, Value> params{{"$p0", Value::Int(uid)},
+                                        {"$#0", Value::Int(77)}};
+    auto r = server.Query(text, params);
+    ASSERT_TRUE(r.ok()) << r.status();
+    auto truth = sys_.EvaluateOverStaging(text, params);
+    ASSERT_TRUE(truth.ok()) << truth.status();
+    EXPECT_EQ(Canon(r->rows), Canon(*truth)) << "uid " << uid;
+  }
+  EXPECT_EQ(server.metrics().cache_hits, 1u);
+}
+
+TEST_F(QueryServerTest, HotTextSurvivesAStreamOfOneOffTexts) {
+  QueryServer server(&sys_);
+  const char* hot = workload::MarketplaceQueries::UserCity();
+  std::map<std::string, Value> params{{"$uid", Value::Int(1)}};
+  constexpr int kOneOff = 10000;
+  for (int i = 0; i < kOneOff; ++i) {
+    ASSERT_TRUE(server.Query(hot, params).ok());
+    auto r = server.Query(StrCat("ucity(c) :- mk.users(", i, ", n, c)"));
+    ASSERT_TRUE(r.ok()) << r.status();
+  }
+  MetricsSnapshot m = server.metrics();
+  // Parsed once for the hot text plus once per one-off text.
+  EXPECT_EQ(m.memo_misses, static_cast<uint64_t>(kOneOff) + 1);
+  EXPECT_EQ(m.memo_hits, static_cast<uint64_t>(kOneOff) - 1);
+  // The one-off texts lift into the hot text's own shape: one plan.
+  EXPECT_EQ(m.rewrites, 1u);
+}
+
+/// A one-relation deployment whose key EGD can merge two lifted constants.
+TEST(LiftGuardTest, KeyEgdMergingLiftedConstantsFallsBackToTheConstants) {
+  pivot::Schema schema;
+  pivot::RelationSignature sig;
+  sig.name = "t.r";
+  sig.columns = {"k", "x", "c"};
+  sig.adornments.assign(3, Adornment::kFree);
+  sig.key = {0};
+  ASSERT_TRUE(schema.AddRelation(sig).ok());
+  for (int j : {1, 2}) {
+    auto d = pivot::ParseDependency(
+        StrCat("t.r(k, x1, x2), t.r(k, y1, y2) -> x", j, " = y", j),
+        StrCat("key:t.r:", j));
+    ASSERT_TRUE(d.ok()) << d.status();
+    schema.AddDependency(std::move(*d));
+  }
+  stores::RelationalStore pg;
+  Estocada sys;
+  ASSERT_TRUE(sys.RegisterSchema(schema).ok());
+  ASSERT_TRUE(sys.RegisterStore({"pg", catalog::StoreKind::kRelational, &pg,
+                                 nullptr, nullptr, nullptr, nullptr})
+                  .ok());
+  std::vector<Row> rows;
+  for (int64_t k = 0; k < 6; ++k) {
+    rows.push_back({Value::Int(k), Value::Int(10 * k),
+                    Value::Str(k % 2 == 0 ? "a" : "b")});
+  }
+  ASSERT_TRUE(sys.LoadRows("t.r", rows).ok());
+  ASSERT_TRUE(
+      sys.DefineFragment("F_r(k, x, c) :- t.r(k, x, c)", "pg", {}, {0}).ok());
+  QueryServer server(&sys);
+  auto as_set = [](const std::vector<Row>& rows) {
+    std::set<std::string> out;
+    for (const Row& r : rows) out.insert(engine::RowToString(r));
+    return out;
+  };
+  auto ask = [&](const std::string& text) {
+    auto r = server.Query(text);
+    EXPECT_TRUE(r.ok()) << text << ": " << r.status();
+    auto truth = sys.EvaluateOverStaging(text);
+    EXPECT_TRUE(truth.ok()) << truth.status();
+    if (r.ok() && truth.ok()) {
+      EXPECT_EQ(as_set(r->rows), as_set(*truth)) << text;
+    }
+    return r.ok() ? r->rows.size() : size_t{0};
+  };
+  // The key EGD equates 'a' and 'b': lifted, that is a merge of two
+  // parameters; with the constants it fails the chase, so the staging
+  // area answers — no row, as keys are distinct.
+  EXPECT_EQ(ask("q(x) :- t.r(k, x, 'a'), t.r(k, y, 'b')"), 0u);
+  MetricsSnapshot m = server.metrics();
+  EXPECT_EQ(m.lift_rejections, 1u);
+  EXPECT_EQ(m.rewrites, 2u);  // The lifted set, then the constants.
+  EXPECT_EQ(m.degraded, 1u);
+  // A later text of the same shape reads the verdict from the cached
+  // lifted set: only its own constants are rewritten.
+  EXPECT_EQ(ask("q(x) :- t.r(k, x, 'c'), t.r(k, y, 'd')"), 0u);
+  m = server.metrics();
+  EXPECT_EQ(m.lift_rejections, 2u);
+  EXPECT_EQ(m.rewrites, 3u);
+  EXPECT_EQ(m.cache_hits, 1u);
+  // One constant twice is one parameter: nothing merges, nothing falls
+  // back.
+  EXPECT_EQ(ask("q(x) :- t.r(k, x, 'a'), t.r(k, y, 'a')"), 3u);
+  EXPECT_EQ(server.metrics().lift_rejections, 2u);
+  // The chase tells 0 from 0.0 and fails, but evaluation matches them:
+  // the key-0 row answers, so the fallback must not answer "no rows".
+  EXPECT_EQ(ask("q(c) :- t.r(k, 0, c), t.r(k, 0.0, d)"), 1u);
+  EXPECT_EQ(server.metrics().lift_rejections, 3u);
 }
 
 // ------------------------------------------------------------ RetryPolicy --
