@@ -13,34 +13,13 @@ inline uint64_t MixHash(uint64_t seed, uint64_t h) {
 /// Arity-templated kernel: the loop unrolls at compile time for the small
 /// arities every translator-produced join uses (1 and 2 cover the
 /// marketplace and generated workloads; 3 and 4 exist for headroom).
+/// A = 0 is the generic kernel, which loops over the runtime arity.
 template <size_t A>
-struct FixedKeyOps {
-  static uint64_t Hash(const RowBatch& batch, const uint32_t* cols,
-                       size_t /*arity*/, uint32_t row) {
-    uint64_t h = 0;
-    for (size_t k = 0; k < A; ++k) {
-      h = MixHash(h, batch.column(cols[k])[row].Hash());
-    }
-    return h;
-  }
-  static bool Equals(const RowBatch& a, const uint32_t* a_cols, uint32_t a_row,
-                     const RowBatch& b, const uint32_t* b_cols,
-                     size_t /*arity*/, uint32_t b_row) {
-    for (size_t k = 0; k < A; ++k) {
-      if (Value::Compare(a.column(a_cols[k])[a_row],
-                         b.column(b_cols[k])[b_row]) != 0) {
-        return false;
-      }
-    }
-    return true;
-  }
-};
-
-struct GenericKeyOps {
+struct KeyOpsFor {
   static uint64_t Hash(const RowBatch& batch, const uint32_t* cols,
                        size_t arity, uint32_t row) {
     uint64_t h = 0;
-    for (size_t k = 0; k < arity; ++k) {
+    for (size_t k = 0; k < (A == 0 ? arity : A); ++k) {
       h = MixHash(h, batch.column(cols[k])[row].Hash());
     }
     return h;
@@ -48,7 +27,7 @@ struct GenericKeyOps {
   static bool Equals(const RowBatch& a, const uint32_t* a_cols, uint32_t a_row,
                      const RowBatch& b, const uint32_t* b_cols, size_t arity,
                      uint32_t b_row) {
-    for (size_t k = 0; k < arity; ++k) {
+    for (size_t k = 0; k < (A == 0 ? arity : A); ++k) {
       if (Value::Compare(a.column(a_cols[k])[a_row],
                          b.column(b_cols[k])[b_row]) != 0) {
         return false;
@@ -62,14 +41,14 @@ struct GenericKeyOps {
 
 const KeyOps& CompiledKeyOps(size_t arity) {
   static const KeyOps kTable[] = {
-      {&GenericKeyOps::Hash, &GenericKeyOps::Equals},  // arity 0 (degenerate)
-      {&FixedKeyOps<1>::Hash, &FixedKeyOps<1>::Equals},
-      {&FixedKeyOps<2>::Hash, &FixedKeyOps<2>::Equals},
-      {&FixedKeyOps<3>::Hash, &FixedKeyOps<3>::Equals},
-      {&FixedKeyOps<4>::Hash, &FixedKeyOps<4>::Equals},
+      {&KeyOpsFor<0>::Hash, &KeyOpsFor<0>::Equals},  // arity 0 (degenerate)
+      {&KeyOpsFor<1>::Hash, &KeyOpsFor<1>::Equals},
+      {&KeyOpsFor<2>::Hash, &KeyOpsFor<2>::Equals},
+      {&KeyOpsFor<3>::Hash, &KeyOpsFor<3>::Equals},
+      {&KeyOpsFor<4>::Hash, &KeyOpsFor<4>::Equals},
   };
-  static const KeyOps kGeneric = {&GenericKeyOps::Hash, &GenericKeyOps::Equals};
-  return arity < sizeof(kTable) / sizeof(kTable[0]) ? kTable[arity] : kGeneric;
+  return arity < sizeof(kTable) / sizeof(kTable[0]) ? kTable[arity]
+                                                     : kTable[0];
 }
 
 void FlatJoinTable::Reset(size_t n) {

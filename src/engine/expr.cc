@@ -4,6 +4,28 @@
 
 namespace estocada::engine {
 
+namespace {
+
+/// A comparison's verdict. Equality is Value's (null equals null, as it
+/// does in HashJoin, Distinct and every store), so an equality filter keeps
+/// the rows a hash join on the same columns keeps; an order comparison
+/// with a null is false.
+bool CompareKeeps(Expr::Op op, const Value& l, const Value& r) {
+  const bool order = op != Expr::Op::kEq && op != Expr::Op::kNe;
+  if (order && (l.is_null() || r.is_null())) return false;
+  const int c = Value::Compare(l, r);
+  switch (op) {
+    case Expr::Op::kEq: return c == 0;
+    case Expr::Op::kNe: return c != 0;
+    case Expr::Op::kLt: return c < 0;
+    case Expr::Op::kLe: return c <= 0;
+    case Expr::Op::kGt: return c > 0;
+    default: return c >= 0;
+  }
+}
+
+}  // namespace
+
 std::shared_ptr<Expr> Expr::Column(size_t index) {
   auto e = std::make_shared<Expr>();
   e->op_ = Op::kColumn;
@@ -67,22 +89,7 @@ Result<Value> Expr::Eval(const Row& row) const {
     case Op::kLe:
     case Op::kGt:
     case Op::kGe: {
-      if (l.is_null() || r.is_null()) return Value::Bool(false);
-      int c = Value::Compare(l, r);
-      switch (op_) {
-        case Op::kEq:
-          return Value::Bool(c == 0);
-        case Op::kNe:
-          return Value::Bool(c != 0);
-        case Op::kLt:
-          return Value::Bool(c < 0);
-        case Op::kLe:
-          return Value::Bool(c <= 0);
-        case Op::kGt:
-          return Value::Bool(c > 0);
-        default:
-          return Value::Bool(c >= 0);
-      }
+      return Value::Bool(CompareKeeps(op_, l, r));
     }
     case Op::kAdd:
     case Op::kSub:
@@ -109,8 +116,8 @@ Result<Value> Expr::Eval(const Row& row) const {
             return Value::Int(a * b);
         }
       }
-      double a = l.as_real();
-      double b = r.as_real();
+      double a = pivot::NumberOf(l);
+      double b = pivot::NumberOf(r);
       switch (op_) {
         case Op::kAdd:
           return Value::Real(a + b);
@@ -145,19 +152,6 @@ void GatherRow(const RowBatch& batch, uint32_t p, Row* scratch) {
   scratch->clear();
   for (size_t c = 0; c < batch.arity(); ++c) {
     scratch->push_back(batch.column(c)[p]);
-  }
-}
-
-bool CompareKeeps(Expr::Op op, const Value& l, const Value& r) {
-  if (l.is_null() || r.is_null()) return false;
-  int c = Value::Compare(l, r);
-  switch (op) {
-    case Expr::Op::kEq: return c == 0;
-    case Expr::Op::kNe: return c != 0;
-    case Expr::Op::kLt: return c < 0;
-    case Expr::Op::kLe: return c <= 0;
-    case Expr::Op::kGt: return c > 0;
-    default: return c >= 0;
   }
 }
 

@@ -30,7 +30,8 @@ class Expr {
                                       std::shared_ptr<Expr> r);
   static std::shared_ptr<Expr> Not(std::shared_ptr<Expr> e);
 
-  /// Evaluates against `row`. Comparisons on null yield false (SQL-ish);
+  /// Evaluates against `row`. Equality is Value's (null equals null, 1
+  /// equals 1.0); an order comparison with a null yields false, and
   /// arithmetic on null yields null. Type errors are reported.
   Result<Value> Eval(const Row& row) const;
 

@@ -843,7 +843,7 @@ Status AggregateOperator::Open() {
           return Status::InvalidArgument(
               StrCat("Aggregate: sum/avg over non-numeric ", v.ToString()));
         }
-        acc.sum += v.as_real();
+        acc.sum += pivot::NumberOf(v);
         if (v.is_int()) {
           acc.isum += v.int_value();
         } else {

@@ -58,11 +58,6 @@ double Value::real_value() const {
   return real_;
 }
 
-double Value::as_real() const {
-  assert(is_int() || is_real());
-  return is_int() ? static_cast<double>(int_) : real_;
-}
-
 const std::string& Value::string_value() const {
   assert(is_string());
   return str_;
@@ -82,63 +77,21 @@ std::vector<Value>& Value::mutable_list() {
 }
 
 int Value::Compare(const Value& a, const Value& b) {
-  auto cmp3 = [](auto x, auto y) { return x < y ? -1 : (y < x ? 1 : 0); };
-  // Numeric kinds compare with each other (SQL semantics).
-  const bool a_num = a.is_int() || a.is_real();
-  const bool b_num = b.is_int() || b.is_real();
-  if (a_num && b_num) {
-    if (a.is_int() && b.is_int()) return cmp3(a.int_, b.int_);
-    return cmp3(a.as_real(), b.as_real());
+  if (!a.is_list() && !b.is_list()) return pivot::CompareScalars(a, b);
+  if (!a.is_list() || !b.is_list()) return a.is_list() ? 1 : -1;
+  const auto& x = *a.list_;
+  const auto& y = *b.list_;
+  for (size_t i = 0; i < x.size() && i < y.size(); ++i) {
+    int c = Compare(x[i], y[i]);
+    if (c != 0) return c;
   }
-  if (a.kind_ != b.kind_) {
-    return cmp3(static_cast<int>(a.kind_), static_cast<int>(b.kind_));
-  }
-  switch (a.kind_) {
-    case Kind::kNull:
-      return 0;
-    case Kind::kBool:
-      return cmp3(a.bool_, b.bool_);
-    case Kind::kStr: {
-      int c = a.str_.compare(b.str_);
-      return c < 0 ? -1 : (c > 0 ? 1 : 0);
-    }
-    case Kind::kList: {
-      const auto& x = *a.list_;
-      const auto& y = *b.list_;
-      for (size_t i = 0; i < x.size() && i < y.size(); ++i) {
-        int c = Compare(x[i], y[i]);
-        if (c != 0) return c;
-      }
-      return cmp3(x.size(), y.size());
-    }
-    default:
-      return 0;  // Unreachable: numeric kinds handled above.
-  }
+  return x.size() < y.size() ? -1 : (y.size() < x.size() ? 1 : 0);
 }
 
 size_t Value::Hash() const {
+  if (!is_list()) return pivot::HashScalar(*this);
   size_t seed = 0x5151;
-  switch (kind_) {
-    case Kind::kNull:
-      HashCombine(&seed, 3);
-      break;
-    case Kind::kBool:
-      HashCombine(&seed, bool_ ? 11u : 13u);
-      break;
-    case Kind::kInt:
-      // Ints and equal-valued reals must hash alike (they compare equal).
-      HashCombine(&seed, std::hash<double>()(static_cast<double>(int_)));
-      break;
-    case Kind::kReal:
-      HashCombine(&seed, std::hash<double>()(real_));
-      break;
-    case Kind::kStr:
-      HashCombine(&seed, std::hash<std::string>()(str_));
-      break;
-    case Kind::kList:
-      for (const Value& v : *list_) HashCombine(&seed, v.Hash());
-      break;
-  }
+  for (const Value& v : *list_) HashCombine(&seed, v.Hash());
   return seed;
 }
 

@@ -20,7 +20,7 @@ class Value {
  public:
   enum class Kind { kNull, kBool, kInt, kReal, kStr, kList };
 
-  /// Default is SQL-style null.
+  /// Default is null.
   Value() : kind_(Kind::kNull) {}
 
   static Value Null() { return Value(); }
@@ -41,15 +41,14 @@ class Value {
   bool bool_value() const;
   int64_t int_value() const;
   double real_value() const;
-  /// Numeric value as double (int or real).
-  double as_real() const;
   const std::string& string_value() const;
   const std::vector<Value>& list() const;
   std::vector<Value>& mutable_list();
 
-  /// Total order: kind rank first, then content; ints and reals compare
-  /// numerically against each other (1 == 1.0 here, unlike JSON — the
-  /// engine follows SQL comparison semantics).
+  /// Total order: scalars by pivot::CompareScalars (null == null, 1 == 1.0,
+  /// unlike JSON), then lists, which compare element-wise after every
+  /// scalar. Every matcher in the system — staging evaluation, the engine
+  /// operators and the stores — uses this one equality.
   static int Compare(const Value& a, const Value& b);
 
   friend bool operator==(const Value& a, const Value& b) {

@@ -399,11 +399,9 @@ Status Estocada::RefreshRewriter() {
 Result<rewriting::PlanSet> Estocada::Explain(
     const std::string& query_text,
     const std::map<std::string, Value>& parameters) {
-  ESTOCADA_RETURN_NOT_OK(RefreshRewriter());
   ESTOCADA_ASSIGN_OR_RETURN(pivot::ConjunctiveQuery q,
                             pivot::ParseQuery(query_text));
-  rewriting::Planner planner(&catalog_, rewriter_.get());
-  return planner.PlanQuery(q, parameters);
+  return PlanBest(q, parameters);
 }
 
 Status Estocada::RegisterDocumentCollection(
@@ -471,25 +469,9 @@ Status Estocada::DeleteRow(const std::string& relation,
         StrCat("no staged tuple ", engine::RowToString(row), " in '",
                relation, "'"));
   }
-  // Rebuild every fragment whose view mentions the relation. Shadow
-  // fragments stay out: the migration engine schedules their rebuild
-  // from its own delta log so a deletion cannot race the backfill.
-  for (const auto& [name, desc] : catalog_.fragments()) {
-    if (desc.is_shadow()) continue;
-    bool affected = false;
-    for (const pivot::Atom& a : desc.view.query.body) {
-      if (a.relation == relation) {
-        affected = true;
-        break;
-      }
-    }
-    if (!affected) continue;
-    ESTOCADA_RETURN_NOT_OK(
-        rewriting::DematerializeFragment(&catalog_, name));
-    ESTOCADA_RETURN_NOT_OK(
-        rewriting::MaterializeFragment(staging_, &catalog_, name));
-  }
-  return Status::OK();
+  // Shadow fragments stay out: the migration engine schedules their
+  // rebuild from its own delta log so a deletion cannot race the backfill.
+  return rewriting::MaintainFragmentsOnDelete(staging_, &catalog_, relation);
 }
 
 Status Estocada::RegisterTreeDataset(const std::string& dataset) {

@@ -118,8 +118,11 @@ class Estocada {
   /// fragments whose views mention the relation. Deletions do not have an
   /// efficient delta under bag-free view maintenance (and the paper
   /// leaves dynamic reorganization as ongoing work), so correctness is
-  /// bought with a rematerialization. Returns kNotFound when no such
-  /// tuple is staged.
+  /// bought with a rematerialization, through the write fan-out
+  /// (rewriting::MaintainFragmentsOnDelete): a replica whose store fails
+  /// stays stale for the repairer, and the delete fails only when no
+  /// replica of some shard took it. Returns kNotFound when no such tuple
+  /// is staged.
   Status DeleteRow(const std::string& relation, const engine::Row& row);
 
   // -------------------------------------------------------- Fragments --

@@ -667,6 +667,27 @@ Result<RewritingResult> Rewriter::Rewrite(const ConjunctiveQuery& query,
   return result;
 }
 
+bool ParametersSurvive(const ConjunctiveQuery& query,
+                       const RewritingResult& result) {
+  auto mentions = [](const ConjunctiveQuery& q, const std::string& var) {
+    for (const Atom& a : q.body) {
+      for (const Term& t : a.terms) {
+        if (t.is_variable() && t.var_name() == var) return true;
+      }
+    }
+    return false;
+  };
+  for (const Atom& a : query.body) {
+    for (const Term& t : a.terms) {
+      if (!t.is_variable() || !IsParameterVariable(t.var_name())) continue;
+      for (const Rewriting& rw : result.rewritings) {
+        if (!mentions(rw.query, t.var_name())) return false;
+      }
+    }
+  }
+  return true;
+}
+
 std::string DescribeRewritingSet(const RewritingResult& result) {
   std::vector<std::pair<size_t, std::string>> lines;
   lines.reserve(result.rewritings.size());

@@ -77,6 +77,17 @@ struct RewritingResult {
   RewriterStats stats;
 };
 
+/// The merge guard of a parameterized query: true when every parameter of
+/// `query` (a caller's '$'-parameter or a lifted constant) still appears in
+/// every rewriting of `result`. The chase freezes parameters as labelled
+/// nulls, so an EGD may merge two of them (or one with a constant) where
+/// their values differ and would have failed the chase; every such merge
+/// removes a name, and so does a rewriting that projects a parameter away.
+/// A set that fails the guard holds only for the values it merged: callers
+/// re-plan with the values inlined.
+bool ParametersSurvive(const pivot::ConjunctiveQuery& query,
+                       const RewritingResult& result);
+
 /// Stable multi-line rendering of a rewriting set: a count header followed
 /// by one "  <query text>[  [infeasible]]" line per rewriting, ordered by
 /// (body size, text) so the output is independent of tie-breaks inside the

@@ -27,27 +27,6 @@ std::string Constant::ToString() const {
   return out;
 }
 
-size_t Constant::Hash() const {
-  size_t seed = repr_.index();
-  switch (repr_.index()) {
-    case 0:
-      break;
-    case 1:
-      HashCombine(&seed, std::get<bool>(repr_) ? 1u : 2u);
-      break;
-    case 2:
-      HashCombine(&seed, std::hash<int64_t>()(std::get<int64_t>(repr_)));
-      break;
-    case 3:
-      HashCombine(&seed, std::hash<double>()(std::get<double>(repr_)));
-      break;
-    case 4:
-      HashCombine(&seed, std::hash<std::string>()(std::get<std::string>(repr_)));
-      break;
-  }
-  return seed;
-}
-
 std::string Term::ToString() const {
   switch (kind_) {
     case Kind::kVariable:

@@ -11,8 +11,59 @@
 
 namespace estocada::pivot {
 
+/// A numeric scalar's value as a double. `S` has Constant's accessors.
+template <typename S>
+double NumberOf(const S& s) {
+  return s.is_int() ? static_cast<double>(s.int_value()) : s.real_value();
+}
+
+/// The one value equality (and order) of the system, shared by the chase's
+/// constants (Constant) and the engine's values (engine::Value), so PACB
+/// rewrites under the equality that evaluation and every store apply.
+/// Kinds rank null < bool < number < string; ints and reals compare by
+/// numeric value (1 == 1.0), and null equals null, as any constant equals
+/// itself in CQ equivalence. `S` has Constant's accessors.
+template <typename S>
+int CompareScalars(const S& a, const S& b) {
+  auto cmp3 = [](auto x, auto y) { return x < y ? -1 : (y < x ? 1 : 0); };
+  if (a.is_int() && b.is_int()) return cmp3(a.int_value(), b.int_value());
+  auto rank = [](const S& s) {
+    return s.is_null() ? 0 : s.is_bool() ? 1 : s.is_string() ? 3 : 2;
+  };
+  const int ra = rank(a);
+  const int rb = rank(b);
+  if (ra != rb) return cmp3(ra, rb);
+  switch (ra) {
+    case 0:
+      return 0;
+    case 1:
+      return cmp3(a.bool_value(), b.bool_value());
+    case 2:
+      return cmp3(NumberOf(a), NumberOf(b));
+    default:
+      return cmp3(a.string_value().compare(b.string_value()), 0);
+  }
+}
+
+/// A hash consistent with CompareScalars: numbers hash by value.
+template <typename S>
+size_t HashScalar(const S& s) {
+  size_t seed = 0x5151;
+  if (s.is_int() || s.is_real()) {
+    HashCombine(&seed, std::hash<double>()(NumberOf(s)));
+  } else if (s.is_string()) {
+    HashCombine(&seed, std::hash<std::string>()(s.string_value()));
+  } else if (s.is_bool()) {
+    HashCombine(&seed, s.bool_value() ? 11u : 13u);
+  } else {
+    HashCombine(&seed, 3);
+  }
+  return seed;
+}
+
 /// A typed constant in the pivot model. The monostate alternative is the
-/// SQL-style null constant.
+/// null constant. Equality, order and hash are CompareScalars' and
+/// HashScalar's.
 class Constant {
  public:
   using Repr = std::variant<std::monostate, bool, int64_t, double, std::string>;
@@ -35,22 +86,17 @@ class Constant {
   double real_value() const { return std::get<double>(repr_); }
   const std::string& string_value() const { return std::get<std::string>(repr_); }
 
-  const Repr& repr() const { return repr_; }
-
   /// Render as pivot-syntax literal: 'abc', 42, 3.5, true, null.
   std::string ToString() const;
 
   friend bool operator==(const Constant& a, const Constant& b) {
-    return a.repr_ == b.repr_;
-  }
-  friend bool operator!=(const Constant& a, const Constant& b) {
-    return !(a == b);
+    return CompareScalars(a, b) == 0;
   }
   friend bool operator<(const Constant& a, const Constant& b) {
-    return a.repr_ < b.repr_;
+    return CompareScalars(a, b) < 0;
   }
 
-  size_t Hash() const;
+  size_t Hash() const { return HashScalar(*this); }
 
  private:
   explicit Constant(Repr repr) : repr_(std::move(repr)) {}

@@ -8,6 +8,7 @@
 #include "common/strings.h"
 #include "engine/operator.h"
 #include "pacb/feasibility.h"
+#include "rewriting/store_driver.h"
 
 namespace estocada::rewriting {
 
@@ -21,12 +22,6 @@ using pivot::ConjunctiveQuery;
 using pivot::Term;
 
 namespace {
-
-/// The evaluator's equality, as Expr kEq: null never matches, and numbers
-/// compare by value (1 matches 1.0).
-bool Matches(const Value& a, const Value& b) {
-  return !a.is_null() && !b.is_null() && Value::Compare(a, b) == 0;
-}
 
 /// Values of a query's ground terms: its constants, the supplied '$'
 /// parameters, and the delta rule's pins (variables fixed to an inserted
@@ -55,34 +50,17 @@ struct GroundTerms {
   }
 };
 
-/// One atom's row test: positions that must equal a ground value, and
-/// positions that must equal an earlier one (a repeated variable).
-struct RowChecks {
-  std::vector<std::pair<size_t, Value>> equals_value;
-  std::vector<std::pair<size_t, size_t>> equals_column;
-
-  bool Pass(const Row& row) const {
-    for (const auto& [pos, value] : equals_value) {
-      if (!Matches(row[pos], value)) return false;
-    }
-    for (const auto& [pos, first] : equals_column) {
-      if (!Matches(row[pos], row[first])) return false;
-    }
-    return true;
-  }
-};
-
 /// Scans one atom's rows in place — its staged relation, or the delta
 /// rule's inserted row — and copies into each batch only the rows that
-/// pass the atom's checks.
+/// match the atom (AtomFilter, the check every store fetch passes too).
 class AtomScanOperator final : public Operator {
  public:
   AtomScanOperator(const Atom& atom, const std::vector<Row>& rows,
-                   RowChecks checks)
+                   AtomFilter filter)
       : relation_(atom.relation),
         columns_(atom.arity()),  // Unnamed: the head maps by position.
         rows_(rows),
-        checks_(std::move(checks)) {}
+        filter_(std::move(filter)) {}
 
   Status Open() override {
     pos_ = 0;
@@ -94,7 +72,7 @@ class AtomScanOperator final : public Operator {
     while (pos_ < rows_.size() &&
            out->physical_rows() < RowBatch::kDefaultRows) {
       const Row& row = rows_[pos_++];
-      if (checks_.Pass(row)) out->AppendRow(row);
+      if (filter_.Matches(row)) out->AppendRow(row);
     }
     return !out->empty();
   }
@@ -106,7 +84,7 @@ class AtomScanOperator final : public Operator {
   std::string relation_;
   std::vector<std::string> columns_;
   const std::vector<Row>& rows_;
-  RowChecks checks_;
+  AtomFilter filter_;
   size_t pos_ = 0;
 };
 
@@ -189,31 +167,33 @@ Result<CompiledCq> CompileCqOverStaging(const ConjunctiveQuery& query,
     }
 
     // Per-atom checks: ground terms and repeated variables.
-    RowChecks checks;
+    AtomFilter::Ground values(atom.arity());
+    std::vector<std::string> vars(atom.arity());
     std::unordered_map<std::string, size_t> first_pos;
     for (size_t i = 0; i < atom.terms.size(); ++i) {
       const Term& t = atom.terms[i];
-      if (auto v = ground.Resolve(t)) {
-        checks.equals_value.emplace_back(i, std::move(*v));
-      } else if (t.is_labelled_null()) {
+      values[i] = ground.Resolve(t);
+      if (values[i].has_value()) continue;
+      if (t.is_labelled_null()) {
         return Status::InvalidArgument(
             "labelled null in an executable query body");
-      } else if (pacb::IsParameterVariable(t.var_name())) {
+      }
+      if (pacb::IsParameterVariable(t.var_name())) {
         // Unbound parameters are an error (they would silently join as
         // vars).
         return Status::InvalidArgument(
             StrCat("no value supplied for parameter ", t.var_name()));
-      } else if (auto [it, fresh] = first_pos.emplace(t.var_name(), i);
-                 !fresh) {
-        checks.equals_column.emplace_back(i, it->second);
       }
+      vars[i] = t.var_name();
+      first_pos.emplace(t.var_name(), i);
     }
+    AtomFilter filter(std::move(values), vars);
     if (&rows == pinned_rows) {
       empty = std::none_of(rows.begin(), rows.end(),
-                           [&](const Row& row) { return checks.Pass(row); });
+                           [&](const Row& row) { return filter.Matches(row); });
     }
     OperatorPtr scan =
-        std::make_unique<AtomScanOperator>(atom, rows, std::move(checks));
+        std::make_unique<AtomScanOperator>(atom, rows, std::move(filter));
 
     if (!out.tree) {
       out.tree = std::move(scan);
@@ -304,16 +284,12 @@ Result<std::vector<Row>> EvaluateCqDeltaOverStaging(
                " values does not fit body atom ", atom, " of ",
                query.ToString()));
   }
-  // Pin the atom's variables to the row's scalar values. A null stays a
-  // variable (pinned, it would match nothing, not even its own row), and
-  // so does a list (it joins by value).
+  // Pin the atom's variables to the row's values.
   std::map<std::string, Value> pins;
   const Atom& pinned = query.body[atom];
   for (size_t i = 0; i < pinned.terms.size(); ++i) {
     const Term& t = pinned.terms[i];
-    if (t.is_variable() && !new_row[i].is_null() && !new_row[i].is_list()) {
-      pins.emplace(t.var_name(), new_row[i]);
-    }
+    if (t.is_variable()) pins.emplace(t.var_name(), new_row[i]);
   }
   const std::map<std::string, Value> no_parameters;
   const std::vector<Row> rows = {new_row};

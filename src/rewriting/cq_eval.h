@@ -23,10 +23,11 @@ using StagingData = std::map<std::string, StagingRelation>;
 
 /// Evaluates a conjunctive query over staged relations. Each atom scans
 /// its staged rows in place and keeps those whose ground terms and
-/// repeated variables hold (equality as Expr kEq: null never matches, and
-/// 1 matches 1.0); atoms join by hash joins in greedy bound-first order,
-/// each building on the new atom's rows and streaming the running result
-/// as the probe side; the survivors are projected to the head.
+/// repeated variables hold (AtomFilter, under Value's equality: null
+/// equals null, and 1 equals 1.0); atoms join by hash joins in greedy
+/// bound-first order, each building on the new atom's rows and streaming
+/// the running result as the probe side; the survivors are projected to
+/// the head.
 /// `parameters` supplies values for '$'-prefixed variables. The result
 /// applies set semantics when `distinct` is set.
 Result<std::vector<engine::Row>> EvaluateCqOverStaging(
@@ -37,9 +38,8 @@ Result<std::vector<engine::Row>> EvaluateCqOverStaging(
 /// The delta rule for one inserted tuple: evaluates `query` (set
 /// semantics) with body atom `atom` reading only `new_row` instead of its
 /// staged relation; every other atom reads the staging, which already
-/// holds the tuple. Where the atom binds a variable to a scalar value of
-/// the row, that value is pushed into the other atoms and the head as a
-/// constant; null and list positions stay variables.
+/// holds the tuple. Each variable the atom binds is pinned to the row's
+/// value and pushed into the other atoms and the head as a constant.
 Result<std::vector<engine::Row>> EvaluateCqDeltaOverStaging(
     const pivot::ConjunctiveQuery& query, const StagingData& staging,
     size_t atom, const engine::Row& new_row);

@@ -126,7 +126,7 @@ class Driver : public StoreDriver {
           store->Find(container, preds, &runtime->per_store[store_name]));
       ESTOCADA_ASSIGN_OR_RETURN(std::vector<Row> rows,
                                 DecodeDocuments(docs, fields));
-      return filter.Keep(std::move(rows), ground);
+      return filter.Keep(std::move(rows), binding);
     };
     return out;
   }

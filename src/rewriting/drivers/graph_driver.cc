@@ -79,7 +79,7 @@ class Driver : public StoreDriver {
       ESTOCADA_ASSIGN_OR_RETURN(
           std::vector<Row> rows,
           store->Match(container, ground, &runtime->per_store[store_name]));
-      return filter.Keep(std::move(rows), ground);
+      return filter.Keep(std::move(rows), binding);
     };
     // Streaming source form: a GraphFetchOperator pulls one MatchPage per
     // NextBatch, so source-position expansions never materialize.
@@ -98,7 +98,7 @@ class Driver : public StoreDriver {
                            engine::RowBatch::kDefaultRows, cursor.get(), &page,
                            &runtime->per_store[store_name]));
       for (Row& row : page) {
-        if (filter.Matches(row, filter.ground())) {
+        if (filter.Matches(row)) {
           rows->push_back(std::move(row));
         }
       }

@@ -141,20 +141,17 @@ class Driver : public StoreDriver {
         }
         std::vector<Row> rows;
         ESTOCADA_RETURN_NOT_OK(DecodePayload(*got, arity, &rows));
-        return filter.Keep(std::move(rows), ground);
+        return filter.Keep(std::move(rows), binding);
       };
       // Batched form: k uncached bindings become one MGet round trip.
       out.batch_fetch = [store, container = a.container, filter, arity,
                          runtime = req.runtime, store_name = a.store_name](
                             const std::vector<Row>& bindings)
           -> Result<std::vector<std::vector<Row>>> {
-        std::vector<AtomFilter::Ground> grounds;
         std::vector<std::string> keys;
-        grounds.reserve(bindings.size());
         keys.reserve(bindings.size());
         for (const Row& binding : bindings) {
-          grounds.push_back(filter.Bind(binding));
-          keys.push_back(KeyOf(*grounds.back()[0]));
+          keys.push_back(KeyOf(*filter.Bind(binding)[0]));
         }
         ESTOCADA_ASSIGN_OR_RETURN(
             std::vector<std::optional<std::string>> payloads,
@@ -164,7 +161,7 @@ class Driver : public StoreDriver {
           if (!payloads[b].has_value()) continue;
           ESTOCADA_RETURN_NOT_OK(
               DecodePayload(*payloads[b], arity, &out_sets[b]));
-          out_sets[b] = filter.Keep(std::move(out_sets[b]), grounds[b]);
+          out_sets[b] = filter.Keep(std::move(out_sets[b]), bindings[b]);
         }
         return out_sets;
       };
@@ -187,7 +184,7 @@ class Driver : public StoreDriver {
       for (const auto& [key, payload] : pairs) {
         ESTOCADA_RETURN_NOT_OK(DecodePayload(payload, arity, &rows));
       }
-      return filter.Keep(std::move(rows), ground);
+      return filter.Keep(std::move(rows), binding);
     };
     return out;
   }

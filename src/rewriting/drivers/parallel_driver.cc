@@ -78,7 +78,7 @@ class Driver : public StoreDriver {
             std::vector<Row> rows,
             store->IndexLookup(container, index_positions, key,
                                &runtime->per_store[store_name]));
-        return filter.Keep(std::move(rows), ground);
+        return filter.Keep(std::move(rows), binding);
       };
       return out;
     }
@@ -91,11 +91,10 @@ class Driver : public StoreDriver {
     out.fetch = [store, container = a.container, filter,
                  runtime = req.runtime, store_name = a.store_name](
                     const Row& binding) -> Result<std::vector<Row>> {
-      AtomFilter::Ground ground = filter.Bind(binding);
       return store->ParallelScan(
           container,
-          [&filter, &ground](const Row& row) {
-            return filter.Matches(row, ground);
+          [&filter, &binding](const Row& row) {
+            return filter.Matches(row, binding);
           },
           {}, &runtime->per_store[store_name]);
     };

@@ -148,7 +148,7 @@ class Driver : public StoreDriver {
           std::vector<Row> rows,
           store->Execute(q, &runtime->per_store[store_name]));
       for (Row& row : rows) DecodeRow(list_cols, &row);
-      return filter.Keep(std::move(rows), ground);
+      return filter.Keep(std::move(rows), binding);
     };
     return out;
   }

@@ -124,7 +124,7 @@ class Driver : public StoreDriver {
                                   store->GetDocument(container, id, stats));
         ESTOCADA_RETURN_NOT_OK(DecodeDocument(id, fields, &rows));
       }
-      return filter.Keep(std::move(rows), ground);
+      return filter.Keep(std::move(rows), binding);
     };
     return out;
   }

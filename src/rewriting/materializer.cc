@@ -50,15 +50,22 @@ void SetStatistics(const std::vector<Row>& rows, StorageDescriptor* desc) {
   MarkListColumns(rows, desc);
 }
 
-/// True when the view reads a relation some of `new_rows` went to.
-bool ViewReads(const pacb::ViewDefinition& view,
-               const std::vector<std::pair<std::string, Row>>& new_rows) {
-  for (const pivot::Atom& a : view.query.body) {
-    for (const auto& [relation, row] : new_rows) {
-      if (a.relation == relation) return true;
+/// The serving fragments whose views read `relation`. Shadow fragments
+/// are excluded: the online copy filling each one captures and replays
+/// its updates itself.
+std::vector<std::string> FragmentsReading(const Catalog& catalog,
+                                          const std::string& relation) {
+  std::vector<std::string> out;
+  for (const auto& [name, desc] : catalog.fragments()) {
+    if (desc.is_shadow()) continue;
+    for (const pivot::Atom& a : desc.view.query.body) {
+      if (a.relation == relation) {
+        out.push_back(name);
+        break;
+      }
     }
   }
-  return false;
+  return out;
 }
 
 /// Calls `fn(shard, rows)` once per shard with the rows that shard owns.
@@ -236,15 +243,16 @@ namespace {
 /// One shard's write fan-out: writes the shard's `rows` of a delta to
 /// every replica of the shard that is fresh and not mid-rebuild, bumping
 /// the shard's write epoch once for the logical mutation. A replica whose
-/// kind takes appends appends the rows; any other kind (text) rebuilds
-/// its placement from the staging truth. Replicas that take the write
+/// kind takes appends appends the rows; any other kind (text), and every
+/// replica when `rows` is null (a deletion), rebuilds its placement from
+/// the staging truth. Replicas that take the write
 /// advance to the new epoch; replicas that fail (dead store) are left
 /// behind — stale, excluded from routing, queued for the repairer. When
 /// *no* replica takes the write the epoch bump is rolled back and the
 /// first error surfaces, so an unreplicated shard behaves like a plain
 /// store write.
 Status FanOutShard(Catalog* catalog, StorageDescriptor* desc,
-                   size_t shard_idx, const std::vector<Row>& rows,
+                   size_t shard_idx, const std::vector<Row>* rows,
                    LazyTruth* truth) {
   catalog::ShardState& shard = desc->shards[shard_idx];
   const uint64_t old_epoch = shard.write_epoch;
@@ -258,8 +266,8 @@ Status FanOutShard(Catalog* catalog, StorageDescriptor* desc,
       ESTOCADA_ASSIGN_OR_RETURN(const StoreHandle* store,
                                 catalog->GetStore(r.store_name));
       const Placement at{*store, *desc, r.container};
-      if (DriverFor(store->kind).appends()) {
-        return DriverFor(store->kind).Append(at, rows);
+      if (rows != nullptr && DriverFor(store->kind).appends()) {
+        return DriverFor(store->kind).Append(at, *rows);
       }
       ESTOCADA_ASSIGN_OR_RETURN(const std::vector<Row>* all, truth->Get());
       return ReloadPlacement(at, shard_idx, *all);
@@ -295,7 +303,7 @@ Status FanOutDelta(const StagingData& staging, Catalog* catalog,
   ESTOCADA_RETURN_NOT_OK(ForEachShardBucket(
       *desc, delta, [&](size_t s, const std::vector<Row>& bucket) -> Status {
         if (bucket.empty()) return Status::OK();
-        return FanOutShard(catalog, desc, s, bucket, &truth);
+        return FanOutShard(catalog, desc, s, &bucket, &truth);
       }));
   // A rebuild read the whole extent: describe it exactly, as a
   // materialization does. Appends only add their rows.
@@ -385,13 +393,10 @@ Result<std::vector<Row>> ComputeFragmentDelta(
 Status MaintainFragmentsOnInsertBatch(
     const StagingData& staging, Catalog* catalog,
     const std::vector<std::pair<std::string, Row>>& new_rows) {
-  // Collect affected fragment names first (iteration + mutation safety).
-  // Shadow fragments are excluded: the online copy filling each one
-  // captures and replays its deltas itself.
-  std::vector<std::string> affected;
-  for (const auto& [name, desc] : catalog->fragments()) {
-    if (!desc.is_shadow() && ViewReads(desc.view, new_rows)) {
-      affected.push_back(name);
+  std::set<std::string> affected;
+  for (const auto& [relation, row] : new_rows) {
+    for (std::string& name : FragmentsReading(*catalog, relation)) {
+      affected.insert(std::move(name));
     }
   }
   for (const std::string& name : affected) {
@@ -412,6 +417,24 @@ Status MaintainFragmentsOnInsert(const StagingData& staging,
                                  const Row& new_row) {
   return MaintainFragmentsOnInsertBatch(staging, catalog,
                                         {{relation, new_row}});
+}
+
+Status MaintainFragmentsOnDelete(const StagingData& staging,
+                                 Catalog* catalog,
+                                 const std::string& relation) {
+  Status first_error = Status::OK();
+  for (const std::string& name : FragmentsReading(*catalog, relation)) {
+    ESTOCADA_ASSIGN_OR_RETURN(StorageDescriptor * desc,
+                              catalog->GetMutableFragment(name));
+    LazyTruth truth(staging, *desc);
+    ESTOCADA_ASSIGN_OR_RETURN(const std::vector<Row>* rows, truth.Get());
+    for (size_t s = 0; s < desc->shards.size(); ++s) {
+      Status st = FanOutShard(catalog, desc, s, nullptr, &truth);
+      if (first_error.ok()) first_error = st;
+    }
+    SetStatistics(*rows, desc);
+  }
+  return first_error;
 }
 
 Status DematerializeFragment(Catalog* catalog,

@@ -122,9 +122,8 @@ Result<uint64_t> FragmentReplicaDigest(const catalog::Catalog& catalog,
 /// takes the write and moves to the new epoch. A replica whose write fails
 /// (store down) stays at its old epoch — stale, out of the routing set,
 /// queued for the repairer — and the write fails only when no replica of
-/// a shard takes it (the epoch bump is then rolled back). Deletions are not
-/// supported (the paper, too, leaves dynamic reorganization as ongoing
-/// work).
+/// a shard takes it (the epoch bump is then rolled back). Deletions take
+/// MaintainFragmentsOnDelete.
 Status MaintainFragmentsOnInsert(const StagingData& staging,
                                  catalog::Catalog* catalog,
                                  const std::string& relation,
@@ -138,6 +137,18 @@ Status MaintainFragmentsOnInsert(const StagingData& staging,
 Status MaintainFragmentsOnInsertBatch(
     const StagingData& staging, catalog::Catalog* catalog,
     const std::vector<std::pair<std::string, engine::Row>>& new_rows);
+
+/// Deletion maintenance: a deletion has no append delta, so every serving
+/// fragment whose view reads `relation` (already updated in `staging`) is
+/// rebuilt from the staging truth through the write fan-out: each shard's
+/// write epoch advances, and every fresh, non-rebuilding replica reloads
+/// the shard's rows and moves to the new epoch. A replica whose store
+/// fails stays stale for the repairer; the call fails only when no replica
+/// of some shard took the rebuild (that shard's epoch bump is rolled back,
+/// and the other fragments and shards are still rebuilt).
+Status MaintainFragmentsOnDelete(const StagingData& staging,
+                                 catalog::Catalog* catalog,
+                                 const std::string& relation);
 
 /// The delta rule: the view rows `new_rows` (tuples already staged) add to
 /// `view`. For every new tuple and every occurrence of its relation in the

@@ -4,6 +4,21 @@
 
 namespace estocada::rewriting {
 
+pivot::ConjunctiveQuery InlineParameters(
+    const pivot::ConjunctiveQuery& query,
+    const std::map<std::string, engine::Value>& parameters) {
+  pivot::Substitution values;
+  for (const auto& [name, value] : parameters) {
+    if (pacb::IsParameterVariable(name) && !value.is_list()) {
+      values[name] = pivot::Term::Const(value.ToConstant());
+    }
+  }
+  pivot::ConjunctiveQuery out = query;
+  for (pivot::Term& t : out.head) t = pivot::ApplySubstitution(values, t);
+  out.body = pivot::ApplySubstitution(values, out.body);
+  return out;
+}
+
 Planner::Planner(const catalog::Catalog* catalog,
                  const pacb::Rewriter* rewriter)
     : catalog_(catalog), rewriter_(rewriter) {}
@@ -15,6 +30,11 @@ Result<PlanSet> Planner::PlanQuery(
     const PlanConstraints& constraints) const {
   ESTOCADA_ASSIGN_OR_RETURN(pacb::RewritingResult rewriting_result,
                             rewriter_->Rewrite(query, options));
+  if (!pacb::ParametersSurvive(query, rewriting_result)) {
+    ESTOCADA_ASSIGN_OR_RETURN(
+        rewriting_result,
+        rewriter_->Rewrite(InlineParameters(query, parameters), options));
+  }
   if (rewriting_result.rewritings.empty()) {
     return Status::NoRewriting(
         StrCat("no rewriting over the registered fragments answers ",

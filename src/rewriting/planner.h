@@ -34,6 +34,13 @@ struct PlanSet {
   const PlannedQuery& best_plan() const { return plans[best]; }
 };
 
+/// `query` with each '$'-parameter that `parameters` gives a scalar value
+/// replaced by that value as a constant. A list value stays a parameter:
+/// the pivot model has no list constants.
+pivot::ConjunctiveQuery InlineParameters(
+    const pivot::ConjunctiveQuery& query,
+    const std::map<std::string, engine::Value>& parameters);
+
 /// The cost-based query evaluator: runs the PACB rewriter against the
 /// catalog's views, translates every rewriting to an executable plan, and
 /// picks the cheapest by estimated cost.
@@ -43,7 +50,10 @@ class Planner {
 
   /// Plans `query` (a CQ over dataset relations). Fails with kNoRewriting
   /// when no executable rewriting exists, kUnavailable when rewritings
-  /// exist but every one touches an excluded store.
+  /// exist but every one touches an excluded store. When the rewritings
+  /// fail the merge guard (pacb::ParametersSurvive), the query is rewritten
+  /// again with the parameter values inlined, and a chase failure there is
+  /// returned.
   Result<PlanSet> PlanQuery(
       const pivot::ConjunctiveQuery& query,
       const std::map<std::string, engine::Value>& parameters = {},

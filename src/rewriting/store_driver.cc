@@ -25,12 +25,16 @@ std::string RuntimeStats::ToString() const {
   return out;
 }
 
-AtomFilter::AtomFilter(const BoundAtom& atom, std::vector<size_t> needed)
-    : ground_(atom.ground), needed_(std::move(needed)) {
-  for (size_t i = 0; i < atom.var.size(); ++i) {
-    if (atom.var[i].empty()) continue;
+AtomFilter::AtomFilter(Ground ground, const std::vector<std::string>& var,
+                       std::vector<size_t> needed)
+    : ground_(std::move(ground)), needed_(std::move(needed)) {
+  for (size_t i = 0; i < ground_.size(); ++i) {
+    if (ground_[i].has_value()) equals_.emplace_back(i, *ground_[i]);
+  }
+  for (size_t i = 0; i < var.size(); ++i) {
+    if (var[i].empty()) continue;
     for (size_t j = 0; j < i; ++j) {
-      if (atom.var[j] == atom.var[i]) {
+      if (var[j] == var[i]) {
         repeats_.emplace_back(i, j);
         break;
       }
@@ -46,21 +50,11 @@ AtomFilter::Ground AtomFilter::Bind(const Row& binding) const {
   return ground;
 }
 
-bool AtomFilter::Matches(const Row& row, const Ground& ground) const {
-  for (size_t i = 0; i < ground.size(); ++i) {
-    if (ground[i].has_value() && !(row[i] == *ground[i])) return false;
-  }
-  for (const auto& [i, j] : repeats_) {
-    if (!(row[i] == row[j])) return false;
-  }
-  return true;
-}
-
 std::vector<Row> AtomFilter::Keep(std::vector<Row> rows,
-                                  const Ground& ground) const {
+                                  const Row& binding) const {
   rows.erase(std::remove_if(rows.begin(), rows.end(),
                             [&](const Row& row) {
-                              return !Matches(row, ground);
+                              return !Matches(row, binding);
                             }),
              rows.end());
   return rows;

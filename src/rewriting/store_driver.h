@@ -47,22 +47,44 @@ struct BoundAtom {
   size_t arity() const { return ground.size(); }
 };
 
-/// The post-check every fetched row passes (a store may not push every
-/// predicate down): ground positions match, including the ones a binding
-/// fills in per call, and positions sharing a variable agree.
+/// The one atom-match check: ground positions equal their values,
+/// including the ones a binding fills in per call, and positions sharing a
+/// variable agree, all under Value's equality (null equals null, 1 equals
+/// 1.0). Every fetched row passes it (a store may not push every predicate
+/// down), and so does every staged row the staging evaluator scans. It
+/// keeps the ground positions as a sparse list: the staging scan is the
+/// insert path's inner loop.
 class AtomFilter {
  public:
   using Ground = std::vector<std::optional<engine::Value>>;
 
-  /// `needed` are the positions a binding row fills in, in binding order.
-  AtomFilter(const BoundAtom& atom, std::vector<size_t> needed);
+  /// `ground` holds each position's plan-time value (nullopt where free)
+  /// and `var` its variable ("" where ground). `needed` are the positions
+  /// a binding row fills in, in binding order.
+  AtomFilter(Ground ground, const std::vector<std::string>& var,
+             std::vector<size_t> needed = {});
+  AtomFilter(const BoundAtom& atom, std::vector<size_t> needed)
+      : AtomFilter(atom.ground, atom.var, std::move(needed)) {}
 
-  /// The atom's ground values with `binding` filled in.
+  /// The atom's ground values with `binding` filled in (for pushdown).
   Ground Bind(const engine::Row& binding) const;
-  bool Matches(const engine::Row& row, const Ground& ground) const;
-  /// The rows of `rows` that match `ground`.
+
+  bool Matches(const engine::Row& row,
+               const engine::Row& binding = {}) const {
+    for (const auto& [i, value] : equals_) {
+      if (row[i] != value) return false;
+    }
+    for (size_t k = 0; k < needed_.size(); ++k) {
+      if (row[needed_[k]] != binding[k]) return false;
+    }
+    for (const auto& [i, j] : repeats_) {
+      if (row[i] != row[j]) return false;
+    }
+    return true;
+  }
+  /// The rows of `rows` that match under `binding`.
   std::vector<engine::Row> Keep(std::vector<engine::Row> rows,
-                                const Ground& ground) const;
+                                const engine::Row& binding) const;
 
   /// The plan-time ground values (no binding).
   const Ground& ground() const { return ground_; }
@@ -70,6 +92,8 @@ class AtomFilter {
  private:
   Ground ground_;
   std::vector<size_t> needed_;
+  /// (i, value): position i holds a plan-time ground value.
+  std::vector<std::pair<size_t, engine::Value>> equals_;
   /// (i, j): position i repeats the variable first seen at position j.
   std::vector<std::pair<size_t, size_t>> repeats_;
 };

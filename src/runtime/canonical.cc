@@ -140,24 +140,6 @@ std::map<std::string, engine::Value> RemapParameters(
   return out;
 }
 
-bool LiftSurvives(const CanonicalQuery& canonical,
-                  const pacb::RewritingResult& result) {
-  auto mentions = [](const ConjunctiveQuery& q, const std::string& var) {
-    for (const Atom& a : q.body) {
-      for (const Term& t : a.terms) {
-        if (t.is_variable() && t.var_name() == var) return true;
-      }
-    }
-    return false;
-  };
-  for (const pacb::Rewriting& rw : result.rewritings) {
-    for (const auto& [name, value] : canonical.lifted) {
-      if (!mentions(rw.query, name)) return false;
-    }
-  }
-  return true;
-}
-
 std::vector<std::string> RewritingSetKeys(const pacb::RewritingResult& result) {
   std::vector<std::string> keys;
   keys.reserve(result.rewritings.size());

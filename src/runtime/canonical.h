@@ -48,13 +48,14 @@ CanonicalQuery Canonicalize(const pivot::ConjunctiveQuery& q);
 
 /// Canonicalizes `q` after lifting its body constants into parameters
 /// ("simple parameterization"), so texts that differ only in those
-/// constants share one key. All occurrences of one constant (by the
-/// chase's equality, pivot::Constant ==) become one parameter; distinct
+/// constants share one key. All occurrences of one constant (by
+/// pivot::Constant ==, so 1 and 1.0 too) become one parameter; distinct
 /// constants become distinct parameters, so the equality pattern stays in
-/// the key. Head constants, null, and every constant in `named` (the
-/// rewriter's named_constants()) stay inline. The lifted parameters get
-/// reserved names no query text can spell, so they never collide with a
-/// caller's '$'-parameters; their values land in `lifted`.
+/// the key. The server guards each lifted set with pacb::ParametersSurvive.
+/// Head constants, null, and every constant in `named` (the rewriter's
+/// named_constants()) stay inline. The lifted parameters get reserved names
+/// no query text can spell, so they never collide with a caller's
+/// '$'-parameters; their values land in `lifted`.
 CanonicalQuery CanonicalizeLifted(const pivot::ConjunctiveQuery& q,
                                   const std::set<pivot::Constant>& named);
 
@@ -64,16 +65,6 @@ CanonicalQuery CanonicalizeLifted(const pivot::ConjunctiveQuery& q,
 std::map<std::string, engine::Value> RemapParameters(
     const CanonicalQuery& canonical,
     const std::map<std::string, engine::Value>& parameters);
-
-/// The merge guard of a lifted query: true when every parameter in
-/// `canonical.lifted` still appears in every rewriting of `result`. The
-/// chase freezes parameters as labelled nulls, so an EGD may merge two
-/// lifted parameters (or one with a constant) where the constants
-/// themselves would have failed the chase; every such merge removes a
-/// name. A rewriting that projects a lifted parameter away fails too.
-/// Trivially true when nothing was lifted.
-bool LiftSurvives(const CanonicalQuery& canonical,
-                  const pacb::RewritingResult& result);
 
 /// Sorted, deduplicated canonical keys of every rewriting in `result` — a
 /// fingerprint of a rewriting set that is invariant under variable naming

@@ -54,7 +54,7 @@ std::string MetricsSnapshot::ToString() const {
                 "PACB rewrites:   ", rewrites, "\n",
                 "text memo:       ", memo_hits, " hit(s), ", memo_misses,
                 " miss(es); ", lift_rejections,
-                " lifted rewriting set(s) rejected by the merge guard\n",
+                " rewriting set(s) rejected by the merge guard\n",
                 "resilience:      ", retries, " retry(ies), ", breaker_trips,
                 " breaker trip(s), ", reroutes, " reroute(s), ", failovers,
                 " failover(s), ", degraded, " degraded, ", replica_rebuilds,

@@ -25,8 +25,9 @@ struct MetricsSnapshot {
   uint64_t replica_rebuilds = 0; ///< Replicas rebuilt and re-admitted.
   uint64_t memo_hits = 0;        ///< Texts found in the canonical memo.
   uint64_t memo_misses = 0;      ///< Texts parsed and canonicalized.
-  /// Lifted rewriting sets the merge guard rejected (the text was then
-  /// planned with its own constants).
+  /// Rewriting sets the merge guard rejected, or lifted rewrites that
+  /// failed (the text was then planned with its own constants and the
+  /// caller's parameter values inline).
   uint64_t lift_rejections = 0;
   LatencyHistogram::Snapshot latency;
 

@@ -30,9 +30,9 @@ struct PlanCacheOptions {
 /// the most expensive step of the query path and depends only on the query
 /// shape and the fragment layout. The QueryServer keys entries with
 /// CanonicalizeLifted, so texts that differ only in liftable constants
-/// share an entry too. An entry may hold a lifted set that the merge guard
-/// (LiftSurvives) rejects; it stays cached so the next text of that shape
-/// reads the verdict instead of rewriting again.
+/// share an entry too. An entry may hold a set that the merge guard
+/// (pacb::ParametersSurvive) rejects; it stays cached so the next text of
+/// that shape reads the verdict instead of rewriting again.
 ///
 /// Epoch versioning makes invalidation free of any registry of dependent
 /// queries: every catalog change bumps the epoch, a lookup whose entry

@@ -109,30 +109,32 @@ Result<Estocada::QueryResult> QueryServer::ServeLocked(
   // changes, re-admitting them against the new store set.
   Result<PlanCache::CachedRewritings> rewritings =
       RewritingsLocked(*canonical, epoch, health_epoch);
-  if (!canonical->lifted.empty() &&
-      (!rewritings.ok() || !LiftSurvives(*canonical, **rewritings))) {
-    // The lifted set stays cached: a later text of this shape re-reads
-    // the verdict from it instead of rewriting again, and goes straight
-    // to its own constants.
-    const bool guard_fired = rewritings.ok();
+  // The merge guard (pacb::ParametersSurvive): a set that lost a parameter
+  // holds only for the values it merged, so the text is planned with its
+  // constants and the caller's values inline; so is a lifted text whose
+  // rewrite fails outright. A rejected set stays cached: a later text of
+  // its shape re-reads the verdict from it instead of rewriting again.
+  const bool guard_fired =
+      rewritings.ok() &&
+      !pacb::ParametersSurvive(canonical->query, **rewritings);
+  if (guard_fired || (!rewritings.ok() && !canonical->lifted.empty())) {
     metrics_.RecordLiftRejection();
     ESTOCADA_ASSIGN_OR_RETURN(pivot::ConjunctiveQuery q,
                               pivot::ParseQuery(query_text));
-    canonical = std::make_shared<const CanonicalQuery>(Canonicalize(q));
+    canonical = std::make_shared<const CanonicalQuery>(
+        Canonicalize(rewriting::InlineParameters(q, parameters)));
     remapped = RemapParameters(*canonical, parameters);
     rewritings = RewritingsLocked(*canonical, epoch, health_epoch);
     if (guard_fired && !rewritings.ok() &&
         rewritings.status().code() == StatusCode::kChaseFailure) {
-      // The lifted chase settled, and the constant chase can differ from
-      // it only at the merges the guard saw: there the constants clash,
-      // so no rewriting exists. The staging area still answers exactly,
-      // also where evaluation equates constants the chase tells apart
-      // (1 and 1.0).
+      // The parameterized chase settled, and the inlined chase can differ
+      // from it only at the merges the guard saw: there the values clash,
+      // so no rewriting exists. The staging area answers exactly.
       Result<Estocada::QueryResult> staged = ServeFromStaging(
           *canonical, remapped, std::move(excluded), attempt);
       if (staged.ok()) {
         staged->plan_text =
-            "(staging fallback: the query's constants clash in the chase)";
+            "(staging fallback: the query's values clash in the chase)";
       }
       return staged;
     }

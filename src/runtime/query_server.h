@@ -201,10 +201,11 @@ class QueryServer {
   /// holds: canonicalize (memoized, body constants lifted into
   /// parameters) → cache-lookup → (on miss) rewrite → merge guard →
   /// translate with the current breaker exclusions → execute, feeding
-  /// breaker state with the outcome. When the guard rejects the lifted
-  /// rewriting set, the text is planned with its own constants instead.
-  /// Falls back to the staging area when planning is starved by the
-  /// exclusions, or when those constants clash in the chase. `attempt` is
+  /// breaker state with the outcome. When the guard rejects the
+  /// rewriting set, the text is planned with its own constants and the
+  /// caller's parameter values inline instead. Falls back to the staging
+  /// area when planning is starved by the exclusions, or when those values
+  /// clash in the chase. `attempt` is
   /// 1-based and only labels the result.
   /// `planned_health_epoch` (optional) receives the health epoch the
   /// attempt planned against, so the caller can tell whether a failure

@@ -183,19 +183,14 @@ Result<bool> GraphStore::MatchInternal(
   while (pos < total && returned < limit) {
     const Row& row = index_used ? g.rows[(*bucket)[pos]] : g.rows[pos];
     ++pos;
-    // Index hits are pre-filtered; only residual (or scan) positions are
-    // examined row-by-row.
+    // Index hits are pre-filtered; only residual positions (every bound
+    // one in a scan) are examined row-by-row.
     if (!index_used || !residual.empty()) ++examined;
     bool ok = true;
     for (size_t i : residual) {
       if (!(row[i] == *pattern[i])) {
         ok = false;
         break;
-      }
-    }
-    if (!index_used) {
-      for (size_t i = 0; ok && i < g.arity; ++i) {
-        if (pattern[i].has_value() && !(row[i] == *pattern[i])) ok = false;
       }
     }
     if (ok) {

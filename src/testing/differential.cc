@@ -457,7 +457,8 @@ ScenarioOutcome CheckScenario(const Scenario& s,
       // text's own — or the merge guard rejects it.
       auto lifted_set = dep.sys.RewritePrepared(lifted.query);
       auto own_set = dep.sys.RewritePrepared(*cq);
-      if (lifted_set.ok() && !runtime::LiftSurvives(lifted, *lifted_set)) {
+      if (lifted_set.ok() &&
+          !pacb::ParametersSurvive(lifted.query, *lifted_set)) {
         ++out.lift_guard_fired;
       } else if (lifted_set.ok() != own_set.ok() ||
                  (!own_set.ok() &&

@@ -70,6 +70,8 @@ constexpr Probe kProbes[] = {
     {"q(k) :- s.r(k, 'b')", false, true},
     {"q(k) :- s.r(k, true)", false, true},
     {"q(k) :- s.r(k, 9)", false, true},
+    // Null is a value like any other: it equals itself.
+    {"q(k) :- s.r(k, null)", false, true},
     {"q() :- s.r(2, 'phone')", true, true},
     {"q() :- s.r(2.0, 'red phone')", true, true},
     {"q() :- s.r(2, 'Two Words')", true, true},
@@ -171,6 +173,7 @@ TEST_P(DriverConformance, LoadAppendReadVerifyQuery) {
       {Value::Int(8), Value::Int(8)},
       {Value::Int(9), Value::Real(9.0)},
       {Value::Int(10), Value::Null()},
+      {Value::Null(), Value::Null()},
   };
   for (const Row& row : appended) {
     ASSERT_TRUE(sys_.InsertRow("s.r", row).ok()) << engine::RowToString(row);

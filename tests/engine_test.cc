@@ -40,7 +40,7 @@ TEST(ExprTest, Comparisons) {
   auto ge = Expr::Binary(Expr::Op::kGe, Expr::Column(0), Expr::Column(1));
   EXPECT_TRUE(*lt->EvalBool(row));
   EXPECT_FALSE(*ge->EvalBool(row));
-  // Null comparisons are false.
+  // A null equals only a null.
   Row with_null{Value::Null(), Value::Int(1)};
   auto eq = Expr::Binary(Expr::Op::kEq, Expr::Column(0), Expr::Column(1));
   EXPECT_FALSE(*eq->EvalBool(with_null));

@@ -129,8 +129,8 @@ TEST_F(MaintenanceTest, JoinFragmentDeltaBothSides) {
 }
 
 TEST_F(MaintenanceTest, NullValuedInsertReachesFragments) {
-  // A null in an inserted row must not be pinned as a constant: `= null`
-  // is never true, so the row would derive nothing.
+  // A null in an inserted row is pinned like any value: it equals itself,
+  // so the row derives its view rows.
   ASSERT_TRUE(sys_.DefineFragment("F(a, b) :- R(a, b)", "pg").ok());
   ASSERT_TRUE(sys_.DefineFragment("FJ(a, c) :- R(a, b), S(b, c)", "spark")
                   .ok());

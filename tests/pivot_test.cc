@@ -46,7 +46,11 @@ TEST(TermTest, EqualityAndHash) {
 }
 
 TEST(ConstantTest, TypedDistinctions) {
-  EXPECT_NE(Constant::Int(1), Constant::Real(1.0));
+  // Numbers compare by value, as engine values do.
+  EXPECT_EQ(Constant::Int(1), Constant::Real(1.0));
+  EXPECT_EQ(Constant::Int(1).Hash(), Constant::Real(1.0).Hash());
+  EXPECT_FALSE(Constant::Int(1) < Constant::Real(1.0));
+  EXPECT_TRUE(Constant::Int(1) < Constant::Real(1.5));
   EXPECT_NE(Constant::Str("1"), Constant::Int(1));
   EXPECT_EQ(Constant::Null(), Constant::Null());
   EXPECT_TRUE(Constant::Null() < Constant::Bool(false));

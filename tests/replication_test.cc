@@ -328,6 +328,40 @@ TEST_F(ReplicationTest, TextInsertWithOneReplicaDownKeepsTheHealthyReplica) {
   EXPECT_FALSE(r->degraded_to_staging);
 }
 
+TEST_F(ReplicationTest, DeleteWithOneReplicaDownKeepsTheHealthyReplica) {
+  ASSERT_TRUE(sys_.DefineReplicatedFragment(
+                      "F_p(p, n, c, pr) :- mk.products(p, n, c, pr)",
+                      {"pg2", "pg3"}, {}, {0})
+                  .ok());
+  QueryServer server(&sys_, FastOptions());
+  constexpr char kProducts[] = "q(p, n, c, pr) :- mk.products(p, n, c, pr)";
+  auto products = sys_.EvaluateOverStaging(kProducts);
+  ASSERT_TRUE(products.ok() && !products->empty());
+
+  // A deletion rebuilds each live placement from staging: pg2's succeeds,
+  // pg3's fails and leaves it stale — the delete still succeeds.
+  injector_.SetOutage("pg3", true);
+  ASSERT_TRUE(server.DeleteRow("mk.products", (*products)[0]).ok());
+  auto d = sys_.catalog().GetFragment("F_p");
+  ASSERT_TRUE(d.ok()) << d.status();
+  const catalog::ShardState& shard = (*d)->shards[0];
+  EXPECT_TRUE(shard.replicas[0].fresh(shard.write_epoch));
+  EXPECT_FALSE(shard.replicas[1].fresh(shard.write_epoch));
+  EXPECT_TRUE(sys_.VerifyReplica("F_p", 0).ok());
+  auto r = ExpectServesTruth(&server, kProducts);
+  ASSERT_TRUE(r.ok());
+  EXPECT_FALSE(r->degraded_to_staging);
+
+  // The store comes back; a tick rebuilds and admits the stale replica.
+  injector_.SetOutage("pg3", false);
+  ReplicaRepairer repairer(&server);
+  auto repaired = repairer.Tick();
+  ASSERT_TRUE(repaired.ok()) << repaired.status();
+  EXPECT_EQ(*repaired, 1u);
+  EXPECT_TRUE(sys_.VerifyReplica("F_p", 1).ok());
+  ExpectServesTruth(&server, kProducts);
+}
+
 // ---------------------------------------------- Repair catch-up paths --
 
 TEST_F(ReplicationTest, InsertDuringRepairIsReplayedIntoTheReplica) {

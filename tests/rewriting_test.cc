@@ -99,11 +99,11 @@ TEST(CqEvalTest, RepeatedVariableInAtom) {
   auto rows = EvaluateCqOverStaging(*ParseQuery("q(x) :- E(x, x)"), staging);
   ASSERT_TRUE(rows.ok());
   EXPECT_EQ(rows->size(), 1u);
-  // A (null, null) row never matches: null equals nothing.
+  // A (null, null) row matches: null equals null.
   e.rows = {{Value::Null(), Value::Null()}};
   auto nulls = EvaluateCqOverStaging(*ParseQuery("q(x) :- E(x, x)"), staging);
   ASSERT_TRUE(nulls.ok()) << nulls.status();
-  EXPECT_TRUE(nulls->empty());
+  EXPECT_EQ(*nulls, (std::vector<Row>{{Value::Null()}}));
 }
 
 TEST(CqEvalTest, ParametersBindAndMissingParamFails) {
@@ -142,11 +142,12 @@ TEST(CqEvalTest, CartesianProductWhenNoSharedVars) {
   EXPECT_EQ(Sorted(*rows), every_pair);
 }
 
-TEST(CqEvalTest, NullConstantMatchesNothing) {
+TEST(CqEvalTest, NullConstantMatchesNull) {
   auto rows = EvaluateCqOverStaging(*ParseQuery("q(k) :- N(k, null)"),
                                     NullAndNumberStaging());
   ASSERT_TRUE(rows.ok()) << rows.status();
-  EXPECT_TRUE(rows->empty());
+  EXPECT_EQ(Sorted(*rows),
+            (std::vector<Row>{{Value::Null()}, {Value::Int(1)}}));
 }
 
 TEST(CqEvalTest, IntConstantMatchesEqualReal) {
@@ -196,7 +197,7 @@ TEST(CqEvalTest, DeltaReadsOnlyTheInsertedRow) {
       {Value::Int(7), Value::Real(3.0)});
   ASSERT_TRUE(join.ok()) << join.status();
   EXPECT_EQ(*join, (std::vector<Row>{{Value::Int(7), Value::Str("y")}}));
-  // A null in the row is left unpinned, so it reaches the head.
+  // A null in the row is pinned like any value, and reaches the head.
   auto with_null = EvaluateCqDeltaOverStaging(
       *ParseQuery("q(a, b) :- R(a, b)"), SmallStaging(), 0,
       {Value::Int(5), Value::Null()});
@@ -206,9 +207,14 @@ TEST(CqEvalTest, DeltaReadsOnlyTheInsertedRow) {
   // The row must still pass the atom's own constants and repeats.
   auto filtered = EvaluateCqDeltaOverStaging(
       *ParseQuery("q(a) :- R(a, a)"), SmallStaging(), 0,
-      {Value::Null(), Value::Null()});
+      {Value::Null(), Value::Int(1)});
   ASSERT_TRUE(filtered.ok()) << filtered.status();
   EXPECT_TRUE(filtered->empty());
+  auto repeated_null = EvaluateCqDeltaOverStaging(
+      *ParseQuery("q(a) :- R(a, a)"), SmallStaging(), 0,
+      {Value::Null(), Value::Null()});
+  ASSERT_TRUE(repeated_null.ok()) << repeated_null.status();
+  EXPECT_EQ(*repeated_null, (std::vector<Row>{{Value::Null()}}));
   auto selected = EvaluateCqDeltaOverStaging(
       *ParseQuery("q(a) :- R(a, 2)"), SmallStaging(), 0,
       {Value::Int(4), Value::Real(2.0)});
@@ -483,6 +489,55 @@ TEST_F(MatTransTest, PlannerPicksCheapestPlan) {
   ASSERT_TRUE(plans.ok()) << plans.status();
   ASSERT_EQ(plans->plans.size(), 2u);
   EXPECT_EQ(plans->best_plan().rewriting.body[0].relation, "K");
+}
+
+TEST_F(MatTransTest, EveryPlanJoinsNullKeysAsStagingDoes) {
+  // Null join keys on both join columns: a hash-join plan (F and G sit on
+  // two relational instances) and a bind-join plan (K fetches per b, then
+  // post-filters the shared a) must both keep the rows staging keeps.
+  stores::RelationalStore rel2;
+  ASSERT_TRUE(cat_.RegisterStore({"pg2", StoreKind::kRelational, &rel2,
+                                  nullptr, nullptr, nullptr, nullptr})
+                  .ok());
+  staging_["R"].rows = {{Value::Int(1), Value::Null()},
+                        {Value::Null(), Value::Null()},
+                        {Value::Int(2), Value::Int(3)}};
+  staging_["S"].rows = {{Value::Null(), Value::Int(1)},
+                        {Value::Null(), Value::Null()},
+                        {Value::Int(3), Value::Int(2)},
+                        {Value::Int(3), Value::Int(9)}};
+  ASSERT_TRUE(Define("F(a, b) :- R(a, b)", "pg").ok());
+  ASSERT_TRUE(Define("G(b, c) :- S(b, c)", "pg2").ok());
+  ASSERT_TRUE(Define("K(b, c) :- S(b, c)", "kv",
+                     {Adornment::kInput, Adornment::kFree})
+                  .ok());
+  const auto q = *ParseQuery("q(a) :- R(a, b), S(b, a)");
+  auto truth = EvaluateCqOverStaging(q, staging_);
+  ASSERT_TRUE(truth.ok()) << truth.status();
+  EXPECT_EQ(Sorted(*truth), (std::vector<Row>{{Value::Null()},
+                                              {Value::Int(1)},
+                                              {Value::Int(2)}}));
+
+  pacb::Rewriter rw(cat_.dataset_schema(), cat_.AllViews());
+  ASSERT_TRUE(rw.Prepare().ok());
+  auto plans = Planner(&cat_, &rw).PlanQuery(q);
+  ASSERT_TRUE(plans.ok()) << plans.status();
+  std::set<std::string> joins;
+  Translator tr(&cat_);
+  for (const PlannedQuery& estimate : plans->plans) {
+    auto plan = tr.Plan(estimate.rewriting);
+    ASSERT_TRUE(plan.ok()) << plan.status();
+    const std::string text = plan->ToString();
+    for (const char* join : {"HashJoin", "BindJoin"}) {
+      if (text.find(join) != std::string::npos) joins.insert(join);
+    }
+    auto rows = engine::Collect(plan->root.get());
+    ASSERT_TRUE(rows.ok()) << rows.status();
+    std::set<Row> distinct(rows->begin(), rows->end());
+    EXPECT_EQ(Sorted({distinct.begin(), distinct.end()}), Sorted(*truth))
+        << text;
+  }
+  EXPECT_EQ(joins, (std::set<std::string>{"BindJoin", "HashJoin"}));
 }
 
 TEST_F(MatTransTest, PlannerReportsNoRewriting) {

@@ -113,10 +113,9 @@ TEST(LiftTest, EqualityPatternStaysInTheKey) {
   EXPECT_EQ(same.lifted.size(), 1u);
   EXPECT_EQ(diff.lifted.size(), 2u);
   EXPECT_NE(same.key, diff.key);
-  // Grouping follows the chase's constant equality: there Int 1 and Real
-  // 1.0 are distinct constants (an EGD equating them fails the chase), so
-  // they lift into distinct parameters.
-  EXPECT_EQ(LiftedOf("q(x) :- R(x, 1, 1.0)").lifted.size(), 2u);
+  // Grouping follows the one value equality: Int 1 and Real 1.0 are one
+  // constant, so they lift into one parameter.
+  EXPECT_EQ(LiftedOf("q(x) :- R(x, 1, 1.0)").lifted.size(), 1u);
 }
 
 TEST(LiftTest, NamedHeadAndNullConstantsStayInline) {
@@ -153,11 +152,12 @@ TEST(LiftTest, GuardRejectsASetThatLostALiftedParameter) {
   };
   pacb::RewritingResult kept;
   kept.rewritings.push_back(rewriting(StrCat("q(x) :- V(x, ", p, ")")));
-  EXPECT_TRUE(LiftSurvives(c, kept));
+  EXPECT_TRUE(pacb::ParametersSurvive(c.query, kept));
   pacb::RewritingResult lost = kept;
   lost.rewritings.push_back(rewriting("q(x) :- W(x)"));
-  EXPECT_FALSE(LiftSurvives(c, lost));
-  EXPECT_TRUE(LiftSurvives(LiftedOf("q(x) :- R(x, y)"), lost));
+  EXPECT_FALSE(pacb::ParametersSurvive(c.query, lost));
+  EXPECT_TRUE(
+      pacb::ParametersSurvive(LiftedOf("q(x) :- R(x, y)").query, lost));
 }
 
 // ------------------------------------------------------------ Plan cache --
@@ -805,10 +805,42 @@ TEST(LiftGuardTest, KeyEgdMergingLiftedConstantsFallsBackToTheConstants) {
   // back.
   EXPECT_EQ(ask("q(x) :- t.r(k, x, 'a'), t.r(k, y, 'a')"), 3u);
   EXPECT_EQ(server.metrics().lift_rejections, 2u);
-  // The chase tells 0 from 0.0 and fails, but evaluation matches them:
-  // the key-0 row answers, so the fallback must not answer "no rows".
+  // 0 and 0.0 are one value, lifted into one parameter: the self-join
+  // rewrites, and the key-0 row answers.
   EXPECT_EQ(ask("q(c) :- t.r(k, 0, c), t.r(k, 0.0, d)"), 1u);
+  EXPECT_EQ(server.metrics().lift_rejections, 2u);
+  auto facade = sys.Query("q(c) :- t.r(k, 0, c), t.r(k, 0.0, d)");
+  ASSERT_TRUE(facade.ok()) << facade.status();
+  EXPECT_EQ(facade->rows.size(), 1u);
+
+  // Caller parameters take the same guard: the key EGD merges $a and $b,
+  // so the set holds only where their values are equal.
+  const std::string text = "q(x) :- t.r(k, x, $a), t.r(k, y, $b)";
+  auto ask_params = [&](const char* a, const char* b) {
+    const std::map<std::string, Value> params{{"$a", Value::Str(a)},
+                                              {"$b", Value::Str(b)}};
+    auto r = server.Query(text, params);
+    EXPECT_TRUE(r.ok()) << r.status();
+    auto truth = sys.EvaluateOverStaging(text, params);
+    EXPECT_TRUE(truth.ok()) << truth.status();
+    if (r.ok() && truth.ok()) {
+      EXPECT_EQ(as_set(r->rows), as_set(*truth)) << a << ", " << b;
+    }
+    return r.ok() ? r->rows.size() : size_t{99};
+  };
+  EXPECT_EQ(ask_params("a", "b"), 0u);
   EXPECT_EQ(server.metrics().lift_rejections, 3u);
+  EXPECT_EQ(ask_params("a", "a"), 3u);
+  EXPECT_EQ(server.metrics().lift_rejections, 4u);
+  // The facade re-plans with the values inlined: equal values rewrite,
+  // and clashing ones fail the chase instead of answering wrong rows.
+  auto same =
+      sys.Query(text, {{"$a", Value::Str("b")}, {"$b", Value::Str("b")}});
+  ASSERT_TRUE(same.ok()) << same.status();
+  EXPECT_EQ(same->rows.size(), 3u);
+  auto clash =
+      sys.Query(text, {{"$a", Value::Str("a")}, {"$b", Value::Str("b")}});
+  EXPECT_EQ(clash.status().code(), StatusCode::kChaseFailure);
 }
 
 // ------------------------------------------------------------ RetryPolicy --
