@@ -36,16 +36,16 @@ echo "== tier-1: perfbench standalone build =="
 cmake -S perfbench -B .bench_build/perfbench >/dev/null
 cmake --build .bench_build/perfbench --target perfbench -j "$JOBS"
 
-echo "== TSan: build engine_test + runtime_test + stores_test + migration_test + tuner_test + replication_test + scaleout_test + graph_test =="
+echo "== TSan: build engine_test + runtime_test + stores_test + migration_test + tuner_test + replication_test + scaleout_test + graph_test + golden_rewritings =="
 cmake -B build-tsan -S . -DESTOCADA_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j "$JOBS" \
   --target engine_test runtime_test stores_test migration_test tuner_test \
-  replication_test scaleout_test graph_test
+  replication_test scaleout_test graph_test golden_rewritings
 
 echo "== TSan: run =="
 (cd build-tsan/tests && ./engine_test && ./runtime_test && ./stores_test \
   && ./migration_test && ./tuner_test && ./replication_test \
-  && ./scaleout_test && ./graph_test)
+  && ./scaleout_test && ./graph_test && ./golden_rewritings)
 
 echo "== ASan+UBSan: build engine_test + chase_test + failure_test + runtime_test + stores_test + migration_test + tuner_test + replication_test + scaleout_test + serialize_test + rewriting_test + maintenance_test + graph_test + drivers_test + pacb_test + pivot_test + golden_rewritings + system_test + properties_test + regression_seeds =="
 cmake -B build-asan -S . -DESTOCADA_SANITIZE=address >/dev/null

@@ -147,10 +147,6 @@ struct StorageDescriptor {
   /// Fragment name == view head relation name (e.g. "F_cart_by_user").
   pacb::ViewDefinition view;
   FragmentStatistics stats;
-  /// Positions whose values are nested lists (set at materialization).
-  /// Stores without a native collection type (relational, text keys)
-  /// persist them as JSON text; readers must parse them back.
-  std::vector<bool> list_column;
   /// Extra positions to build secondary indexes on at materialization
   /// (beyond the input-adorned ones). For relational/document fragments
   /// each position gets its own index; for parallel fragments the set

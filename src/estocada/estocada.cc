@@ -687,6 +687,9 @@ Result<Estocada::QueryResult> Estocada::QueryProgram(
   }
   std::vector<engine::OperatorPtr> branches;
   std::vector<std::shared_ptr<rewriting::RuntimeStats>> branch_stats;
+  // Each branch's query and the fragments its plan reads, for the log.
+  std::vector<std::pair<pivot::ConjunctiveQuery, std::vector<std::string>>>
+      branch_fragments;
   QueryResult result;
   size_t arity = 0;
   std::vector<std::string> rewriting_texts;
@@ -708,12 +711,12 @@ Result<Estocada::QueryResult> Estocada::QueryProgram(
     rewriting_texts.push_back(best.rewriting.ToString());
     branch_stats.push_back(best.runtime_stats);
     branches.push_back(std::move(best.root));
-    // Log each branch for the advisor, cost attributed after execution.
-    std::vector<std::string> fragments_used;
+    std::vector<std::string>& fragments_used =
+        branch_fragments.emplace_back(std::move(q), std::vector<std::string>{})
+            .second;
     for (const pivot::Atom& a : best.rewriting.body) {
       fragments_used.push_back(a.relation);
     }
-    workload_log_.Record(q, best.estimated_cost, fragments_used, parameters);
   }
   engine::OperatorPtr root =
       branches.size() == 1
@@ -732,10 +735,14 @@ Result<Estocada::QueryResult> Estocada::QueryProgram(
                                                    ops.limit);
   }
   ESTOCADA_ASSIGN_OR_RETURN(result.rows, engine::Collect(root.get()));
-  for (const auto& stats : branch_stats) {
-    for (const auto& [store, st] : stats->per_store) {
+  for (size_t i = 0; i < branch_stats.size(); ++i) {
+    for (const auto& [store, st] : branch_stats[i]->per_store) {
       result.runtime_stats.per_store[store].Add(st);
     }
+    // Log each branch for the advisor with the cost it measured.
+    const auto& [q, fragments_used] = branch_fragments[i];
+    workload_log_.Record(q, branch_stats[i]->TotalSimulatedCost(),
+                         fragments_used, parameters);
   }
   result.rewriting_text = StrJoin(rewriting_texts, "  UNION  ");
   result.plan_text = engine::PlanToString(*root);

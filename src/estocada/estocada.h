@@ -380,7 +380,9 @@ class Estocada {
 
   /// Evaluates the union of several CQs (same head arity), each rewritten
   /// and planned independently over the fragments, with `ops` applied to
-  /// the combined stream by ESTOCADA's own engine.
+  /// the combined stream by ESTOCADA's own engine. Once the program has
+  /// run, each branch goes into the workload log with the simulated cost
+  /// its stores measured; a failed program logs nothing.
   Result<QueryResult> QueryProgram(
       const std::vector<std::string>& cq_texts,
       const std::map<std::string, engine::Value>& parameters,

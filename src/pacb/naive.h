@@ -27,7 +27,6 @@ class NaiveChaseBackchase {
   Result<RewritingResult> Rewrite(const pivot::ConjunctiveQuery& query,
                                   RewriterOptions options = {}) const {
     options.track_provenance = false;
-    options.verify_candidates = true;  // The naive algorithm must verify.
     return rewriter_.Rewrite(query, options);
   }
 

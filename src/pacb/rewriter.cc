@@ -1,17 +1,13 @@
 #include "pacb/rewriter.h"
 
 #include <algorithm>
-#include <atomic>
-#include <condition_variable>
 #include <map>
-#include <mutex>
 #include <set>
 #include <unordered_set>
 
 #include "chase/containment.h"
 #include "chase/homomorphism.h"
 #include "common/strings.h"
-#include "common/thread_pool.h"
 
 namespace estocada::pacb {
 
@@ -278,7 +274,7 @@ Result<RewritingResult> Rewriter::Rewrite(const ConjunctiveQuery& query,
   });
   stats.query_matches = match_count;
 
-  if (options.track_provenance && options.verify_candidates) {
+  if (options.track_provenance) {
     // EGD merge conditioning is sound but over-conservative: a match that
     // does not actually rely on an equality (the merged position maps to a
     // don't-care variable, or the match lands on an atom's pre-merge ghost
@@ -451,26 +447,21 @@ Result<RewritingResult> Rewriter::Rewrite(const ConjunctiveQuery& query,
     return (got & qrel_mask) == qrel_mask;
   };
 
-  // Chase-level verification of one candidate — the thread-safe core. All
-  // captured state is read-only here (canon_plan, the fast-path tables,
-  // the provenance-sound set); every mutable chase scratch comes in
-  // through the caller-supplied per-worker checkers.
-  std::atomic<size_t> chase_checks{0};
-  auto verify_chased = [&](const std::vector<uint32_t>& ids,
-                           chase::FixedRightContainment& sound,
-                           chase::FixedLeftContainment& exact,
-                           std::vector<const Atom*>& atoms) -> Result<bool> {
-    bool ok = provenance_sound.count(ids) > 0;
-    if (!ok) {
-      chase_checks.fetch_add(1, std::memory_order_relaxed);
+  std::vector<const Atom*> cand_atoms;  // reused scratch
+  auto verify = [&](const std::vector<uint32_t>& ids) -> Result<bool> {
+    auto it = verify_memo.find(ids);
+    if (it != verify_memo.end()) return it->second;
+    bool ok = covers_query(ids);
+    if (ok && provenance_sound.count(ids) == 0) {
+      ++stats.candidates_verified;
       // Soundness: candidate ⊑ q under schema + backward constraints. The
       // candidate goes in as the raw plan-atom subset — its frozen form —
       // so rejected candidates (the common case during minimization
       // probes) never pay for query construction.
-      atoms.clear();
-      for (uint32_t id : ids) atoms.push_back(&canon_plan.view_atoms[id]);
+      cand_atoms.clear();
+      for (uint32_t id : ids) cand_atoms.push_back(&canon_plan.view_atoms[id]);
       ESTOCADA_ASSIGN_OR_RETURN(
-          ok, sound.ContainsFrozen(atoms, canon_plan.head_targets));
+          ok, sound_check.ContainsFrozen(cand_atoms, canon_plan.head_targets));
     }
     if (ok) {
       // Exactness: q ⊑ candidate under schema + forward constraints. Try
@@ -483,87 +474,11 @@ Result<RewritingResult> Rewriter::Rewrite(const ConjunctiveQuery& query,
       if (!identity) {
         ESTOCADA_ASSIGN_OR_RETURN(ConjunctiveQuery cq,
                                   CandidateToQuery(query, canon_plan, ids));
-        ESTOCADA_ASSIGN_OR_RETURN(ok, exact.ContainedIn(cq));
+        ESTOCADA_ASSIGN_OR_RETURN(ok, exact_check.ContainedIn(cq));
       }
     }
-    return ok;
-  };
-
-  std::vector<const Atom*> cand_atoms;  // reused scratch
-  auto verify = [&](const std::vector<uint32_t>& ids) -> Result<bool> {
-    auto it = verify_memo.find(ids);
-    if (it != verify_memo.end()) return it->second;
-    if (!covers_query(ids)) {
-      verify_memo.emplace(ids, false);
-      return false;
-    }
-    ESTOCADA_ASSIGN_OR_RETURN(
-        bool ok, verify_chased(ids, sound_check, exact_check, cand_atoms));
     verify_memo.emplace(ids, ok);
     return ok;
-  };
-
-  // Concurrent batch verification (see RewriterOptions::verify_pool).
-  // Outcomes land in the memo keyed by id set; the accept loop below then
-  // takes exactly the sequential decisions, so rewriting sets are
-  // byte-identical with and without a pool. Workers never touch WaitIdle —
-  // a per-batch countdown keeps a shared pool usable by other clients.
-  ThreadPool* pool =
-      options.track_provenance ? options.verify_pool : nullptr;
-  auto verify_batch = [&](std::vector<std::vector<uint32_t>> sets) -> Status {
-    std::sort(sets.begin(), sets.end());
-    sets.erase(std::unique(sets.begin(), sets.end()), sets.end());
-    std::vector<std::vector<uint32_t>> need;
-    for (auto& ids : sets) {
-      if (verify_memo.count(ids) > 0) continue;
-      if (!covers_query(ids)) {
-        verify_memo.emplace(std::move(ids), false);
-        continue;
-      }
-      need.push_back(std::move(ids));
-    }
-    if (pool == nullptr || need.size() < 2) {
-      for (auto& ids : need) {
-        ESTOCADA_ASSIGN_OR_RETURN(
-            bool ok, verify_chased(ids, sound_check, exact_check, cand_atoms));
-        verify_memo.emplace(std::move(ids), ok);
-      }
-      return Status::OK();
-    }
-    const size_t workers = std::min(pool->num_threads(), need.size());
-    std::vector<char> outcomes(need.size(), 0);
-    std::vector<Status> errors(workers, Status::OK());
-    std::mutex mu;
-    std::condition_variable done_cv;
-    size_t pending = workers;
-    for (size_t w = 0; w < workers; ++w) {
-      pool->Submit([&, w] {
-        chase::ChaseEngine bwd(backward_deps_);
-        chase::ChaseEngine fwd(forward_deps_);
-        chase::FixedRightContainment sound(query, bwd, options.chase);
-        chase::FixedLeftContainment exact(query, fwd, options.chase);
-        std::vector<const Atom*> scratch;
-        for (size_t i = w; i < need.size(); i += workers) {
-          auto r = verify_chased(need[i], sound, exact, scratch);
-          if (!r.ok()) {
-            errors[w] = r.status();
-            break;
-          }
-          outcomes[i] = *r ? 1 : 0;
-        }
-        std::lock_guard<std::mutex> lock(mu);
-        if (--pending == 0) done_cv.notify_all();
-      });
-    }
-    {
-      std::unique_lock<std::mutex> lock(mu);
-      done_cv.wait(lock, [&] { return pending == 0; });
-    }
-    for (const Status& s : errors) ESTOCADA_RETURN_NOT_OK(s);
-    for (size_t i = 0; i < need.size(); ++i) {
-      verify_memo.emplace(std::move(need[i]), outcomes[i] != 0);
-    }
-    return Status::OK();
   };
 
   // ---- Convert, verify, filter; smallest-first; skip supersets of
@@ -575,94 +490,57 @@ Result<RewritingResult> Rewriter::Rewrite(const ConjunctiveQuery& query,
             });
   candidates.erase(std::unique(candidates.begin(), candidates.end()),
                    candidates.end());
-  if (options.verify_candidates && pool != nullptr) {
-    // Speculative top-level pass: chase-verify every exposed candidate up
-    // front, concurrently, so the accept loop below is pure memo lookups.
-    std::vector<std::vector<uint32_t>> batch;
-    batch.reserve(candidates.size());
-    for (const auto& c : candidates) {
-      if (ExposesHead(canon_plan.view_atoms, canon_plan.head_targets, c)) {
-        batch.push_back(c);
+  auto includes_accepted = [](const std::vector<uint32_t>& ids,
+                              const std::vector<std::vector<uint32_t>>& sets) {
+    for (const auto& acc : sets) {
+      if (std::includes(ids.begin(), ids.end(), acc.begin(), acc.end())) {
+        return true;
       }
     }
-    ESTOCADA_RETURN_NOT_OK(verify_batch(std::move(batch)));
-  }
+    return false;
+  };
   std::vector<std::vector<uint32_t>> accepted_sets;
   for (const auto& original_cand : candidates) {
     if (result.rewritings.size() >= options.max_rewritings) break;
     ++stats.candidates_considered;
-    bool superset = false;
-    for (const auto& acc : accepted_sets) {
-      if (std::includes(original_cand.begin(), original_cand.end(),
-                        acc.begin(), acc.end())) {
-        superset = true;
-        break;
-      }
+    if (includes_accepted(original_cand, accepted_sets)) continue;
+    if (!ExposesHead(canon_plan.view_atoms, canon_plan.head_targets,
+                     original_cand)) {
+      continue;  // Not a rewriting.
     }
-    if (superset) continue;
-    if (!ExposesHead(canon_plan.view_atoms, canon_plan.head_targets, original_cand)) continue;  // Not a rewriting.
-    if (options.verify_candidates) {
-      ESTOCADA_ASSIGN_OR_RETURN(bool sound, verify(original_cand));
-      if (!sound) continue;
-    }
+    ESTOCADA_ASSIGN_OR_RETURN(bool exact, verify(original_cand));
+    if (!exact) continue;
+    // Classical backchase minimization: EGD merges can over-condition
+    // provenance (a witness null merged away makes a candidate look larger
+    // than necessary), so greedily try dropping each atom and keep the
+    // candidate exactly-minimal.
     std::vector<uint32_t> cand = original_cand;
-    if (options.verify_candidates) {
-      // Classical backchase minimization: EGD merges can over-condition
-      // provenance (a witness null merged away makes a candidate look
-      // larger than necessary), so greedily try dropping each atom and
-      // keep the candidate exactly-minimal.
-      bool shrunk = true;
-      while (shrunk && cand.size() > 1) {
-        shrunk = false;
-        if (pool != nullptr) {
-          // Probe all of this round's drops concurrently; the scan below
-          // then picks the first success in drop order, exactly as the
-          // sequential path does.
-          std::vector<std::vector<uint32_t>> probes;
-          probes.reserve(cand.size());
-          for (size_t drop = 0; drop < cand.size(); ++drop) {
-            std::vector<uint32_t> smaller = cand;
-            smaller.erase(smaller.begin() + static_cast<long>(drop));
-            if (ExposesHead(canon_plan.view_atoms, canon_plan.head_targets,
-                            smaller)) {
-              probes.push_back(std::move(smaller));
-            }
-          }
-          ESTOCADA_RETURN_NOT_OK(verify_batch(std::move(probes)));
+    bool shrunk = true;
+    while (shrunk && cand.size() > 1) {
+      shrunk = false;
+      for (size_t drop = 0; drop < cand.size(); ++drop) {
+        std::vector<uint32_t> smaller = cand;
+        smaller.erase(smaller.begin() + static_cast<long>(drop));
+        if (!ExposesHead(canon_plan.view_atoms, canon_plan.head_targets,
+                         smaller)) {
+          continue;
         }
-        for (size_t drop = 0; drop < cand.size(); ++drop) {
-          std::vector<uint32_t> smaller = cand;
-          smaller.erase(smaller.begin() + static_cast<long>(drop));
-          if (!ExposesHead(canon_plan.view_atoms, canon_plan.head_targets, smaller)) continue;
-          ESTOCADA_ASSIGN_OR_RETURN(bool still_exact, verify(smaller));
-          if (still_exact) {
-            cand = std::move(smaller);
-            shrunk = true;
-            break;
-          }
-        }
-      }
-      // The minimized set may now duplicate or subsume an accepted one.
-      bool dominated = false;
-      for (const auto& acc : accepted_sets) {
-        if (std::includes(cand.begin(), cand.end(), acc.begin(),
-                          acc.end())) {
-          dominated = true;
+        ESTOCADA_ASSIGN_OR_RETURN(bool still_exact, verify(smaller));
+        if (still_exact) {
+          cand = std::move(smaller);
+          shrunk = true;
           break;
         }
       }
-      if (dominated) continue;
     }
+    // The minimized set may now duplicate or subsume an accepted one.
+    if (includes_accepted(cand, accepted_sets)) continue;
     auto cq = CandidateToQuery(query, canon_plan, cand);
     if (!cq.ok()) continue;  // Defensive: ExposesHead already vetted cand.
-    Rewriting rw;
-    rw.query = std::move(*cq);
-    rw.feasible = IsFeasible(rw.query.body, adornments_);
-    if (options.require_feasible && !rw.feasible) continue;
+    if (!IsFeasible(cq->body, adornments_)) continue;
     accepted_sets.push_back(cand);
-    result.rewritings.push_back(std::move(rw));
+    result.rewritings.push_back(Rewriting{std::move(*cq)});
   }
-  stats.candidates_verified = chase_checks.load(std::memory_order_relaxed);
   stats.rewritings_found = result.rewritings.size();
   return result;
 }
@@ -692,9 +570,8 @@ std::string DescribeRewritingSet(const RewritingResult& result) {
   std::vector<std::pair<size_t, std::string>> lines;
   lines.reserve(result.rewritings.size());
   for (const Rewriting& rw : result.rewritings) {
-    std::string line = StrCat("  ", rw.query.ToString());
-    if (!rw.feasible) line += "  [infeasible]";
-    lines.emplace_back(rw.query.body.size(), std::move(line));
+    lines.emplace_back(rw.query.body.size(),
+                       StrCat("  ", rw.query.ToString()));
   }
   std::sort(lines.begin(), lines.end());
   std::string out = StrCat(result.rewritings.size(), " rewritings\n");

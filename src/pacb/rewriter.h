@@ -15,35 +15,14 @@
 #include "pivot/query.h"
 #include "pivot/schema.h"
 
-namespace estocada {
-class ThreadPool;
-}
-
 namespace estocada::pacb {
 
-/// Knobs for a rewriting run.
+/// Knobs for a rewriting run. Every candidate is chase-verified, and
+/// rewritings that violate the views' access patterns are dropped.
 struct RewriterOptions {
   chase::ChaseOptions chase;
   /// Upper bound on returned rewritings (smallest-body first).
   size_t max_rewritings = 16;
-  /// Verify each provenance-derived candidate with a chase-based
-  /// containment check. Sound candidates only; costs one small chase per
-  /// candidate. Disable only in benchmarks measuring raw candidate
-  /// generation.
-  bool verify_candidates = true;
-  /// Optional worker pool for candidate verification. When set (and
-  /// provenance tracking is on), provenance-derived candidates and each
-  /// minimization round's drop probes are chase-verified concurrently —
-  /// one chase scratch per worker, shared state read-only. Results are
-  /// merged into the same memo the sequential path fills, and the accept
-  /// loop consumes them in the identical order, so the rewriting set is
-  /// byte-for-byte the same with and without a pool. The pool path
-  /// verifies speculatively (it does not early-stop at max_rewritings or
-  /// at the first successful drop), so `candidates_verified` may be
-  /// higher than in a sequential run. nullptr = sequential.
-  ThreadPool* verify_pool = nullptr;
-  /// Drop rewritings that violate access-pattern feasibility.
-  bool require_feasible = true;
   /// Ablation switch: when false, the backchase does not track provenance
   /// and candidates are enumerated naively from the universal plan (this
   /// is what makes "naive C&B" slow; kept here so the E3 bench can flip
@@ -69,7 +48,6 @@ struct RewriterStats {
 /// to the input query under the schema + view constraints.
 struct Rewriting {
   pivot::ConjunctiveQuery query;
-  bool feasible = true;  ///< Under the views' access patterns.
 };
 
 struct RewritingResult {
@@ -89,7 +67,7 @@ bool ParametersSurvive(const pivot::ConjunctiveQuery& query,
                        const RewritingResult& result);
 
 /// Stable multi-line rendering of a rewriting set: a count header followed
-/// by one "  <query text>[  [infeasible]]" line per rewriting, ordered by
+/// by one "  <query text>" line per rewriting, ordered by
 /// (body size, text) so the output is independent of tie-breaks inside the
 /// rewriter. Golden-file tests diff this against checked-in expectations.
 std::string DescribeRewritingSet(const RewritingResult& result);
@@ -109,9 +87,9 @@ std::string DescribeRewritingSet(const RewritingResult& result);
 ///     mapped onto the frozen head terms) contributes the conjunction of
 ///     its atoms' provenance; the minimal disjuncts of the combined
 ///     formula are the candidate rewritings.
-///  4. Candidates are (optionally, on by default) verified with a
-///     chase-based containment check, filtered for access-pattern
-///     feasibility, and returned smallest-first.
+///  4. Candidates are verified with a chase-based containment check,
+///     minimized, filtered for access-pattern feasibility, and returned
+///     smallest-first.
 class Rewriter {
  public:
   /// `schema` carries the source relations and their constraints (data
@@ -122,7 +100,10 @@ class Rewriter {
   Status Prepare();
 
   /// Rewrites `query` (a CQ over source relations) into equivalent CQs
-  /// over view relations. Returns kNoRewriting when none exists.
+  /// over view relations. Returns an empty set when none exists (the
+  /// planner and the serving runtime turn that into kNoRewriting); fails
+  /// when the query is invalid or a chase fails. Safe for concurrent
+  /// callers on one prepared Rewriter.
   Result<RewritingResult> Rewrite(const pivot::ConjunctiveQuery& query,
                                   const RewriterOptions& options = {}) const;
 

@@ -1,11 +1,9 @@
 // Relational fragments: one table per container, one column per view head
 // position (named by catalog::FragmentColumnNames). Every column is kAny,
-// so the table takes any row the staging data holds; nested lists are
-// stored as JSON text and parsed back on read (a string that itself reads
-// as a JSON array, in a column that also holds lists, reads back as that
-// list). Input-adorned and index_positions columns get a secondary hash
-// index each. Atoms routed to one store instance fuse into one delegated
-// SPJ query.
+// so the table keeps any value the staging data holds, nested lists
+// included, and reads it back unchanged. Input-adorned and index_positions
+// columns get a secondary hash index each. Atoms routed to one store
+// instance fuse into one delegated SPJ query.
 
 #include <algorithm>
 #include <unordered_map>
@@ -17,42 +15,6 @@ namespace estocada::rewriting {
 namespace {
 
 using engine::Row;
-using engine::Value;
-
-/// Lists cannot live in a relational column; they are stored as JSON text.
-Row EncodeRow(const Row& row) {
-  Row flat;
-  flat.reserve(row.size());
-  for (const Value& v : row) {
-    flat.push_back(v.is_list() ? Value::Str(v.ToJson().Serialize()) : v);
-  }
-  return flat;
-}
-
-/// Parses the list values of the list columns `list_cols` back from
-/// their JSON text. A list column may hold scalars too (the flag is per
-/// column), so only text that parses as a JSON array is taken for a list.
-void DecodeRow(const std::vector<size_t>& list_cols, Row* row) {
-  for (size_t c : list_cols) {
-    Value& v = (*row)[c];
-    if (!v.is_string() || v.string_value().empty() ||
-        v.string_value()[0] != '[') {
-      continue;
-    }
-    auto parsed = ParseStoredJson(v.string_value());
-    if (parsed.ok() && parsed->is_list()) v = std::move(*parsed);
-  }
-}
-
-/// Positions of `desc` whose values are lists (stored as JSON text).
-std::vector<size_t> ListColumns(const catalog::StorageDescriptor& desc) {
-  std::vector<size_t> out;
-  for (size_t c = 0; c < desc.view.arity() && c < desc.list_column.size();
-       ++c) {
-    if (desc.list_column[c]) out.push_back(c);
-  }
-  return out;
-}
 
 class Driver : public StoreDriver {
  public:
@@ -79,8 +41,7 @@ class Driver : public StoreDriver {
   Status Append(const Placement& p,
                 const std::vector<Row>& rows) const override {
     for (const Row& row : rows) {
-      ESTOCADA_RETURN_NOT_OK(
-          p.store.relational->Insert(p.container, EncodeRow(row)));
+      ESTOCADA_RETURN_NOT_OK(p.store.relational->Insert(p.container, row));
     }
     return Status::OK();
   }
@@ -90,31 +51,12 @@ class Driver : public StoreDriver {
   }
 
   Result<std::vector<Row>> ReadAll(const Placement& p) const override {
-    ESTOCADA_ASSIGN_OR_RETURN(std::vector<Row> rows,
-                              p.store.relational->Scan(p.container));
-    const std::vector<size_t> list_cols = ListColumns(p.desc);
-    for (Row& row : rows) DecodeRow(list_cols, &row);
-    return rows;
-  }
-
-  Result<Row> CanonRow(const Row& row) const override {
-    Row out;
-    out.reserve(row.size());
-    for (const Value& v : row) {
-      if (v.is_list()) {
-        ESTOCADA_ASSIGN_OR_RETURN(Value rt, JsonTextRoundTrip(v));
-        out.push_back(std::move(rt));
-      } else {
-        out.push_back(v);
-      }
-    }
-    return out;
+    return p.store.relational->Scan(p.container);
   }
 
   /// Single-table SPJ over one shard container (a scattered atom; all
   /// other relational atoms go through CompileJoin). Filters are built at
-  /// fetch time so outer bindings push down; list-typed values stay
-  /// post-checks (they persist as JSON text).
+  /// fetch time so outer bindings push down.
   Result<NativeAccess> CompileAccess(const AccessRequest& req) const override {
     const BoundAtom& a = req.atom;
     const stores::CostProfile& cost = blueprint();
@@ -127,9 +69,8 @@ class Driver : public StoreDriver {
     stores::RelationalStore* store = a.store->relational;
     std::vector<std::string> cols =
         catalog::FragmentColumnNames(a.fragment->view);
-    std::vector<size_t> list_cols = ListColumns(*a.fragment);
     AtomFilter filter(a, req.needed_positions);
-    out.fetch = [store, container = a.container, cols, list_cols, filter,
+    out.fetch = [store, container = a.container, cols, filter,
                  runtime = req.runtime, store_name = a.store_name](
                     const Row& binding) -> Result<std::vector<Row>> {
       AtomFilter::Ground ground = filter.Bind(binding);
@@ -138,16 +79,11 @@ class Driver : public StoreDriver {
       for (size_t i = 0; i < cols.size(); ++i) {
         stores::SpjQuery::ColumnRef ref{"a0", cols[i]};
         q.select.push_back(ref);
-        if (ground[i].has_value() && !ground[i]->is_list() &&
-            std::find(list_cols.begin(), list_cols.end(), i) ==
-                list_cols.end()) {
-          q.filters.push_back({ref, *ground[i]});
-        }
+        if (ground[i].has_value()) q.filters.push_back({ref, *ground[i]});
       }
       ESTOCADA_ASSIGN_OR_RETURN(
           std::vector<Row> rows,
           store->Execute(q, &runtime->per_store[store_name]));
-      for (Row& row : rows) DecodeRow(list_cols, &row);
       return filter.Keep(std::move(rows), binding);
     };
     return out;
@@ -218,20 +154,9 @@ class Driver : public StoreDriver {
     if (!build) return out;
     const std::string& store_name = atoms[0]->store_name;
     out.desc = StrCat(store_name, ": ", q.ToString());
-    // List columns by output column index, group-wide.
-    std::vector<size_t> list_cols;
-    size_t off = 0;
-    for (const BoundAtom* a : atoms) {
-      for (size_t c : ListColumns(*a->fragment)) list_cols.push_back(off + c);
-      off += a->arity();
-    }
-    out.fetch = [store = atoms[0]->store->relational, q, runtime, store_name,
-                 list_cols](const Row&) -> Result<std::vector<Row>> {
-      ESTOCADA_ASSIGN_OR_RETURN(
-          std::vector<Row> rows,
-          store->Execute(q, &runtime->per_store[store_name]));
-      for (Row& row : rows) DecodeRow(list_cols, &row);
-      return rows;
+    out.fetch = [store = atoms[0]->store->relational, q, runtime,
+                 store_name](const Row&) -> Result<std::vector<Row>> {
+      return store->Execute(q, &runtime->per_store[store_name]);
     };
     return out;
   }

@@ -31,23 +31,10 @@ FragmentStatistics ComputeStatistics(const std::vector<Row>& rows,
   return stats;
 }
 
-/// Flags the view positions where `rows` hold lists.
-void MarkListColumns(const std::vector<Row>& rows, StorageDescriptor* desc) {
-  desc->list_column.resize(desc->view.arity(), false);
-  for (const Row& row : rows) {
-    for (size_t c = 0; c < row.size(); ++c) {
-      if (row[c].is_list()) desc->list_column[c] = true;
-    }
-  }
-}
-
-/// Describes the fragment's whole view extent `rows`: statistics and
-/// list-column flags start over from them.
+/// Describes the fragment's whole view extent `rows`: statistics start
+/// over from them.
 void SetStatistics(const std::vector<Row>& rows, StorageDescriptor* desc) {
-  const size_t arity = desc->view.arity();
-  desc->stats = ComputeStatistics(rows, arity);
-  desc->list_column.assign(arity, false);
-  MarkListColumns(rows, desc);
+  desc->stats = ComputeStatistics(rows, desc->view.arity());
 }
 
 /// The serving fragments whose views read `relation`. Shadow fragments
@@ -203,7 +190,6 @@ Status CreateFragmentContainer(Catalog* catalog,
   }
   desc->stats = FragmentStatistics{};
   desc->stats.distinct.assign(arity, 0);
-  desc->list_column.assign(arity, false);
   return Status::OK();
 }
 
@@ -299,7 +285,6 @@ Status FanOutShard(Catalog* catalog, StorageDescriptor* desc,
 Status FanOutDelta(const StagingData& staging, Catalog* catalog,
                    StorageDescriptor* desc, const std::vector<Row>& delta) {
   LazyTruth truth(staging, *desc);
-  MarkListColumns(delta, desc);
   ESTOCADA_RETURN_NOT_OK(ForEachShardBucket(
       *desc, delta, [&](size_t s, const std::vector<Row>& bucket) -> Status {
         if (bucket.empty()) return Status::OK();
@@ -495,10 +480,7 @@ Status AppendToReplica(Catalog* catalog, const std::string& fragment_name,
   ESTOCADA_RETURN_NOT_OK(t.driver().Append(t.at(), rows));
   ESTOCADA_ASSIGN_OR_RETURN(StorageDescriptor * desc,
                             catalog->GetMutableFragment(fragment_name));
-  if (desc->is_shadow()) {
-    MarkListColumns(rows, desc);
-    desc->stats.row_count += rows.size();
-  }
+  if (desc->is_shadow()) desc->stats.row_count += rows.size();
   return Status::OK();
 }
 

@@ -89,8 +89,7 @@ Status AppendToReplica(catalog::Catalog* catalog,
                        size_t replica, const std::vector<engine::Row>& rows);
 
 /// Reads the placement's container back into pivot-space view rows (the
-/// inverse of the per-kind load layouts; relational list columns are
-/// parsed back from their JSON text). Order is unspecified and duplicates
+/// inverse of the per-kind load layouts). Order is unspecified and duplicates
 /// appended by incremental maintenance are preserved.
 Result<std::vector<engine::Row>> ReadReplicaRows(
     const catalog::Catalog& catalog, const std::string& fragment_name,

@@ -25,22 +25,20 @@ Planner::Planner(const catalog::Catalog* catalog,
 
 Result<PlanSet> Planner::PlanQuery(
     const pivot::ConjunctiveQuery& query,
-    const std::map<std::string, engine::Value>& parameters,
-    const pacb::RewriterOptions& options,
-    const PlanConstraints& constraints) const {
+    const std::map<std::string, engine::Value>& parameters) const {
   ESTOCADA_ASSIGN_OR_RETURN(pacb::RewritingResult rewriting_result,
-                            rewriter_->Rewrite(query, options));
+                            rewriter_->Rewrite(query));
   if (!pacb::ParametersSurvive(query, rewriting_result)) {
     ESTOCADA_ASSIGN_OR_RETURN(
         rewriting_result,
-        rewriter_->Rewrite(InlineParameters(query, parameters), options));
+        rewriter_->Rewrite(InlineParameters(query, parameters)));
   }
   if (rewriting_result.rewritings.empty()) {
     return Status::NoRewriting(
         StrCat("no rewriting over the registered fragments answers ",
                query.ToString()));
   }
-  return PlanRewritings(std::move(rewriting_result), parameters, constraints);
+  return PlanRewritings(std::move(rewriting_result), parameters);
 }
 
 Result<PlanSet> Planner::PlanRewritings(

@@ -48,17 +48,16 @@ class Planner {
  public:
   Planner(const catalog::Catalog* catalog, const pacb::Rewriter* rewriter);
 
-  /// Plans `query` (a CQ over dataset relations). Fails with kNoRewriting
-  /// when no executable rewriting exists, kUnavailable when rewritings
-  /// exist but every one touches an excluded store. When the rewritings
+  /// Plans `query` (a CQ over dataset relations) with the default rewriter
+  /// options and no store exclusions. Fails with kNoRewriting when the
+  /// rewriter returns no rewriting, kUnavailable when rewritings exist but
+  /// every one reads a fragment with no fresh replica. When the rewritings
   /// fail the merge guard (pacb::ParametersSurvive), the query is rewritten
   /// again with the parameter values inlined, and a chase failure there is
   /// returned.
   Result<PlanSet> PlanQuery(
       const pivot::ConjunctiveQuery& query,
-      const std::map<std::string, engine::Value>& parameters = {},
-      const pacb::RewriterOptions& options = {},
-      const PlanConstraints& constraints = {}) const;
+      const std::map<std::string, engine::Value>& parameters = {}) const;
 
   /// Translation-only half of PlanQuery: turns already-computed PACB
   /// rewritings into executable plans for this call's parameters and picks

@@ -104,15 +104,12 @@ Result<Value> ParseStoredJson(const std::string& text) {
   return Value::FromJson(j);
 }
 
-Result<Value> JsonTextRoundTrip(const Value& v) {
-  return ParseStoredJson(v.ToJson().Serialize());
-}
-
 Result<Row> JsonTextRoundTrip(const Row& row) {
   Row out;
   out.reserve(row.size());
   for (const Value& v : row) {
-    ESTOCADA_ASSIGN_OR_RETURN(Value rt, JsonTextRoundTrip(v));
+    ESTOCADA_ASSIGN_OR_RETURN(Value rt,
+                              ParseStoredJson(v.ToJson().Serialize()));
     out.push_back(std::move(rt));
   }
   return out;

@@ -210,9 +210,8 @@ std::vector<size_t> IndexPositions(const catalog::StorageDescriptor& desc);
 
 Result<engine::Value> ParseStoredJson(const std::string& text);
 
-/// A value after a JSON text round trip (what text-encoding layouts read
-/// back for it).
-Result<engine::Value> JsonTextRoundTrip(const engine::Value& v);
+/// A row after a JSON text round trip of each value (what text-encoding
+/// layouts read back for it).
 Result<engine::Row> JsonTextRoundTrip(const engine::Row& row);
 
 const StoreDriver& RelationalDriver();

@@ -25,7 +25,7 @@ bool ValueMatchesType(const Value& v, ColumnType t) {
     case ColumnType::kBool:
       return v.is_bool();
     case ColumnType::kAny:
-      return !v.is_list();  // Any scalar; lists are serialized upstream.
+      return true;  // Any value, lists included.
   }
   return false;
 }

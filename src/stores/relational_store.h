@@ -14,9 +14,9 @@
 
 namespace estocada::stores {
 
-/// Column types of the relational store. kAny accepts every scalar —
-/// fragment tables use it for every column, so they take whatever the
-/// staging data holds.
+/// Column types of the relational store. kAny accepts every value, nested
+/// lists included — fragment tables use it for every column, so they take
+/// whatever the staging data holds.
 enum class ColumnType { kInt, kReal, kStr, kBool, kAny };
 
 struct ColumnDef {

@@ -59,6 +59,8 @@ constexpr Probe kProbes[] = {
     {"q(v) :- s.r(7, v)", true, false},
     {"q(v) :- s.r('Key Four', v)", true, false},
     {"q(v) :- s.r(99, v)", true, false},
+    // A string that reads as a JSON list stays a string.
+    {"q(v) :- s.r(11, v)", true, false},
     // Terms: matched exactly, never by their tokens.
     {"q(k) :- s.r(k, 'phone')", false, true},
     {"q(k) :- s.r(k, 'Phone')", false, true},
@@ -70,6 +72,7 @@ constexpr Probe kProbes[] = {
     {"q(k) :- s.r(k, 'b')", false, true},
     {"q(k) :- s.r(k, true)", false, true},
     {"q(k) :- s.r(k, 9)", false, true},
+    {"q(k) :- s.r(k, '[2]')", false, true},
     // Null is a value like any other: it equals itself.
     {"q(k) :- s.r(k, null)", false, true},
     {"q() :- s.r(2, 'phone')", true, true},
@@ -174,6 +177,7 @@ TEST_P(DriverConformance, LoadAppendReadVerifyQuery) {
       {Value::Int(9), Value::Real(9.0)},
       {Value::Int(10), Value::Null()},
       {Value::Null(), Value::Null()},
+      {Value::Int(11), Value::Str("[2]")},
   };
   for (const Row& row : appended) {
     ASSERT_TRUE(sys_.InsertRow("s.r", row).ok()) << engine::RowToString(row);

@@ -17,8 +17,8 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 
-#include "common/thread_pool.h"
 #include "estocada/estocada.h"
 #include "pacb/rewriter.h"
 #include "pacb/view.h"
@@ -82,46 +82,45 @@ void CompareWithGolden(const std::string& name, const std::string& actual) {
       << "regenerate with UPDATE_GOLDENS=1 and review the diff";
 }
 
-void RunGolden(const std::string& name, Schema schema,
-               std::vector<ViewDefinition> views,
-               std::initializer_list<const char*> queries) {
-  Rewriter rewriter(std::move(schema), std::move(views));
-  ASSERT_TRUE(rewriter.Prepare().ok());
-  // Every scenario also runs with pool-parallel candidate verification:
-  // the RewriterOptions::verify_pool contract is that rewriting sets are
-  // byte-identical with and without a pool, so both renderings are diffed
-  // against the same golden.
-  ThreadPool pool(3);
-  RewriterOptions pooled;
-  pooled.verify_pool = &pool;
-  std::string actual;
-  std::string pooled_actual;
-  for (const char* qtext : queries) {
+/// One rewriting scenario: a (schema, views) deployment and the queries
+/// whose rewriting sets its golden file pins.
+struct Scenario {
+  std::string name;
+  Schema schema;
+  std::vector<ViewDefinition> views;
+  std::vector<const char*> queries;
+};
+
+/// The golden text of `scenario` as rewritten by `rewriter`: each query
+/// followed by its DescribeRewritingSet.
+std::string DescribeScenario(const Rewriter& rewriter,
+                             const Scenario& scenario) {
+  std::string out;
+  for (const char* qtext : scenario.queries) {
     auto result = rewriter.Rewrite(Q(qtext));
-    ASSERT_TRUE(result.ok()) << qtext << ": " << result.status();
-    auto pooled_result = rewriter.Rewrite(Q(qtext), pooled);
-    ASSERT_TRUE(pooled_result.ok()) << qtext << ": " << pooled_result.status();
-    for (std::string* out : {&actual, &pooled_actual}) {
-      out->append("query: ");
-      out->append(qtext);
-      out->append("\n");
-    }
-    actual += DescribeRewritingSet(*result);
-    actual += "\n";
-    pooled_actual += DescribeRewritingSet(*pooled_result);
-    pooled_actual += "\n";
+    EXPECT_TRUE(result.ok()) << qtext << ": " << result.status();
+    if (!result.ok()) return out;
+    out += "query: ";
+    out += qtext;
+    out += "\n";
+    out += DescribeRewritingSet(*result);
+    out += "\n";
   }
-  EXPECT_EQ(actual, pooled_actual)
-      << "pool-verified rewriting set diverged from the sequential one";
-  CompareWithGolden(name, actual);
+  return out;
+}
+
+void RunGolden(const Scenario& scenario) {
+  Rewriter rewriter(scenario.schema, scenario.views);
+  ASSERT_TRUE(rewriter.Prepare().ok());
+  CompareWithGolden(scenario.name, DescribeScenario(rewriter, scenario));
 }
 
 /// The paper's §II web-marketplace: users and carts split across a
 /// relational store (full users table), a key-value store (carts keyed by
 /// user, binding pattern on the key), and a document store holding a
 /// pre-joined user×cart fragment.
-TEST(GoldenRewritings, Marketplace) {
-  RunGolden(
+Scenario MarketplaceScenario() {
+  return {
       "marketplace",
       SchemaWith({{"mk.users", 3}, {"mk.carts", 2}},
                  "mk.users(u, n1, c1), mk.users(u, n2, c2) -> n1 = n2; "
@@ -138,13 +137,13 @@ TEST(GoldenRewritings, Marketplace) {
           "q(p) :- mk.carts($uid, p)",
           "q(u, p, c) :- mk.carts(u, p), mk.users(u, n, c)",
           "q(n, c) :- mk.users($uid, n, c)",
-      });
+      }};
 }
 
 /// A log-analytics layout: the full log lives on the parallel store, with
 /// narrow projections replicated for cheap host/message lookups.
-TEST(GoldenRewritings, Bigdata) {
-  RunGolden(
+Scenario BigdataScenario() {
+  return {
       "bigdata",
       SchemaWith({{"ds.logs", 3}},
                  "ds.logs(i, h1, m1), ds.logs(i, h2, m2) -> h1 = h2; "
@@ -158,7 +157,55 @@ TEST(GoldenRewritings, Bigdata) {
           "q(i, h, m) :- ds.logs(i, h, m)",
           "q(h) :- ds.logs($id, h, m)",
           "q(i) :- ds.logs(i, 'web1', m)",
-      });
+      }};
+}
+
+/// The classic R ⋈ S with R replicated on two stores plus a pre-joined
+/// fragment: the rewriter must report every combination (join view alone,
+/// and each replica joined with S).
+Scenario ReplicatedJoinScenario() {
+  return {"replicated_rs",
+          SchemaWith({{"R", 2}, {"S", 2}}),
+          {
+              View("V_r1(x, y) :- R(x, y)"),
+              View("V_r2(x, y) :- R(x, y)"),
+              View("V_s(y, z) :- S(y, z)"),
+              View("V_rs(x, z) :- R(x, y), S(y, z)"),
+          },
+          {
+              "q(x, z) :- R(x, y), S(y, z)",
+              "q(x, y) :- R(x, y)",
+          }};
+}
+
+TEST(GoldenRewritings, Marketplace) { RunGolden(MarketplaceScenario()); }
+
+TEST(GoldenRewritings, Bigdata) { RunGolden(BigdataScenario()); }
+
+TEST(GoldenRewritings, ReplicatedJoin) {
+  RunGolden(ReplicatedJoinScenario());
+}
+
+/// Rewrite is const and safe for concurrent callers: four threads rewriting
+/// every query of a scenario on one shared prepared Rewriter each get the
+/// sequential rewriting sets. Run under TSan in CI.
+TEST(GoldenRewritings, ConcurrentRewritesMatchSequential) {
+  for (const Scenario& scenario :
+       {MarketplaceScenario(), BigdataScenario(), ReplicatedJoinScenario()}) {
+    Rewriter rewriter(scenario.schema, scenario.views);
+    ASSERT_TRUE(rewriter.Prepare().ok());
+    const std::string sequential = DescribeScenario(rewriter, scenario);
+    std::vector<std::string> concurrent(4);
+    std::vector<std::thread> threads;
+    for (std::string& out : concurrent) {
+      threads.emplace_back(
+          [&] { out = DescribeScenario(rewriter, scenario); });
+    }
+    for (std::thread& t : threads) t.join();
+    for (const std::string& out : concurrent) {
+      EXPECT_EQ(sequential, out) << "scenario " << scenario.name;
+    }
+  }
 }
 
 /// The marketplace again, but with F_users hash-partitioned across two
@@ -332,23 +379,6 @@ TEST(GoldenRewritings, GraphMarketplacePlans) {
   ASSERT_TRUE(r.ok()) << r.status();
   append("MATCH (a:User)-[*1..3]->(b:User) RETURN b, b.name", "", *r);
   CompareWithGolden("graph_marketplace", actual);
-}
-
-/// The classic R ⋈ S with R replicated on two stores plus a pre-joined
-/// fragment: the rewriter must report every combination (join view alone,
-/// and each replica joined with S).
-TEST(GoldenRewritings, ReplicatedJoin) {
-  RunGolden("replicated_rs", SchemaWith({{"R", 2}, {"S", 2}}),
-            {
-                View("V_r1(x, y) :- R(x, y)"),
-                View("V_r2(x, y) :- R(x, y)"),
-                View("V_s(y, z) :- S(y, z)"),
-                View("V_rs(x, z) :- R(x, y), S(y, z)"),
-            },
-            {
-                "q(x, z) :- R(x, y), S(y, z)",
-                "q(x, y) :- R(x, y)",
-            });
 }
 
 }  // namespace

@@ -264,19 +264,12 @@ TEST_F(RewriterTest, ParameterizedKeyLookupThroughKvView) {
            {Adornment::kInput, Adornment::kFree})};
   auto with_param = MustRewrite(s, views, Q("q(c) :- Cart($uid, c)"));
   ASSERT_EQ(with_param.rewritings.size(), 1u);
-  EXPECT_TRUE(with_param.rewritings[0].feasible);
   // Head var is the payload; key parameter name survives the round trip.
   EXPECT_EQ(with_param.rewritings[0].query.body[0].terms[0],
             Term::Var("$uid"));
 
   auto scan = MustRewrite(s, views, Q("q(u, c) :- Cart(u, c)"));
   EXPECT_TRUE(scan.rewritings.empty());  // Infeasible: key unbound.
-  RewriterOptions keep_infeasible;
-  keep_infeasible.require_feasible = false;
-  auto kept = MustRewrite(s, views, Q("q(u, c) :- Cart(u, c)"),
-                          keep_infeasible);
-  ASSERT_EQ(kept.rewritings.size(), 1u);
-  EXPECT_FALSE(kept.rewritings[0].feasible);
 }
 
 TEST_F(RewriterTest, BindJoinChainIsFeasible) {
@@ -289,8 +282,9 @@ TEST_F(RewriterTest, BindJoinChainIsFeasible) {
        View("KVCart(u, c) :- Cart(u, c)",
             {Adornment::kInput, Adornment::kFree})},
       Q("q(n, c) :- Users(u, n), Cart(u, c)"));
+  // Infeasible rewritings are dropped, so the one returned is feasible.
   ASSERT_EQ(result.rewritings.size(), 1u);
-  EXPECT_TRUE(result.rewritings[0].feasible);
+  EXPECT_EQ(result.rewritings[0].query.body.size(), 2u);
 }
 
 TEST_F(RewriterTest, MultipleMinimalRewritingsReported) {

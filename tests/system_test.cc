@@ -471,6 +471,27 @@ TEST_F(MarketplaceSystemTest, QueryProgramLimitAndValidation) {
             StatusCode::kInvalidArgument);
 }
 
+TEST_F(MarketplaceSystemTest, QueryProgramLogsMeasuredCostAfterRunning) {
+  ASSERT_TRUE(sys_.DefineFragment("F_users(u, n, c) :- mk.users(u, n, c)",
+                                  "postgres1")
+                  .ok());
+  // A program that fails in its second branch logs nothing, not even the
+  // branch that planned.
+  ASSERT_FALSE(sys_.QueryProgram({"q(u) :- mk.users(u, n, c)",
+                                  "q(u, n) :- mk.users(u, n, c)"})
+                   .ok());
+  EXPECT_TRUE(sys_.workload_log().entries().empty());
+  // A one-branch program is logged with what its stores measured.
+  auto r = sys_.QueryProgram({"q(u) :- mk.users(u, n, c)"});
+  ASSERT_TRUE(r.ok()) << r.status();
+  ASSERT_EQ(sys_.workload_log().entries().size(), 1u);
+  const advisor::WorkloadEntry& entry =
+      sys_.workload_log().entries().begin()->second;
+  EXPECT_EQ(entry.count, 1u);
+  EXPECT_GT(entry.total_cost, 0.0);
+  EXPECT_EQ(entry.total_cost, r->runtime_stats.TotalSimulatedCost());
+}
+
 TEST(BigDataBenchTest, GeneratesAndAnswersJoin) {
   workload::BigDataBenchConfig cfg;
   cfg.num_pages = 200;
