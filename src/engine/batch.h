@@ -23,8 +23,8 @@ class RowBatch {
   /// Preferred granularity: big enough to amortize per-batch virtual
   /// dispatch, small enough to keep a chunk's columns cache-resident.
   static constexpr size_t kDefaultRows = 1024;
-  /// Upper bound sources aim for; join outputs may exceed it transiently
-  /// (a single probe chunk emits all its matches in one batch).
+  /// Upper bound sources aim for; a hash join never emits more per batch
+  /// (a probe chunk's matches spill over into the next batches).
   static constexpr size_t kMaxRows = 4096;
 
   RowBatch() = default;

@@ -444,6 +444,9 @@ Status HashJoinOperator::Open() {
     }
     build_batch_.SetPhysicalRows(build_batch_.physical_rows() + n);
   }
+  probe_.Reset(0);
+  probe_row_ = 0;
+  mid_chain_ = false;
   table_.Reset(build_batch_.physical_rows());
   for (size_t i = 0; i < build_batch_.physical_rows(); ++i) {
     table_.Insert(key_ops_->hash(build_batch_, build_key_cols_.data(),
@@ -458,27 +461,39 @@ Result<bool> HashJoinOperator::NextBatch(RowBatch* out) {
   const size_t left_arity = build_batch_.arity();
   const size_t key_arity = build_key_cols_.size();
   for (;;) {
-    ESTOCADA_ASSIGN_OR_RETURN(bool more, right_->NextBatch(&probe_));
-    if (!more) {
-      out->Reset(left_arity);
-      return false;
+    if (probe_row_ >= probe_.size()) {
+      ESTOCADA_ASSIGN_OR_RETURN(bool more, right_->NextBatch(&probe_));
+      if (!more) {
+        out->Reset(left_arity);
+        return false;
+      }
+      probe_row_ = 0;
+      mid_chain_ = false;
     }
     const size_t right_arity = probe_.arity();
     out->Reset(left_arity + right_arity);
     size_t emitted = 0;
-    const size_t n = probe_.size();
-    for (size_t i = 0; i < n; ++i) {
-      const uint32_t p = probe_.ActiveIndex(i);
-      const uint64_t h =
-          key_ops_->hash(probe_, probe_key_cols_.data(), key_arity, p);
-      for (uint32_t m = table_.Head(h); m != FlatJoinTable::kNone;
-           m = table_.Next(m)) {
-        if (!key_ops_->equals(build_batch_, build_key_cols_.data(), m, probe_,
-                              probe_key_cols_.data(), key_arity, p)) {
+    // Emits at most kMaxRows per call: a probe row whose matches do not
+    // fit resumes at chain entry `chain_` on the next call.
+    for (const size_t n = probe_.size(); probe_row_ < n; ++probe_row_) {
+      const uint32_t p = probe_.ActiveIndex(probe_row_);
+      if (!mid_chain_) {
+        chain_ = table_.Head(
+            key_ops_->hash(probe_, probe_key_cols_.data(), key_arity, p));
+      }
+      mid_chain_ = false;
+      for (; chain_ != FlatJoinTable::kNone; chain_ = table_.Next(chain_)) {
+        if (emitted == RowBatch::kMaxRows) {
+          mid_chain_ = true;
+          out->SetPhysicalRows(emitted);
+          return true;
+        }
+        if (!key_ops_->equals(build_batch_, build_key_cols_.data(), chain_,
+                              probe_, probe_key_cols_.data(), key_arity, p)) {
           continue;
         }
         for (size_t c = 0; c < left_arity; ++c) {
-          out->column(c).push_back(build_batch_.column(c)[m]);
+          out->column(c).push_back(build_batch_.column(c)[chain_]);
         }
         for (size_t c = 0; c < right_arity; ++c) {
           out->column(left_arity + c).push_back(probe_.column(c)[p]);

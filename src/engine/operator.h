@@ -263,7 +263,8 @@ class SortOperator final : public Operator {
 
 /// Classic build/probe hash equijoin on pairs of (left col, right col).
 /// Output = left columns ++ right columns, probe-major: each right row is
-/// followed by its matching left rows in build (insertion) order.
+/// followed by its matching left rows in build (insertion) order, at most
+/// RowBatch::kMaxRows rows per batch.
 class HashJoinOperator final : public Operator {
  public:
   HashJoinOperator(OperatorPtr left, OperatorPtr right,
@@ -286,6 +287,11 @@ class HashJoinOperator final : public Operator {
   std::vector<uint32_t> probe_key_cols_;
   const KeyOps* key_ops_ = nullptr;
   RowBatch probe_;
+  /// Probe cursor: the next row of `probe_` to join and, when
+  /// `mid_chain_`, the build row of its chain to resume at.
+  size_t probe_row_ = 0;
+  uint32_t chain_ = 0;
+  bool mid_chain_ = false;
 };
 
 /// The BindJoin of the paper: for each input row, extracts the values at

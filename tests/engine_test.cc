@@ -191,6 +191,41 @@ TEST(OperatorTest, HashJoinCompositeKeys) {
   EXPECT_EQ(MustCollect(&join).size(), 1u);
 }
 
+TEST(OperatorTest, HashJoinCapsBatchesAndKeepsProbeMajorOrder) {
+  // Three probe rows match 3000 build rows each: 9000 output rows, more
+  // than one batch holds, split mid-chain.
+  std::vector<Row> build;
+  for (int64_t i = 0; i < 3000; ++i) {
+    build.push_back({Value::Int(7), Value::Int(i)});
+  }
+  auto right = Rows({"k", "p"}, {{Value::Int(7), Value::Int(0)},
+                                 {Value::Int(8), Value::Int(1)},
+                                 {Value::Int(7), Value::Int(2)},
+                                 {Value::Int(7), Value::Int(3)}});
+  HashJoinOperator join(Rows({"k", "b"}, std::move(build)), std::move(right),
+                        {{0, 0}});
+  ASSERT_TRUE(join.Open().ok());
+  RowBatch batch;
+  std::vector<std::pair<int64_t, int64_t>> seen;  // (probe p, build b)
+  for (;;) {
+    auto more = join.NextBatch(&batch);
+    ASSERT_TRUE(more.ok()) << more.status();
+    if (!*more) break;
+    EXPECT_LE(batch.size(), RowBatch::kMaxRows);
+    for (size_t i = 0; i < batch.size(); ++i) {
+      const uint32_t r = batch.ActiveIndex(i);
+      seen.emplace_back(batch.column(3)[r].int_value(),
+                        batch.column(1)[r].int_value());
+    }
+  }
+  ASSERT_EQ(seen.size(), 9000u);
+  for (size_t i = 0; i < seen.size(); ++i) {
+    const int64_t probe = i < 3000 ? 0 : (i < 6000 ? 2 : 3);
+    ASSERT_EQ(seen[i], std::make_pair(probe, static_cast<int64_t>(i % 3000)))
+        << "output row " << i;
+  }
+}
+
 TEST(OperatorTest, BindJoinFetchesPerBinding) {
   auto left = Rows({"uid"}, {{Value::Int(1)}, {Value::Int(2)},
                              {Value::Int(1)}});
