@@ -4,8 +4,9 @@
 # of the concurrency-sensitive pieces (serving runtime + stores) and their
 # tests, then an ASan+UBSan build of the engine, the chase, the pivot
 # model, the PACB rewriter and its goldens, the system and property
-# tests, the regression seeds and the failure/recovery paths. Every
-# step is fail-fast (set -e): the first broken check stops the run.
+# tests, the regression seeds, the randomized differential sweep and the
+# failure/recovery paths. Every step is fail-fast (set -e): the first
+# broken check stops the run.
 #
 # Usage: scripts/check.sh [--fuzz] [jobs]
 #   --fuzz   additionally run a 2-minute randomized differential soak
@@ -47,13 +48,14 @@ echo "== TSan: run =="
   && ./migration_test && ./tuner_test && ./replication_test \
   && ./scaleout_test && ./graph_test && ./golden_rewritings)
 
-echo "== ASan+UBSan: build engine_test + chase_test + failure_test + runtime_test + stores_test + migration_test + tuner_test + replication_test + scaleout_test + serialize_test + rewriting_test + maintenance_test + graph_test + drivers_test + pacb_test + pivot_test + golden_rewritings + system_test + properties_test + regression_seeds =="
+echo "== ASan+UBSan: build engine_test + chase_test + failure_test + runtime_test + stores_test + migration_test + tuner_test + replication_test + scaleout_test + serialize_test + rewriting_test + maintenance_test + graph_test + drivers_test + pacb_test + pivot_test + golden_rewritings + system_test + properties_test + regression_seeds + fuzz_differential =="
 cmake -B build-asan -S . -DESTOCADA_SANITIZE=address >/dev/null
 cmake --build build-asan -j "$JOBS" \
   --target engine_test chase_test failure_test runtime_test stores_test \
   migration_test tuner_test replication_test scaleout_test serialize_test \
   rewriting_test maintenance_test graph_test drivers_test pacb_test \
-  pivot_test golden_rewritings system_test properties_test regression_seeds
+  pivot_test golden_rewritings system_test properties_test regression_seeds \
+  fuzz_differential
 
 echo "== ASan+UBSan: run =="
 (cd build-asan/tests && ./engine_test && ./chase_test && ./failure_test \
@@ -62,7 +64,8 @@ echo "== ASan+UBSan: run =="
   && ./scaleout_test && ./serialize_test \
   && ./rewriting_test && ./maintenance_test && ./graph_test \
   && ./drivers_test && ./pacb_test && ./pivot_test && ./golden_rewritings \
-  && ./system_test && ./properties_test && ./regression_seeds)
+  && ./system_test && ./properties_test && ./regression_seeds \
+  && ./fuzz_differential)
 
 if [[ "$FUZZ" == "1" ]]; then
   echo "== fuzz: 2-minute differential soak =="

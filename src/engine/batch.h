@@ -51,10 +51,6 @@ class RowBatch {
     sel_ = std::move(sel);
     has_sel_ = true;
   }
-  void ClearSelection() {
-    sel_.clear();
-    has_sel_ = false;
-  }
 
   /// Physical index of the i-th logical row.
   uint32_t ActiveIndex(size_t i) const {

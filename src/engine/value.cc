@@ -1,6 +1,8 @@
 #include "engine/value.h"
 
 #include <cassert>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 
 #include "common/hash.h"
@@ -197,11 +199,40 @@ pivot::Constant Value::ToConstant() const {
   return pivot::Constant::Null();
 }
 
+namespace {
+
+/// ToString with every string, inside lists too, in double quotes (with
+/// `"` and `\` escaped), so no string renders like a number, a null or a
+/// list. A real renders as the shortest text that reads back as it, and
+/// an integral one as the int it equals: 1 and 1.0 render alike, as they
+/// compare equal, while 1 and 1.0000001 do not.
+std::string QuotedString(const Value& v) {
+  if (v.is_real()) {
+    const double d = v.real_value();
+    if (d == std::trunc(d) && std::fabs(d) < 9.2e18) {
+      return std::to_string(static_cast<int64_t>(d));
+    }
+    char buf[32];
+    return std::string(buf, std::to_chars(buf, buf + sizeof(buf), d).ptr);
+  }
+  if (v.is_string()) {
+    std::string out = "\"";
+    for (char c : v.string_value()) {
+      if (c == '"' || c == '\\') out += '\\';
+      out += c;
+    }
+    return out + "\"";
+  }
+  if (v.is_list()) {
+    return StrCat("[", StrJoinMapped(v.list(), ", ", QuotedString), "]");
+  }
+  return v.ToString();
+}
+
+}  // namespace
+
 std::string RowToString(const Row& row) {
-  return StrCat(
-      "(",
-      StrJoinMapped(row, ", ", [](const Value& v) { return v.ToString(); }),
-      ")");
+  return StrCat("(", StrJoinMapped(row, ", ", QuotedString), ")");
 }
 
 std::ostream& operator<<(std::ostream& os, const Value& v) {

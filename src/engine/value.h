@@ -85,6 +85,8 @@ class Value {
 /// One tuple of the nested relational engine.
 using Row = std::vector<Value>;
 
+/// Display and comparison key of a row: (v1, v2, ...), strings quoted
+/// (also inside lists), so two rows render alike iff their values do.
 std::string RowToString(const Row& row);
 std::ostream& operator<<(std::ostream& os, const Value& v);
 

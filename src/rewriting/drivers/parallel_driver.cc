@@ -1,8 +1,10 @@
 // Parallel fragments: one nested relation of the view arity per
-// container, rows kept as engine::Values (lists included). One composite
-// index over the input-adorned positions — over index_positions when
-// none are adorned. An access uses the index when every indexed position
-// is bound, and runs a partition-parallel filtered scan otherwise.
+// container, rows kept as engine::Values (lists included), hash-partitioned
+// by column 0. One composite index over the input-adorned positions — over
+// index_positions when none are adorned. An access uses the index when
+// every indexed position is bound. Otherwise it runs a filtered scan: of
+// the one partition holding column 0's value when that is bound, and
+// partition-parallel over every partition when it is not.
 
 #include <algorithm>
 
@@ -18,6 +20,14 @@ using engine::Row;
 /// per-row scan cost over it, as the store does when it charges.
 constexpr double kEstimateWorkers = 4;
 
+/// The positions of the container's one composite index (Load); empty
+/// when it has none.
+std::vector<size_t> IndexedPositions(const catalog::StorageDescriptor& desc) {
+  std::vector<size_t> positions = InputPositions(desc.view);
+  if (positions.empty()) positions = desc.index_positions;
+  return positions;
+}
+
 class Driver : public StoreDriver {
  public:
   Driver() : StoreDriver(stores::kParallelBlueprint) {}
@@ -26,10 +36,9 @@ class Driver : public StoreDriver {
     ESTOCADA_RETURN_NOT_OK(
         p.store.parallel->CreateRelation(p.container, p.desc.view.arity()));
     ESTOCADA_RETURN_NOT_OK(Append(p, rows));
-    std::vector<size_t> inputs = InputPositions(p.desc.view);
-    if (inputs.empty()) inputs = p.desc.index_positions;
-    if (inputs.empty()) return Status::OK();
-    return p.store.parallel->CreateIndex(p.container, inputs);
+    std::vector<size_t> indexed = IndexedPositions(p.desc);
+    if (indexed.empty()) return Status::OK();
+    return p.store.parallel->CreateIndex(p.container, indexed);
   }
 
   Status Append(const Placement& p,
@@ -50,16 +59,18 @@ class Driver : public StoreDriver {
     const stores::CostProfile& cost = blueprint();
     NativeAccess out;
     stores::ParallelStore* store = a.store->parallel;
-    // The index over the input-adorned positions exists iff there are any
-    // (Load). Use it when every indexed position is ground or needed.
-    std::vector<size_t> index_positions = InputPositions(a.fragment->view);
-    bool index_usable = !index_positions.empty();
-    for (size_t p : index_positions) {
-      const bool needed =
-          std::find(req.needed_positions.begin(), req.needed_positions.end(),
-                    p) != req.needed_positions.end();
-      if (!a.ground[p].has_value() && !needed) index_usable = false;
-    }
+    // A position is bound when it is ground at plan time or each call's
+    // binding supplies it.
+    auto bound = [&](size_t p) {
+      return a.ground[p].has_value() ||
+             std::find(req.needed_positions.begin(),
+                       req.needed_positions.end(),
+                       p) != req.needed_positions.end();
+    };
+    std::vector<size_t> index_positions = IndexedPositions(*a.fragment);
+    const bool index_usable =
+        !index_positions.empty() &&
+        std::all_of(index_positions.begin(), index_positions.end(), bound);
     AtomFilter filter(a, req.needed_positions);
     if (index_usable) {
       out.access_cost = cost.per_operation + cost.per_index_lookup +
@@ -82,21 +93,36 @@ class Driver : public StoreDriver {
       };
       return out;
     }
-    out.access_cost =
-        cost.per_operation +
-        cost.per_row_scanned / kEstimateWorkers * req.rows_total +
-        cost.per_row_returned * req.est_out_rows;
+    // Column 0 bound: the store reads the one partition holding its value,
+    // so price that partition's share of the rows.
+    const bool pruned = bound(0);
+    const double partitions =
+        pruned ? stores::ParallelStore::kDefaultPartitions : 1;
+    out.access_cost = cost.per_operation +
+                      cost.per_row_scanned / kEstimateWorkers *
+                          req.rows_total / partitions +
+                      cost.per_row_returned * req.est_out_rows;
     if (!req.build) return out;
-    out.desc = StrCat(a.store_name, ": PARALLEL-SCAN ", a.container);
-    out.fetch = [store, container = a.container, filter,
-                 runtime = req.runtime, store_name = a.store_name](
+    // When pruned, column 0's value is plan-time ground or slot `slot` of
+    // each call's binding.
+    const size_t slot =
+        std::find(req.needed_positions.begin(), req.needed_positions.end(),
+                  0) -
+        req.needed_positions.begin();
+    out.desc = StrCat(a.store_name,
+                      pruned ? ": PARTITION-SCAN " : ": PARALLEL-SCAN ",
+                      a.container);
+    out.fetch = [store, container = a.container, filter, pruned,
+                 key = a.ground[0], slot, runtime = req.runtime,
+                 store_name = a.store_name](
                     const Row& binding) -> Result<std::vector<Row>> {
-      return store->ParallelScan(
-          container,
-          [&filter, &binding](const Row& row) {
-            return filter.Matches(row, binding);
-          },
-          {}, &runtime->per_store[store_name]);
+      auto keep = [&filter, &binding](const Row& row) {
+        return filter.Matches(row, binding);
+      };
+      stores::StoreStats* stats = &runtime->per_store[store_name];
+      if (!pruned) return store->ParallelScan(container, keep, {}, stats);
+      return store->PartitionScan(container, key ? *key : binding[slot], keep,
+                                  stats);
     };
     return out;
   }

@@ -397,6 +397,46 @@ Result<PlannedQuery> Translator::PlanInternal(
   double est_rows = 1;
   double est_cost = 0;
 
+  // Set semantics below the joins: a column of a self-contained group
+  // that neither the head nor any other group reads (a variable of this
+  // group only, a ground position, a repeated variable's second column)
+  // only multiplies rows. Such a group's source is projected onto its
+  // live columns and deduplicated; the top Project + Distinct makes the
+  // answer a set anyway. A dead column holds no variable in scope, so
+  // dropping it changes no estimate, and estimate mode skips it. (Groups
+  // and variables are few: plain scans beat building sets.)
+  auto contains = [](const std::vector<std::string>& vars,
+                     const std::string& v) {
+    return std::find(vars.begin(), vars.end(), v) != vars.end();
+  };
+  auto read_elsewhere = [&](const CompiledGroup& self, const std::string& v) {
+    for (const Term& h : rewriting.head) {
+      if (h.is_variable() && h.var_name() == v) return true;
+    }
+    for (const CompiledGroup& other : compiled) {
+      if (&other != &self &&
+          (contains(other.out_vars, v) || contains(other.needed_vars, v))) {
+        return true;
+      }
+    }
+    return false;
+  };
+  // The live columns of a self-contained group; empty when it keeps all.
+  auto live_columns = [&](const CompiledGroup& cg) {
+    std::vector<size_t> live;
+    if (compiled.size() < 2 || !cg.needed_vars.empty()) return live;
+    for (size_t i = 0; i < cg.out_vars.size(); ++i) {
+      const std::string& v = cg.out_vars[i];
+      const auto first = cg.out_vars.begin() + static_cast<std::ptrdiff_t>(i);
+      if (!v.empty() && std::find(cg.out_vars.begin(), first, v) == first &&
+          read_elsewhere(cg, v)) {
+        live.push_back(i);
+      }
+    }
+    if (live.size() == cg.out_vars.size()) live.clear();
+    return live;
+  };
+
   for (CompiledGroup& cg : compiled) {
     plan.delegated.push_back(cg.desc);
     // Builds the source operator for a group that takes no outer bindings:
@@ -422,6 +462,30 @@ Result<PlannedQuery> Translator::PlanInternal(
       return std::make_unique<engine::CallbackScanOperator>(
           cg.out_names, [fetch]() { return fetch(Row{}); }, cg.desc);
     };
+    // The source of a self-contained group, narrowed to its live columns
+    // (null in estimate mode); `cg` then describes the narrowed columns.
+    auto make_set_source = [&]() -> OperatorPtr {
+      if (!build) return nullptr;
+      OperatorPtr source = make_source();
+      const std::vector<size_t> live = live_columns(cg);
+      if (live.empty()) return source;
+      std::vector<std::string> vars, names;
+      std::vector<double> distinct;
+      std::vector<ExprPtr> exprs;
+      for (size_t i : live) {
+        vars.push_back(cg.out_vars[i]);
+        names.push_back(cg.out_names[i]);
+        distinct.push_back(cg.out_distinct[i]);
+        exprs.push_back(Expr::Column(i));
+      }
+      source = std::make_unique<engine::DistinctOperator>(
+          std::make_unique<engine::ProjectOperator>(std::move(source), names,
+                                                    std::move(exprs)));
+      cg.out_vars = std::move(vars);
+      cg.out_names = std::move(names);
+      cg.out_distinct = std::move(distinct);
+      return source;
+    };
     // Join selectivity for shared output variables (not used as binding).
     auto shared_selectivity = [&]() {
       double sel = 1;
@@ -445,7 +509,7 @@ Result<PlannedQuery> Translator::PlanInternal(
             StrCat("first group of plan needs outer bindings (",
                    StrJoin(cg.needed_vars, ", "), ")"));
       }
-      if (build) tree = make_source();
+      tree = make_set_source();
       est_cost += cg.access_cost;
       est_rows = cg.est_out_rows;
     } else if (!cg.needed_vars.empty()) {
@@ -489,8 +553,8 @@ Result<PlannedQuery> Translator::PlanInternal(
       est_rows = est_rows * cg.est_out_rows * shared_selectivity();
     } else {
       // Self-contained group: hash join on shared variables.
+      OperatorPtr source = make_set_source();
       if (build) {
-        OperatorPtr source = make_source();
         std::vector<std::pair<size_t, size_t>> keys;
         std::unordered_set<std::string> keyed;
         for (size_t i = 0; i < cg.out_vars.size(); ++i) {

@@ -22,12 +22,6 @@ void FaultInjector::FailNextReads(const std::string& store, uint64_t reads) {
   fail_next_[store] = reads;
 }
 
-FaultPlan FaultInjector::GetPlan(const std::string& store) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = plans_.find(store);
-  return it == plans_.end() ? FaultPlan{} : it->second;
-}
-
 Status FaultInjector::OnRead(const std::string& store) {
   uint64_t spike_micros = 0;
   {
@@ -82,11 +76,6 @@ Status FaultInjector::OnWrite(const std::string& store) {
 FaultInjector::Counters FaultInjector::counters() const {
   std::lock_guard<std::mutex> lock(mu_);
   return counters_;
-}
-
-void FaultInjector::ResetCounters() {
-  std::lock_guard<std::mutex> lock(mu_);
-  counters_ = Counters{};
 }
 
 }  // namespace estocada::stores

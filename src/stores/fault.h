@@ -51,8 +51,6 @@ class FaultInjector {
   /// exact, rate-independent fault sequences for tests.
   void FailNextReads(const std::string& store, uint64_t reads);
 
-  FaultPlan GetPlan(const std::string& store) const;
-
   /// The hook stores call at the top of every read. OK = proceed.
   Status OnRead(const std::string& store);
 
@@ -72,7 +70,6 @@ class FaultInjector {
     uint64_t write_faults = 0;     ///< Writes rejected by a hard outage.
   };
   Counters counters() const;
-  void ResetCounters();
 
  private:
   mutable std::mutex mu_;

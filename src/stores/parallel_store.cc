@@ -1,7 +1,6 @@
 #include "stores/parallel_store.h"
 
 #include <algorithm>
-#include <atomic>
 
 #include "common/strings.h"
 
@@ -56,9 +55,38 @@ Result<ParallelStore::Relation*> ParallelStore::GetMutableRelation(
   return FindContainer(relations_, name, "relation");
 }
 
-std::string ParallelStore::IndexKey(const std::vector<size_t>& columns) {
-  return StrJoin(columns, ",");
+Result<const ParallelStore::Index*> ParallelStore::GetIndex(
+    const Relation& r, const std::string& relation,
+    const std::vector<size_t>& columns) {
+  auto it = r.indexes.find(columns);
+  if (it == r.indexes.end()) {
+    return Status::NotFound(StrCat("no index (", StrJoin(columns, ","),
+                                   ") on '", relation, "'"));
+  }
+  return &it->second;
 }
+
+namespace {
+
+/// Appends the rows of `rows` that pass `keep` to `out`, projected onto
+/// `projection` (empty = every column).
+template <typename Keep>
+void ScanInto(const std::vector<Row>& rows, const Keep& keep,
+              const std::vector<size_t>& projection, std::vector<Row>* out) {
+  for (const Row& row : rows) {
+    if (!keep(row)) continue;
+    if (projection.empty()) {
+      out->push_back(row);
+      continue;
+    }
+    Row projected;
+    projected.reserve(projection.size());
+    for (size_t col : projection) projected.push_back(row[col]);
+    out->push_back(std::move(projected));
+  }
+}
+
+}  // namespace
 
 Status ParallelStore::Insert(const std::string& relation, Row row) {
   ESTOCADA_RETURN_NOT_OK(InjectWriteFault());
@@ -68,15 +96,13 @@ Status ParallelStore::Insert(const std::string& relation, Row row) {
         StrCat("relation '", relation, "' expects arity ", r->arity,
                ", got ", row.size()));
   }
-  size_t part = row[0].Hash() % r->partitions.size();
+  size_t part = r->PartitionOf(row[0]);
   size_t offset = r->partitions[part].size();
-  for (auto& [cols_key, index] : r->indexes) {
-    // Recover column positions from the key.
+  for (auto& [columns, index] : r->indexes) {
     Row key;
-    for (const std::string& c : StrSplit(cols_key, ',')) {
-      key.push_back(row[static_cast<size_t>(std::stoul(c))]);
-    }
-    index[key].emplace_back(part, offset);
+    key.reserve(columns.size());
+    for (size_t col : columns) key.push_back(row[col]);
+    index[std::move(key)].emplace_back(part, offset);
   }
   r->partitions[part].push_back(std::move(row));
   ++r->row_count;
@@ -104,27 +130,14 @@ Result<std::vector<Row>> ParallelStore::ParallelScan(
                  "'"));
     }
   }
+  auto keep = [&predicate](const Row& row) {
+    return !predicate || predicate(row);
+  };
   const size_t parts = r->partitions.size();
   std::vector<std::vector<Row>> partial(parts);
-  std::atomic<uint64_t> scanned{0};
   for (size_t p = 0; p < parts; ++p) {
     pool_->Submit([&, p] {
-      const auto& rows = r->partitions[p];
-      auto& out = partial[p];
-      uint64_t local_scanned = 0;
-      for (const Row& row : rows) {
-        ++local_scanned;
-        if (predicate && !predicate(row)) continue;
-        if (projection.empty()) {
-          out.push_back(row);
-        } else {
-          Row projected;
-          projected.reserve(projection.size());
-          for (size_t col : projection) projected.push_back(row[col]);
-          out.push_back(std::move(projected));
-        }
-      }
-      scanned.fetch_add(local_scanned, std::memory_order_relaxed);
+      ScanInto(r->partitions[p], keep, projection, &partial[p]);
     });
   }
   pool_->WaitIdle();
@@ -133,7 +146,25 @@ Result<std::vector<Row>> ParallelStore::ParallelScan(
     results.insert(results.end(), std::make_move_iterator(part.begin()),
                    std::make_move_iterator(part.end()));
   }
-  Charge(stats, 1, scanned.load(), 0, results.size());
+  Charge(stats, 1, r->row_count, 0, results.size());
+  return results;
+}
+
+Result<std::vector<Row>> ParallelStore::PartitionScan(
+    const std::string& relation, const Value& key,
+    const std::function<bool(const Row&)>& predicate,
+    StoreStats* stats) const {
+  ESTOCADA_RETURN_NOT_OK(InjectReadFault());
+  ESTOCADA_ASSIGN_OR_RETURN(const Relation* r, GetRelation(relation));
+  const std::vector<Row>& rows = r->partitions[r->PartitionOf(key)];
+  std::vector<Row> results;
+  ScanInto(
+      rows,
+      [&](const Row& row) {
+        return row[0] == key && (!predicate || predicate(row));
+      },
+      {}, &results);
+  Charge(stats, 1, rows.size(), 0, results.size());
   return results;
 }
 
@@ -149,12 +180,12 @@ Status ParallelStore::CreateIndex(const std::string& relation,
           StrCat("index column ", col, " out of range for '", relation, "'"));
     }
   }
-  std::string key = IndexKey(columns);
-  if (r->indexes.count(key)) {
-    return Status::AlreadyExists(
-        StrCat("index (", key, ") already exists on '", relation, "'"));
+  if (r->indexes.count(columns)) {
+    return Status::AlreadyExists(StrCat("index (", StrJoin(columns, ","),
+                                        ") already exists on '", relation,
+                                        "'"));
   }
-  auto& index = r->indexes[key];
+  Index& index = r->indexes[columns];
   for (size_t p = 0; p < r->partitions.size(); ++p) {
     for (size_t o = 0; o < r->partitions[p].size(); ++o) {
       const Row& row = r->partitions[p][o];
@@ -172,14 +203,11 @@ Result<std::vector<Row>> ParallelStore::IndexLookup(
     const Row& key, StoreStats* stats) const {
   ESTOCADA_RETURN_NOT_OK(InjectReadFault());
   ESTOCADA_ASSIGN_OR_RETURN(const Relation* r, GetRelation(relation));
-  auto it = r->indexes.find(IndexKey(columns));
-  if (it == r->indexes.end()) {
-    return Status::NotFound(
-        StrCat("no index (", IndexKey(columns), ") on '", relation, "'"));
-  }
+  ESTOCADA_ASSIGN_OR_RETURN(const Index* index,
+                            GetIndex(*r, relation, columns));
   std::vector<Row> out;
-  auto hit = it->second.find(key);
-  if (hit != it->second.end()) {
+  auto hit = index->find(key);
+  if (hit != index->end()) {
     out.reserve(hit->second.size());
     for (const auto& [p, o] : hit->second) {
       out.push_back(r->partitions[p][o]);
@@ -194,18 +222,15 @@ Result<std::vector<std::vector<Row>>> ParallelStore::IndexLookupMany(
     const std::vector<Row>& keys, StoreStats* stats) const {
   ESTOCADA_RETURN_NOT_OK(InjectReadFault());
   ESTOCADA_ASSIGN_OR_RETURN(const Relation* r, GetRelation(relation));
-  auto it = r->indexes.find(IndexKey(columns));
-  if (it == r->indexes.end()) {
-    return Status::NotFound(
-        StrCat("no index (", IndexKey(columns), ") on '", relation, "'"));
-  }
+  ESTOCADA_ASSIGN_OR_RETURN(const Index* index,
+                            GetIndex(*r, relation, columns));
   std::vector<std::vector<Row>> out;
   out.reserve(keys.size());
   uint64_t returned = 0;
   for (const Row& key : keys) {
     std::vector<Row>& matches = out.emplace_back();
-    auto hit = it->second.find(key);
-    if (hit != it->second.end()) {
+    auto hit = index->find(key);
+    if (hit != index->end()) {
       matches.reserve(hit->second.size());
       for (const auto& [p, o] : hit->second) {
         matches.push_back(r->partitions[p][o]);

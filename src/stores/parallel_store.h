@@ -19,7 +19,8 @@ namespace estocada::stores {
 /// Spark-on-a-cluster substrate: relations are hash-partitioned by their
 /// first column, rows may hold nested collections (engine::Value lists —
 /// exactly what the §II materialized join of purchases ⋈ browsing history
-/// needs), scans/filters run partition-parallel on a worker pool, and
+/// needs), scans/filters run partition-parallel on a worker pool, a scan
+/// that fixes the first column reads only the partition holding it, and
 /// composite-key hash indexes provide the "(userID, product category)"
 /// access path. Per-job launch overhead is part of the cost profile:
 /// bulk work is cheap, point lookups through the job API are not.
@@ -30,9 +31,11 @@ class ParallelStore : public StoreBase {
   explicit ParallelStore(size_t workers = 4,
                          CostProfile profile = kParallelBlueprint);
 
+  static constexpr size_t kDefaultPartitions = 8;
+
   /// Creates a relation with `arity` columns over `partitions` partitions.
   Status CreateRelation(const std::string& name, size_t arity,
-                        size_t partitions = 8);
+                        size_t partitions = kDefaultPartitions);
   Status DropRelation(const std::string& name);
   bool HasRelation(const std::string& name) const;
 
@@ -50,6 +53,15 @@ class ParallelStore : public StoreBase {
       const std::string& relation,
       const std::function<bool(const engine::Row&)>& predicate,
       const std::vector<size_t>& projection = {},
+      StoreStats* stats = nullptr) const;
+
+  /// Partition-pruned scan: the rows whose column 0 equals `key` (under
+  /// Value equality) and that pass `predicate`. Only the one partition
+  /// that can hold them is read, on the calling thread, and only its rows
+  /// are charged as scanned. Rows are returned whole.
+  Result<std::vector<engine::Row>> PartitionScan(
+      const std::string& relation, const engine::Value& key,
+      const std::function<bool(const engine::Row&)>& predicate,
       StoreStats* stats = nullptr) const;
 
   /// Builds a composite hash index over `columns` (positions).
@@ -75,23 +87,27 @@ class ParallelStore : public StoreBase {
 
 
  private:
+  /// Composite key row -> (partition, offset) of each row holding it.
+  using Index = std::unordered_map<engine::Row,
+                                   std::vector<std::pair<size_t, size_t>>,
+                                   engine::RowHash>;
   struct Relation {
     size_t arity;
     std::vector<std::vector<engine::Row>> partitions;
-    /// key = column positions (joined by ','); value: composite key rows
-    /// -> (partition, offset) pairs.
-    std::map<std::string,
-             std::unordered_map<engine::Row, std::vector<std::pair<size_t, size_t>>,
-                                engine::RowHash>>
-        indexes;
+    /// Composite indexes by their column positions.
+    std::map<std::vector<size_t>, Index> indexes;
     size_t row_count = 0;
+
+    size_t PartitionOf(const engine::Value& first_column) const {
+      return first_column.Hash() % partitions.size();
+    }
   };
 
   Result<const Relation*> GetRelation(const std::string& name) const;
   Result<Relation*> GetMutableRelation(const std::string& name);
-
-
-  static std::string IndexKey(const std::vector<size_t>& columns);
+  static Result<const Index*> GetIndex(const Relation& r,
+                                       const std::string& relation,
+                                       const std::vector<size_t>& columns);
 
   std::unique_ptr<ThreadPool> pool_;
   std::map<std::string, Relation> relations_;

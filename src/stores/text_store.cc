@@ -42,10 +42,6 @@ Status TextStore::DropCore(const std::string& name) {
   return Status::OK();
 }
 
-bool TextStore::HasCore(const std::string& name) const {
-  return cores_.count(name) > 0;
-}
-
 Result<const TextStore::Core*> TextStore::GetCore(
     const std::string& name) const {
   return FindContainer(cores_, name, "core");

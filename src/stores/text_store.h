@@ -23,7 +23,6 @@ class TextStore : public StoreBase {
 
   Status CreateCore(const std::string& name);
   Status DropCore(const std::string& name);
-  bool HasCore(const std::string& name) const;
 
   /// Indexes a document: every field's text is tokenized into the core's
   /// inverted index. Re-adding an existing id fails.

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -217,6 +218,55 @@ INSTANTIATE_TEST_SUITE_P(
       name.erase(std::remove(name.begin(), name.end(), '-'), name.end());
       return name;
     });
+
+/// A parallel fragment without input adornments indexes its
+/// index_positions. An access uses that index when all of them are bound,
+/// reads one partition when column 0 is bound, and scans every partition
+/// otherwise; each answers like staging.
+TEST(ParallelDriverTest, AccessPathFollowsTheBoundPositions) {
+  pivot::Schema schema;
+  ASSERT_TRUE(schema.AddRelation("s.t", 3).ok());
+  Estocada sys;
+  stores::ParallelStore par{2};
+  ASSERT_TRUE(sys.RegisterSchema(schema).ok());
+  ASSERT_TRUE(sys.RegisterStore({"spark", StoreKind::kParallel, nullptr,
+                                 nullptr, nullptr, &par, nullptr})
+                  .ok());
+  for (int i = 0; i < 60; ++i) {
+    ASSERT_TRUE(sys.LoadRow("s.t", {Value::Int(i % 6),
+                                    Value::Str(i % 4 ? "a" : "b"),
+                                    Value::Int(i)})
+                    .ok());
+  }
+  ASSERT_TRUE(
+      sys.DefineFragment("F(k, c, v) :- s.t(k, c, v)", "spark", {}, {0, 1})
+          .ok());
+  ASSERT_TRUE(sys.InsertRow("s.t", {Value::Real(2.0), Value::Str("a"),
+                                    Value::Int(99)})
+                  .ok());
+  const struct {
+    const char* query;
+    const char* access;
+  } kCases[] = {
+      {"q(v) :- s.t(2, 'a', v)", "INDEX-LOOKUP F (0,1)"},
+      {"q(v) :- s.t(2.0, $c, v)", "INDEX-LOOKUP F (0,1)"},
+      {"q(c, v) :- s.t(2, c, v)", "PARTITION-SCAN F"},
+      {"q(k, v) :- s.t(k, 'b', v)", "PARALLEL-SCAN F"},
+  };
+  const std::map<std::string, Value> params = {{"$c", Value::Str("a")}};
+  for (const auto& c : kCases) {
+    auto hybrid = sys.Query(c.query, params);
+    ASSERT_TRUE(hybrid.ok()) << c.query << ": " << hybrid.status();
+    EXPECT_NE(hybrid->plan_text.find(c.access), std::string::npos)
+        << c.query << "\n" << hybrid->plan_text;
+    auto expected = sys.EvaluateOverStaging(c.query, params);
+    ASSERT_TRUE(expected.ok()) << c.query << ": " << expected.status();
+    EXPECT_FALSE(expected->empty()) << c.query;
+    EXPECT_EQ(Distinct(hybrid->rows), Distinct(*expected))
+        << c.query << "\nhybrid: " << Show(Distinct(hybrid->rows))
+        << "\nstaging: " << Show(Distinct(*expected));
+  }
+}
 
 }  // namespace
 }  // namespace estocada

@@ -24,6 +24,32 @@ std::vector<Row> MustCollect(Operator* op) {
   return std::move(*r);
 }
 
+// ------------------------------------------------------------- RowToString --
+
+TEST(RowToStringTest, StringNeverRendersLikeANumber) {
+  EXPECT_NE(RowToString({Value::Str("1")}), RowToString({Value::Int(1)}));
+  EXPECT_NE(RowToString({Value::Str("null")}), RowToString({Value::Null()}));
+  EXPECT_EQ(RowToString({Value::Str("1"), Value::Int(1)}), "(\"1\", 1)");
+}
+
+TEST(RowToStringTest, StringNeverRendersLikeAList) {
+  EXPECT_NE(RowToString({Value::Str("[2]")}),
+            RowToString({Value::List({Value::Int(2)})}));
+  EXPECT_EQ(RowToString({Value::List({Value::Str("a"), Value::Int(2)})}),
+            "([\"a\", 2])");
+  EXPECT_EQ(RowToString({Value::Str("say \"hi\"\\")}),
+            "(\"say \\\"hi\\\"\\\\\")");
+}
+
+TEST(RowToStringTest, EqualNumbersRenderAlike) {
+  EXPECT_EQ(RowToString({Value::Int(1)}), RowToString({Value::Real(1.0)}));
+  EXPECT_EQ(RowToString({Value::Int(1000000)}),
+            RowToString({Value::Real(1e6)}));
+  EXPECT_NE(RowToString({Value::Int(1)}),
+            RowToString({Value::Real(1.0000001)}));
+  EXPECT_EQ(RowToString({Value::Real(0.1)}), "(0.1)");
+}
+
 // ------------------------------------------------------------------ Expr --
 
 TEST(ExprTest, ColumnAndConst) {

@@ -158,7 +158,7 @@ TEST_F(GraphIslandTest, LoadGraphCompletesBoundedReachability) {
   // the u0->u3 chord (u0->u3->u4->u5).
   EXPECT_EQ(got.size(), 5u);
   for (const char* n : {"u1", "u2", "u3", "u4", "u5"}) {
-    EXPECT_TRUE(got.count(StrCat("(", n, ")"))) << n << " missing";
+    EXPECT_TRUE(got.count(StrCat("(\"", n, "\")"))) << n << " missing";
   }
   // Containment chain Reach1 ⊆ Reach2 ⊆ Reach3.
   auto r2 = sys_.EvaluateOverStaging("q(s, d) :- soc.Reach2(s, d)");

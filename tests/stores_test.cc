@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "common/rng.h"
 #include "common/strings.h"
 #include "engine/value.h"
@@ -487,6 +489,55 @@ TEST_F(ParStoreTest, ArityChecked) {
             StatusCode::kInvalidArgument);
   EXPECT_EQ(store_.ParallelScan("visits", nullptr, {9}).status().code(),
             StatusCode::kOutOfRange);
+}
+
+TEST_F(ParStoreTest, PartitionScanReadsOnlyTheKeysPartition) {
+  constexpr size_t kParts = 8;
+  ASSERT_TRUE(store_.CreateRelation("mixed", 2, kParts).ok());
+  const std::vector<Row> rows = {
+      {Value::Int(1), Value::Str("a")},  {Value::Real(1.0), Value::Str("b")},
+      {Value::Int(2), Value::Str("c")},  {Value::Null(), Value::Str("d")},
+      {Value::Null(), Value::Str("e")},  {Value::Str("k"), Value::Str("f")},
+      {Value::Str("1"), Value::Str("g")}, {Value::Int(3), Value::Str("h")},
+      {Value::Real(2.5), Value::Str("i")}, {Value::Int(1), Value::Str("j")},
+  };
+  ASSERT_TRUE(store_.InsertBatch("mixed", rows).ok());
+  for (const Value& key : {Value::Int(1), Value::Null(), Value::Str("k"),
+                           Value::Int(2), Value::Int(42)}) {
+    auto on_key = [&key](const Row& r) { return r[0] == key; };
+    auto full = store_.ParallelScan("mixed", on_key);
+    ASSERT_TRUE(full.ok());
+    StoreStats stats;
+    auto pruned = store_.PartitionScan("mixed", key, nullptr, &stats);
+    ASSERT_TRUE(pruned.ok()) << pruned.status();
+    std::multiset<std::string> want, got;
+    for (const Row& r : *full) want.insert(engine::RowToString(r));
+    for (const Row& r : *pruned) got.insert(engine::RowToString(r));
+    EXPECT_EQ(got, want) << key;
+    // Charged for the rows of the one partition it read.
+    size_t partition_size = 0;
+    for (const Row& r : rows) {
+      partition_size += r[0].Hash() % kParts == key.Hash() % kParts;
+    }
+    EXPECT_EQ(stats.rows_scanned, partition_size) << key;
+    EXPECT_LT(stats.rows_scanned, rows.size()) << key;
+  }
+  // Int(1) finds the Real(1.0) row too, but not the string "1".
+  auto ones = store_.PartitionScan("mixed", Value::Int(1), nullptr);
+  ASSERT_TRUE(ones.ok());
+  std::multiset<std::string> got;
+  for (const Row& r : *ones) got.insert(r[1].string_value());
+  EXPECT_EQ(got, (std::multiset<std::string>{"a", "b", "j"}));
+  // The predicate still applies.
+  auto filtered = store_.PartitionScan(
+      "mixed", Value::Null(),
+      [](const Row& r) { return r[1] == Value::Str("e"); });
+  ASSERT_TRUE(filtered.ok());
+  EXPECT_EQ(filtered->size(), 1u);
+  EXPECT_EQ(store_.PartitionScan("nope", Value::Int(1), nullptr)
+                .status()
+                .code(),
+            StatusCode::kNotFound);
 }
 
 TEST_F(ParStoreTest, MissingIndexReported) {

@@ -7,9 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
 
 #include "common/strings.h"
+#include "pivot/parser.h"
 #include "workload/bigdata.h"
 #include "workload/marketplace.h"
 
@@ -490,6 +492,166 @@ TEST_F(MarketplaceSystemTest, QueryProgramLogsMeasuredCostAfterRunning) {
   EXPECT_EQ(entry.count, 1u);
   EXPECT_GT(entry.total_cost, 0.0);
   EXPECT_EQ(entry.total_cost, r->runtime_stats.TotalSimulatedCost());
+}
+
+/// The benchmark's hybrid marketplace layout: orders and users in
+/// postgres, carts and profiles in redis, products in mongodb, visits in
+/// spark, product terms in solr, and optionally the §II materialized join
+/// F_pjoin in spark. The data is large enough for a Zipf head: user 0
+/// holds many orders and visits, user 300 a few.
+class HybridLayoutTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    workload::MarketplaceConfig cfg;
+    cfg.num_users = 500;
+    cfg.num_products = 120;
+    cfg.num_orders = 2000;
+    cfg.num_visits = 5000;
+    auto data = workload::GenerateMarketplace(cfg);
+    ASSERT_TRUE(data.ok()) << data.status();
+    ASSERT_TRUE(sys_.RegisterSchema(data->schema).ok());
+    using catalog::StoreKind;
+    ASSERT_TRUE(sys_.RegisterStore({"postgres", StoreKind::kRelational, &pg_,
+                                    nullptr, nullptr, nullptr, nullptr})
+                    .ok());
+    ASSERT_TRUE(sys_.RegisterStore({"redis", StoreKind::kKeyValue, nullptr,
+                                    &kv_, nullptr, nullptr, nullptr})
+                    .ok());
+    ASSERT_TRUE(sys_.RegisterStore({"mongodb", StoreKind::kDocument, nullptr,
+                                    nullptr, &doc_, nullptr, nullptr})
+                    .ok());
+    ASSERT_TRUE(sys_.RegisterStore({"spark", StoreKind::kParallel, nullptr,
+                                    nullptr, nullptr, &spark_, nullptr})
+                    .ok());
+    ASSERT_TRUE(sys_.RegisterStore({"solr", StoreKind::kText, nullptr,
+                                    nullptr, nullptr, nullptr, &text_})
+                    .ok());
+    ASSERT_TRUE(sys_.LoadStaging(data->staging).ok());
+  }
+
+  void DefineLayout(bool pjoin) {
+    const Adornment in = Adornment::kInput;
+    const Adornment free = Adornment::kFree;
+    struct Spec {
+      const char* view;
+      const char* store;
+      std::vector<Adornment> adornments;
+      std::vector<size_t> indexes;
+    };
+    std::vector<Spec> specs = {
+        {"F_users(u, n, c) :- mk.users(u, n, c)", "postgres", {}, {0}},
+        {"F_orders(o, u, p, t) :- mk.orders(o, u, p, t)", "postgres", {},
+         {1, 2}},
+        {"F_prod(p, n, cat, pr) :- mk.products(p, n, cat, pr)", "mongodb",
+         {}, {0, 2}},
+        {"F_carts(u, c) :- mk.carts(u, c)", "redis", {in, free}, {}},
+        {"F_profile(u, n, c) :- mk.users(u, n, c)", "redis",
+         {in, free, free}, {}},
+        {"F_visits(u, p, d) :- mk.visits(u, p, d)", "spark", {}, {}},
+        {"F_terms(p, w) :- mk.prodterms(p, w)", "solr", {free, in}, {}},
+    };
+    if (pjoin) {
+      specs.push_back({"F_pjoin(u, cat, p, n) :- mk.orders(o, u, p, t), "
+                       "mk.visits(u, p, d), mk.products(p, n, cat, pr)",
+                       "spark", {in, in, free, free}, {}});
+    }
+    for (const Spec& s : specs) {
+      ASSERT_TRUE(
+          sys_.DefineFragment(s.view, s.store, s.adornments, s.indexes).ok())
+          << s.view;
+    }
+  }
+
+  stores::RelationalStore pg_;
+  stores::KeyValueStore kv_;
+  stores::DocumentStore doc_;
+  stores::ParallelStore spark_{2};
+  stores::TextStore text_;
+  Estocada sys_;
+};
+
+TEST_F(HybridLayoutTest, PersonalizedSearchDedupsBelowItsJoins) {
+  DefineLayout(/*pjoin=*/false);
+  for (int64_t uid : {0, 300}) {
+    const std::map<std::string, Value> params = {
+        {"$uid", Value::Int(uid)}, {"$cat", Value::Str("cat3")}};
+    auto result =
+        sys_.Query(workload::MarketplaceQueries::PersonalizedSearch(), params);
+    ASSERT_TRUE(result.ok()) << result.status();
+    auto expected = sys_.EvaluateOverStaging(
+        workload::MarketplaceQueries::PersonalizedSearch(), params);
+    ASSERT_TRUE(expected.ok()) << expected.status();
+    EXPECT_EQ(Canon(result->rows), Canon(*expected)) << "user " << uid;
+    // Each join side is projected onto its live columns and deduplicated:
+    // orders and visits keep only p, so the engine joins distinct
+    // products, not every (order, visit) pair of the user.
+    const std::string& plan = result->plan_text;
+    const size_t join = plan.find("HashJoin");
+    ASSERT_NE(join, std::string::npos) << plan;
+    EXPECT_NE(plan.find("Distinct", join), std::string::npos) << plan;
+    EXPECT_NE(plan.find("Project [p]", join), std::string::npos) << plan;
+    // The visits scan reads only the partition holding the user.
+    EXPECT_NE(plan.find("spark: PARTITION-SCAN F_visits"), std::string::npos)
+        << plan;
+    const auto spark = result->runtime_stats.per_store.find("spark");
+    ASSERT_NE(spark, result->runtime_stats.per_store.end());
+    EXPECT_LT(spark->second.rows_scanned, 5000u);
+  }
+  // The user-0 answer is not empty, so the comparison above has teeth.
+  auto head = sys_.EvaluateOverStaging(
+      workload::MarketplaceQueries::PersonalizedSearch(),
+      {{"$uid", Value::Int(0)}, {"$cat", Value::Str("cat3")}});
+  ASSERT_TRUE(head.ok());
+  EXPECT_FALSE(head->empty());
+}
+
+/// Plan regret: every plan of each marketplace query is executed, and the
+/// cost-based choice's measured store cost may exceed the cheapest plan's
+/// by at most kRegret.
+TEST_F(HybridLayoutTest, ChosenPlanCostsNearTheCheapestMeasured) {
+  constexpr double kRegret = 1.5;
+  DefineLayout(/*pjoin=*/true);
+  using Q = workload::MarketplaceQueries;
+  const char* queries[] = {Q::CartByUser(), Q::UserCity(), Q::OrdersOfUser(),
+                           Q::PersonalizedSearch(), Q::ProductsInCategory()};
+  size_t multi_plan_queries = 0;
+  for (const char* text : queries) {
+    auto cq = pivot::ParseQuery(text);
+    ASSERT_TRUE(cq.ok()) << cq.status();
+    for (int64_t uid : {0, 1, 300}) {
+      for (const char* cat : {"cat0", "cat5"}) {
+        const std::map<std::string, Value> params = {
+            {"$uid", Value::Int(uid)}, {"$cat", Value::Str(cat)}};
+        auto explained = sys_.Explain(text, params);
+        ASSERT_TRUE(explained.ok()) << text << ": " << explained.status();
+        const size_t count = explained->plans.size();
+        const size_t best = explained->best;
+        multi_plan_queries += count > 1;
+        auto expected = sys_.EvaluateOverStaging(text, params);
+        ASSERT_TRUE(expected.ok()) << expected.status();
+        std::vector<double> measured;
+        for (size_t i = 0; i < count; ++i) {
+          auto plans = sys_.Explain(text, params);
+          ASSERT_TRUE(plans.ok()) << plans.status();
+          ASSERT_EQ(plans->plans.size(), count);
+          auto run = sys_.ExecutePlanned(std::move(*plans), *cq, i);
+          ASSERT_TRUE(run.ok()) << text << " plan " << i << ": "
+                                << run.status();
+          EXPECT_EQ(Canon(run->rows), Canon(*expected))
+              << text << " plan " << i;
+          measured.push_back(run->simulated_cost());
+        }
+        const double cheapest =
+            *std::min_element(measured.begin(), measured.end());
+        EXPECT_LE(measured[best], kRegret * cheapest)
+            << text << " uid " << uid << " " << cat << ": chosen plan "
+            << best << " of " << count << " measured " << measured[best];
+      }
+    }
+  }
+  // The layout offers alternatives (F_profile beside F_users, F_pjoin
+  // beside the base join), so the check compares real choices.
+  EXPECT_GT(multi_plan_queries, 0u);
 }
 
 TEST(BigDataBenchTest, GeneratesAndAnswersJoin) {
