@@ -401,7 +401,8 @@ Result<rewriting::PlanSet> Estocada::Explain(
     const std::map<std::string, Value>& parameters) {
   ESTOCADA_ASSIGN_OR_RETURN(pivot::ConjunctiveQuery q,
                             pivot::ParseQuery(query_text));
-  return PlanBest(q, parameters);
+  ESTOCADA_RETURN_NOT_OK(PrepareRewriter());
+  return Plan({q, q.ToString(), parameters});
 }
 
 Status Estocada::RegisterDocumentCollection(
@@ -633,7 +634,8 @@ Result<Estocada::QueryResult> Estocada::Query(
     const std::map<std::string, Value>& parameters) {
   ESTOCADA_ASSIGN_OR_RETURN(pivot::ConjunctiveQuery q,
                             pivot::ParseQuery(query_text));
-  return RunQuery(q, parameters);
+  ESTOCADA_RETURN_NOT_OK(PrepareRewriter());
+  return Answer({q, q.ToString(), parameters});
 }
 
 Result<Estocada::QueryResult> Estocada::QuerySql(
@@ -642,7 +644,8 @@ Result<Estocada::QueryResult> Estocada::QuerySql(
   ESTOCADA_ASSIGN_OR_RETURN(
       pivot::ConjunctiveQuery q,
       frontend::SqlToCq(sql, catalog_.dataset_schema()));
-  return RunQuery(q, parameters);
+  ESTOCADA_RETURN_NOT_OK(PrepareRewriter());
+  return Answer({q, q.ToString(), parameters});
 }
 
 Result<Estocada::QueryResult> Estocada::QueryDocFind(
@@ -651,7 +654,8 @@ Result<Estocada::QueryResult> Estocada::QueryDocFind(
   ESTOCADA_ASSIGN_OR_RETURN(
       pivot::ConjunctiveQuery q,
       frontend::DocFindToCq(spec, catalog_.dataset_schema()));
-  return RunQuery(q, parameters);
+  ESTOCADA_RETURN_NOT_OK(PrepareRewriter());
+  return Answer({q, q.ToString(), parameters});
 }
 
 Result<Estocada::QueryResult> Estocada::QueryGraphMatch(
@@ -660,7 +664,8 @@ Result<Estocada::QueryResult> Estocada::QueryGraphMatch(
   ESTOCADA_ASSIGN_OR_RETURN(
       pivot::ConjunctiveQuery q,
       frontend::GraphMatchToCq(spec, catalog_.dataset_schema()));
-  return RunQuery(q, parameters);
+  ESTOCADA_RETURN_NOT_OK(PrepareRewriter());
+  return Answer({q, q.ToString(), parameters});
 }
 
 Result<Estocada::QueryResult> Estocada::QueryKeyLookup(
@@ -668,15 +673,8 @@ Result<Estocada::QueryResult> Estocada::QueryKeyLookup(
   ESTOCADA_ASSIGN_OR_RETURN(
       pivot::ConjunctiveQuery q,
       frontend::KeyLookupToCq(relation, catalog_.dataset_schema()));
-  return RunQuery(q, {{"$key", key}});
-}
-
-Result<rewriting::PlanSet> Estocada::PlanBest(
-    const pivot::ConjunctiveQuery& q,
-    const std::map<std::string, Value>& parameters) {
-  ESTOCADA_RETURN_NOT_OK(RefreshRewriter());
-  rewriting::Planner planner(&catalog_, rewriter_.get());
-  return planner.PlanQuery(q, parameters);
+  ESTOCADA_RETURN_NOT_OK(PrepareRewriter());
+  return Answer({q, q.ToString(), {{"$key", key}}});
 }
 
 Result<Estocada::QueryResult> Estocada::QueryProgram(
@@ -685,6 +683,7 @@ Result<Estocada::QueryResult> Estocada::QueryProgram(
   if (cq_texts.empty()) {
     return Status::InvalidArgument("QueryProgram needs at least one query");
   }
+  ESTOCADA_RETURN_NOT_OK(PrepareRewriter());
   std::vector<engine::OperatorPtr> branches;
   std::vector<std::shared_ptr<rewriting::RuntimeStats>> branch_stats;
   // Each branch's query and the fragments its plan reads, for the log.
@@ -704,7 +703,7 @@ Result<Estocada::QueryResult> Estocada::QueryProgram(
                  q.arity(), ", expected ", arity));
     }
     ESTOCADA_ASSIGN_OR_RETURN(rewriting::PlanSet plans,
-                              PlanBest(q, parameters));
+                              Plan({q, q.ToString(), parameters}));
     rewriting::PlannedQuery& best = plans.best_plan();
     result.estimated_cost += best.estimated_cost;
     result.rewritings_considered += plans.plans.size();
@@ -754,14 +753,6 @@ std::string Estocada::QueryResult::RuntimeSplitLine() const {
                 " row(s); estocada runtime returned ", rows.size());
 }
 
-Result<Estocada::QueryResult> Estocada::RunQuery(
-    const pivot::ConjunctiveQuery& q,
-    const std::map<std::string, Value>& parameters) {
-  ESTOCADA_ASSIGN_OR_RETURN(rewriting::PlanSet plans,
-                            PlanBest(q, parameters));
-  return ExecutePlanned(std::move(plans), q, parameters);
-}
-
 Result<pacb::RewritingResult> Estocada::RewritePrepared(
     const pivot::ConjunctiveQuery& query) const {
   if (!rewriter_ready()) {
@@ -779,29 +770,84 @@ Result<pacb::RewritingResult> Estocada::RewritePrepared(
   return result;
 }
 
-Result<rewriting::PlanSet> Estocada::PlanFromRewritings(
-    pacb::RewritingResult rewritings,
+Result<rewriting::PlanSet> Estocada::Plan(const QueryRequest& request,
+                                          PipelineReport* report) const {
+  PipelineReport unused;
+  if (report == nullptr) report = &unused;
+  const uint64_t epoch = catalog_epoch();
+  // Steps 1–2. An entry holds the *complete* rewriting set: exclusions
+  // apply at translation, so it stays correct under any breaker state.
+  auto rewrite = [&](const pivot::ConjunctiveQuery& query,
+                     const std::string& key)
+      -> Result<runtime::PlanCache::CachedRewritings> {
+    runtime::PlanCache::CachedRewritings cached =
+        plan_cache_.Lookup(key, epoch, request.health_epoch);
+    if (cached != nullptr) {
+      ++report->cache_hits;
+      return cached;
+    }
+    ++report->cache_misses;
+    ESTOCADA_ASSIGN_OR_RETURN(pacb::RewritingResult rewritings,
+                              RewritePrepared(query));
+    cached =
+        std::make_shared<const pacb::RewritingResult>(std::move(rewritings));
+    plan_cache_.Insert(key, epoch, cached, request.health_epoch);
+    return cached;
+  };
+  Result<runtime::PlanCache::CachedRewritings> rewritings =
+      rewrite(request.query, request.key);
+  // Step 3, the merge guard. A rejected set stays cached: a later query
+  // of its shape re-reads the verdict instead of rewriting again.
+  const bool guard_fired =
+      rewritings.ok() && !pacb::ParametersSurvive(request.query, **rewritings);
+  if (guard_fired || (!rewritings.ok() && request.lifted)) {
+    report->lift_rejected = true;
+    const pivot::ConjunctiveQuery inlined =
+        rewriting::InlineParameters(request.query, request.parameters);
+    rewritings = rewrite(inlined, inlined.ToString());
+    // The parameterized chase settled, and the inlined chase can differ
+    // from it only at the merges the guard saw: there the values clash.
+    report->values_clash =
+        guard_fired && !rewritings.ok() &&
+        rewritings.status().code() == StatusCode::kChaseFailure;
+  }
+  ESTOCADA_RETURN_NOT_OK(rewritings.status());
+  return rewriting::Planner(&catalog_, nullptr)
+      .PlanRewritings(**rewritings, request.parameters, request.constraints);
+}
+
+Result<Estocada::QueryResult> Estocada::Answer(const QueryRequest& request,
+                                               PipelineReport* report) const {
+  PipelineReport unused;
+  if (report == nullptr) report = &unused;
+  Result<rewriting::PlanSet> plans = Plan(request, report);
+  if (!plans.ok()) {
+    if (!report->values_clash) return plans.status();
+    // No rewriting exists for these values.
+    return AnswerFromStaging(request.query, request.parameters,
+                             "the query's values clash in the chase");
+  }
+  report->plan_stores = plans->best_plan().stores_used;
+  return ExecutePlanned(std::move(*plans), request.query, request.parameters);
+}
+
+Result<Estocada::QueryResult> Estocada::AnswerFromStaging(
+    const pivot::ConjunctiveQuery& query,
     const std::map<std::string, Value>& parameters,
-    const rewriting::PlanConstraints& constraints) const {
-  rewriting::Planner planner(&catalog_, /*rewriter=*/nullptr);
-  return planner.PlanRewritings(std::move(rewritings), parameters,
-                                constraints);
+    const std::string& reason) const {
+  QueryResult result;
+  ESTOCADA_ASSIGN_OR_RETURN(result.rows,
+                            EvaluateOverStagingPrepared(query, parameters));
+  result.degraded_to_staging = true;
+  result.rewriting_text = "(staging fallback)";
+  result.plan_text = StrCat("(staging fallback: ", reason, ")");
+  return result;
 }
 
 Result<Estocada::QueryResult> Estocada::ExecutePlanned(
     rewriting::PlanSet plans, const pivot::ConjunctiveQuery& q,
     const std::map<std::string, Value>& parameters) const {
   rewriting::PlannedQuery& best = plans.best_plan();
-  if (best.root == nullptr) {
-    // Cost-only estimate (a non-winner plan, or a PlanSet assembled by a
-    // caller that overrode `best`): materialize the operator tree now
-    // with the arguments it was estimated under.
-    rewriting::Translator translator(&catalog_);
-    ESTOCADA_ASSIGN_OR_RETURN(
-        best, translator.Plan(best.rewriting, plans.parameters,
-                              plans.constraints));
-  }
-
   QueryResult result;
   ESTOCADA_ASSIGN_OR_RETURN(result.rows, engine::Collect(best.root.get()));
   result.runtime_stats = *best.runtime_stats;
@@ -822,18 +868,6 @@ Result<Estocada::QueryResult> Estocada::ExecutePlanned(
   workload_log_.Record(q, result.simulated_cost(), fragments_used, parameters,
                        result.rows.size());
   return result;
-}
-
-Result<Estocada::QueryResult> Estocada::ExecutePlanned(
-    rewriting::PlanSet plans, const pivot::ConjunctiveQuery& q,
-    size_t plan_index) const {
-  if (plan_index >= plans.plans.size()) {
-    return Status::InvalidArgument(
-        StrCat("plan index ", plan_index, " out of range (", plans.plans.size(),
-               " plans)"));
-  }
-  plans.best = plan_index;
-  return ExecutePlanned(std::move(plans), q);
 }
 
 Result<std::vector<Row>> Estocada::EvaluateOverStaging(

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -22,6 +23,7 @@
 #include "rewriting/materializer.h"
 #include "rewriting/planner.h"
 #include "rewriting/translator.h"
+#include "runtime/plan_cache.h"
 
 namespace estocada {
 
@@ -319,9 +321,10 @@ class Estocada {
     /// out of the stores into the engine vs. rows finally returned — the
     /// difference is joined/filtered/deduplicated by the engine.
     uint64_t rows_from_stores = 0;
-    /// Set by the fault-tolerant serving path when every fragment-based
-    /// rewriting was unavailable and the answer came from the staging
-    /// area (bottom rung of the degradation ladder — correct but slow).
+    /// The answer came from the staging area — correct but slow: the
+    /// query's parameter values clash in the chase, so no rewriting
+    /// exists, or (fault-tolerant serving path, bottom rung of the
+    /// degradation ladder) every fragment-based rewriting was unavailable.
     bool degraded_to_staging = false;
     /// Execution attempts the serving path spent on this query (1 = no
     /// retry; only the fault-tolerant path sets anything higher).
@@ -343,7 +346,9 @@ class Estocada {
   };
 
   /// Answers a query over the *datasets* through the fragments. The query
-  /// is pivot CQ text; '$'-variables take values from `parameters`.
+  /// is pivot CQ text; '$'-variables take values from `parameters`. Like
+  /// every query method below, it makes one Answer call keyed by the CQ's
+  /// own text.
   Result<QueryResult> Query(
       const std::string& query_text,
       const std::map<std::string, engine::Value>& parameters = {});
@@ -404,22 +409,60 @@ class Estocada {
       const std::string& query_text,
       const std::map<std::string, engine::Value>& parameters = {}) const;
 
-  /// Parsed-query variant for the serving runtime's degradation ladder:
-  /// when no rewriting survives the health exclusions, the server answers
-  /// from the staging area through this const path.
+  /// Parsed-query variant (const, like the query pipeline).
   Result<std::vector<engine::Row>> EvaluateOverStagingPrepared(
       const pivot::ConjunctiveQuery& query,
       const std::map<std::string, engine::Value>& parameters = {}) const;
 
-  // ----------------------------------------------------------- Serving --
+  // ---------------------------------------------------- Query pipeline --
   //
-  // Const-safe query path for the concurrent serving runtime
-  // (src/runtime): a QueryServer serializes catalog changes behind an
-  // exclusive lock, calls PrepareRewriter() there, and then serves reads
-  // through the const members below under a shared lock. The catalog
-  // epoch versions cached plans: every fragment/schema change bumps it,
-  // so a plan cache keyed on (canonical query, epoch) can never serve a
-  // rewriting computed against a stale fragment layout.
+  // The one path every query takes (paper Fig. 1; DESIGN.md §2.x). It is
+  // const, so a QueryServer runs it under a shared lock after calling
+  // PrepareRewriter() under its exclusive one. Steps: (1) plan-cache
+  // lookup keyed by (query key, catalog epoch, health epoch) — every
+  // catalog change bumps the epoch, so no entry outlives its fragment
+  // layout; (2) on a miss, the PACB rewrite; (3) the merge guard
+  // (pacb::ParametersSurvive): a set that merged parameters, or a failed
+  // rewrite of a lifted query, re-plans once with the values inlined, and
+  // when that chase fails after the guard fired the values clash and the
+  // staging area answers (`degraded_to_staging`); (4) Planner::
+  // PlanRewritings under the request's constraints; (5) execute and log.
+
+  /// One lowered query and how to plan it.
+  struct QueryRequest {
+    const pivot::ConjunctiveQuery& query;
+    const std::string& key;  ///< Plan-cache key: `query.ToString()`.
+    const std::map<std::string, engine::Value>& parameters;
+    rewriting::PlanConstraints constraints = {};
+    uint64_t health_epoch = 0;  ///< Store availability behind constraints.
+    bool lifted = false;  ///< Body constants were lifted into parameters.
+  };
+
+  /// What one pipeline call did (the server's metrics and breakers).
+  struct PipelineReport {
+    int cache_hits = 0;
+    int cache_misses = 0;  ///< Each miss ran one PACB rewrite.
+    bool lift_rejected = false;  ///< Re-planned with the values inlined.
+    bool values_clash = false;   ///< That re-plan failed the chase.
+    /// The stores of the chosen plan, set once one was chosen.
+    std::optional<std::vector<std::string>> plan_stores;
+  };
+
+  /// Steps 1–4 (Explain, QueryProgram's branches). A values clash fails
+  /// with kChaseFailure. Requires rewriter_ready().
+  Result<rewriting::PlanSet> Plan(const QueryRequest& request,
+                                  PipelineReport* report = nullptr) const;
+
+  /// Steps 1–5. Requires rewriter_ready().
+  Result<QueryResult> Answer(const QueryRequest& request,
+                             PipelineReport* report = nullptr) const;
+
+  /// The staging area's exact answer, marked `degraded_to_staging`, for
+  /// when no rewriting can run; `reason` completes the plan text.
+  Result<QueryResult> AnswerFromStaging(
+      const pivot::ConjunctiveQuery& query,
+      const std::map<std::string, engine::Value>& parameters,
+      const std::string& reason) const;
 
   /// Monotone counter incremented by every catalog change (schema merge,
   /// fragment definition/drop, catalog import, applied recommendation).
@@ -445,20 +488,12 @@ class Estocada {
     return rewriter_->named_constants();
   }
 
-  /// Rewrites a query without mutating the facade; requires
-  /// rewriter_ready(). Runs the full PACB rewrite — the system's most
-  /// expensive step — and returns the rewriting set, kNoRewriting when it
-  /// is empty. PlanFromRewritings turns the set into executable plans.
+  /// Rewrites a query without mutating the facade or its plan cache;
+  /// requires rewriter_ready(). Runs the full PACB rewrite — the system's
+  /// most expensive step — and returns the rewriting set, kNoRewriting
+  /// when it is empty.
   Result<pacb::RewritingResult> RewritePrepared(
       const pivot::ConjunctiveQuery& query) const;
-
-  /// Translates previously computed PACB rewritings (e.g. a plan-cache
-  /// hit) into executable plans for this call's parameters — the rewrite,
-  /// the system's most expensive step, is skipped entirely.
-  Result<rewriting::PlanSet> PlanFromRewritings(
-      pacb::RewritingResult rewritings,
-      const std::map<std::string, engine::Value>& parameters = {},
-      const rewriting::PlanConstraints& constraints = {}) const;
 
   /// Executes the best plan of `plans` and assembles the QueryResult,
   /// recording `query` in the workload log (internally synchronized).
@@ -470,13 +505,13 @@ class Estocada {
       rewriting::PlanSet plans, const pivot::ConjunctiveQuery& query,
       const std::map<std::string, engine::Value>& parameters = {}) const;
 
-  /// Executes plan `plan_index` of `plans` instead of the cost-based
-  /// choice. Differential tests use this to run *every* rewriting of a
-  /// query and compare each answer against the staging oracle. Consumes
-  /// `plans` (operator trees are single-use).
-  Result<QueryResult> ExecutePlanned(rewriting::PlanSet plans,
-                                     const pivot::ConjunctiveQuery& query,
-                                     size_t plan_index) const;
+  /// The plan cache's counters (thread-safe).
+  runtime::PlanCache::Stats plan_cache_stats() const {
+    return plan_cache_.stats();
+  }
+
+  /// Drops every cached rewriting set (benchmarks measuring cold caches).
+  void ClearPlanCache() { plan_cache_.Clear(); }
 
   // ----------------------------------------------------------- Advisor --
 
@@ -507,17 +542,6 @@ class Estocada {
   /// fragments bump the catalog epoch.
   Status RegisterAndMaterialize(catalog::StorageDescriptor desc);
 
-  /// Shared body of Query and the front-end variants.
-  Result<QueryResult> RunQuery(
-      const pivot::ConjunctiveQuery& query,
-      const std::map<std::string, engine::Value>& parameters);
-
-  /// Plans one CQ and returns the chosen plan (used by RunQuery and
-  /// QueryProgram).
-  Result<rewriting::PlanSet> PlanBest(
-      const pivot::ConjunctiveQuery& query,
-      const std::map<std::string, engine::Value>& parameters);
-
   catalog::Catalog catalog_;
   rewriting::StagingData staging_;
   std::unique_ptr<pacb::Rewriter> rewriter_;
@@ -526,6 +550,9 @@ class Estocada {
   /// Mutable so the const serving path can log executions; WorkloadLog
   /// synchronizes its writers internally.
   mutable advisor::WorkloadLog workload_log_;
+  /// Mutable for the same reason: the const pipeline fills it, and
+  /// PlanCache synchronizes itself.
+  mutable runtime::PlanCache plan_cache_;
   /// Registered document collections: "<dataset>.<collection>" -> paths.
   std::map<std::string, std::vector<encoding::DocumentPath>> doc_collections_;
   /// Registered graph datasets: dataset -> the encoding's hop bound.

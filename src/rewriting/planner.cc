@@ -19,27 +19,8 @@ pivot::ConjunctiveQuery InlineParameters(
   return out;
 }
 
-Planner::Planner(const catalog::Catalog* catalog,
-                 const pacb::Rewriter* rewriter)
-    : catalog_(catalog), rewriter_(rewriter) {}
-
-Result<PlanSet> Planner::PlanQuery(
-    const pivot::ConjunctiveQuery& query,
-    const std::map<std::string, engine::Value>& parameters) const {
-  ESTOCADA_ASSIGN_OR_RETURN(pacb::RewritingResult rewriting_result,
-                            rewriter_->Rewrite(query));
-  if (!pacb::ParametersSurvive(query, rewriting_result)) {
-    ESTOCADA_ASSIGN_OR_RETURN(
-        rewriting_result,
-        rewriter_->Rewrite(InlineParameters(query, parameters)));
-  }
-  if (rewriting_result.rewritings.empty()) {
-    return Status::NoRewriting(
-        StrCat("no rewriting over the registered fragments answers ",
-               query.ToString()));
-  }
-  return PlanRewritings(std::move(rewriting_result), parameters);
-}
+Planner::Planner(const catalog::Catalog* catalog, const pacb::Rewriter*)
+    : catalog_(catalog) {}
 
 Result<PlanSet> Planner::PlanRewritings(
     pacb::RewritingResult rewriting_result,

@@ -19,10 +19,9 @@ namespace estocada::rewriting {
 struct PlanSet {
   pacb::RewritingResult rewriting_result;
   /// Parallel to rewritings. Only the best plan carries an operator tree
-  /// (`root`); the others are cost-only estimates. Re-Plan a rewriting
-  /// through a Translator (with `parameters`/`constraints` below) to
-  /// materialize any of the others — Estocada::ExecutePlanned does this
-  /// when asked for a non-best plan index.
+  /// (`root`), which Estocada::ExecutePlanned runs; the others are
+  /// cost-only estimates. To run one of those, Plan its rewriting through
+  /// a Translator with `parameters`/`constraints` below.
   std::vector<PlannedQuery> plans;
   size_t best = 0;  ///< Index of the chosen plan.
   /// The planning inputs, kept so a cost-only plan can be materialized
@@ -41,28 +40,19 @@ pivot::ConjunctiveQuery InlineParameters(
     const pivot::ConjunctiveQuery& query,
     const std::map<std::string, engine::Value>& parameters);
 
-/// The cost-based query evaluator: runs the PACB rewriter against the
-/// catalog's views, translates every rewriting to an executable plan, and
-/// picks the cheapest by estimated cost.
+/// The cost-based choice among PACB rewritings: translates every rewriting
+/// to an executable plan and picks the cheapest by estimated cost. The
+/// rewrite itself is Estocada's query pipeline's step, which caches it.
 class Planner {
  public:
-  Planner(const catalog::Catalog* catalog, const pacb::Rewriter* rewriter);
+  /// The rewriter argument is unused; it stays so existing
+  /// `Planner(&catalog, nullptr)` callers compile unchanged.
+  Planner(const catalog::Catalog* catalog, const pacb::Rewriter*);
 
-  /// Plans `query` (a CQ over dataset relations) with the default rewriter
-  /// options and no store exclusions. Fails with kNoRewriting when the
-  /// rewriter returns no rewriting, kUnavailable when rewritings exist but
-  /// every one reads a fragment with no fresh replica. When the rewritings
-  /// fail the merge guard (pacb::ParametersSurvive), the query is rewritten
-  /// again with the parameter values inlined, and a chase failure there is
-  /// returned.
-  Result<PlanSet> PlanQuery(
-      const pivot::ConjunctiveQuery& query,
-      const std::map<std::string, engine::Value>& parameters = {}) const;
-
-  /// Translation-only half of PlanQuery: turns already-computed PACB
-  /// rewritings into executable plans for this call's parameters and picks
-  /// the cheapest. The serving runtime's plan cache uses this to skip the
-  /// rewrite on a hit. Does not touch the rewriter.
+  /// Turns PACB rewritings into executable plans for this call's
+  /// parameters and picks the cheapest. Fails with kNoRewriting when no
+  /// rewriting plans, kUnavailable when rewritings exist but every one
+  /// reads a fragment with no placement `constraints` leave available.
   Result<PlanSet> PlanRewritings(
       pacb::RewritingResult rewriting_result,
       const std::map<std::string, engine::Value>& parameters = {},
@@ -70,7 +60,6 @@ class Planner {
 
  private:
   const catalog::Catalog* catalog_;
-  const pacb::Rewriter* rewriter_;
 };
 
 }  // namespace estocada::rewriting

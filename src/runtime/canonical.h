@@ -51,11 +51,11 @@ CanonicalQuery Canonicalize(const pivot::ConjunctiveQuery& q);
 /// constants share one key. All occurrences of one constant (by
 /// pivot::Constant ==, so 1 and 1.0 too) become one parameter; distinct
 /// constants become distinct parameters, so the equality pattern stays in
-/// the key. The server guards each lifted set with pacb::ParametersSurvive.
-/// Head constants, null, and every constant in `named` (the rewriter's
-/// named_constants()) stay inline. The lifted parameters get reserved names
-/// no query text can spell, so they never collide with a caller's
-/// '$'-parameters; their values land in `lifted`.
+/// the key. The query pipeline (Estocada::Plan) guards each lifted set
+/// with pacb::ParametersSurvive. Head constants, null, and every constant
+/// in `named` (the rewriter's named_constants()) stay inline. The lifted
+/// parameters get reserved names no query text can spell, so they never
+/// collide with a caller's '$'-parameters; their values land in `lifted`.
 CanonicalQuery CanonicalizeLifted(const pivot::ConjunctiveQuery& q,
                                   const std::set<pivot::Constant>& named);
 

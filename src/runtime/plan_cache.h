@@ -22,17 +22,18 @@ struct PlanCacheOptions {
   size_t capacity = 1024;
 };
 
-/// Sharded LRU cache from canonical CQ key to the PACB rewriting result,
-/// versioned by the Estocada catalog epoch. What is cached is the
+/// Sharded LRU cache from CQ key to the PACB rewriting result, versioned
+/// by the Estocada catalog epoch. What is cached is the
 /// *parameter-independent* half of planning — the rewritings over the
 /// fragment relations — because translation to an executable plan is cheap
 /// and depends on the call's parameter bindings, while the PACB rewrite is
 /// the most expensive step of the query path and depends only on the query
-/// shape and the fragment layout. The QueryServer keys entries with
-/// CanonicalizeLifted, so texts that differ only in liftable constants
-/// share an entry too. An entry may hold a set that the merge guard
-/// (pacb::ParametersSurvive) rejects; it stays cached so the next text of
-/// that shape reads the verdict instead of rewriting again.
+/// shape and the fragment layout. The Estocada facade owns one and fills it
+/// in its query pipeline: its own query methods key a query by its text,
+/// the QueryServer by CanonicalizeLifted, so texts that differ only in
+/// liftable constants share an entry too. An entry may hold a set that the
+/// merge guard (pacb::ParametersSurvive) rejects; it stays cached so the
+/// next text of that shape reads the verdict instead of rewriting again.
 ///
 /// Epoch versioning makes invalidation free of any registry of dependent
 /// queries: every catalog change bumps the epoch, a lookup whose entry

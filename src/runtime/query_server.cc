@@ -21,7 +21,6 @@ double ElapsedMicros(std::chrono::steady_clock::time_point start) {
 QueryServer::QueryServer(Estocada* system, ServerOptions options)
     : system_(system),
       options_(options),
-      cache_(options.cache),
       health_(options.health),
       rng_(options.backoff_jitter_seed),
       pool_(options.worker_threads == 0 ? 1 : options.worker_threads) {
@@ -45,41 +44,6 @@ std::vector<std::string> QueryServer::AttributeFailure(
   return out;
 }
 
-Result<Estocada::QueryResult> QueryServer::ServeFromStaging(
-    const CanonicalQuery& canonical,
-    const std::map<std::string, engine::Value>& parameters,
-    std::vector<std::string> excluded, int attempt) {
-  metrics_.RecordDegraded();
-  Estocada::QueryResult result;
-  ESTOCADA_ASSIGN_OR_RETURN(
-      result.rows,
-      system_->EvaluateOverStagingPrepared(canonical.query, parameters));
-  result.degraded_to_staging = true;
-  result.attempts = attempt;
-  result.excluded_stores = std::move(excluded);
-  result.rewriting_text = "(staging fallback)";
-  result.plan_text = "(staging fallback: no rewriting survived the health "
-                     "exclusions)";
-  return result;
-}
-
-Result<PlanCache::CachedRewritings> QueryServer::RewritingsLocked(
-    const CanonicalQuery& canonical, uint64_t epoch, uint64_t health_epoch) {
-  PlanCache::CachedRewritings cached =
-      cache_.Lookup(canonical.key, epoch, health_epoch);
-  if (cached != nullptr) {
-    metrics_.RecordCacheHit();
-    return cached;
-  }
-  metrics_.RecordCacheMiss();
-  metrics_.RecordRewrite();
-  ESTOCADA_ASSIGN_OR_RETURN(pacb::RewritingResult rewritings,
-                            system_->RewritePrepared(canonical.query));
-  cached = std::make_shared<const pacb::RewritingResult>(std::move(rewritings));
-  cache_.Insert(canonical.key, epoch, cached, health_epoch);
-  return cached;
-}
-
 Result<Estocada::QueryResult> QueryServer::ServeLocked(
     const std::string& query_text,
     const std::map<std::string, engine::Value>& parameters, int attempt,
@@ -95,71 +59,40 @@ Result<Estocada::QueryResult> QueryServer::ServeLocked(
   }
   uint64_t health_epoch = health_.health_epoch();
   if (planned_health_epoch != nullptr) *planned_health_epoch = health_epoch;
-  rewriting::PlanConstraints constraints{excluded, probation};
 
   ESTOCADA_ASSIGN_OR_RETURN(std::shared_ptr<const CanonicalQuery> canonical,
                             CanonicalizeCached(query_text, epoch));
   std::map<std::string, engine::Value> remapped =
       RemapParameters(*canonical, parameters);
 
-  // The cache holds the *complete* rewriting set of a query shape;
-  // exclusions are applied at translation time, so an entry stays correct
-  // for whatever breaker state holds at the moment it is used. Keying on
-  // the health epoch additionally drops entries across availability
-  // changes, re-admitting them against the new store set.
-  Result<PlanCache::CachedRewritings> rewritings =
-      RewritingsLocked(*canonical, epoch, health_epoch);
-  // The merge guard (pacb::ParametersSurvive): a set that lost a parameter
-  // holds only for the values it merged, so the text is planned with its
-  // constants and the caller's values inline; so is a lifted text whose
-  // rewrite fails outright. A rejected set stays cached: a later text of
-  // its shape re-reads the verdict from it instead of rewriting again.
-  const bool guard_fired =
-      rewritings.ok() &&
-      !pacb::ParametersSurvive(canonical->query, **rewritings);
-  if (guard_fired || (!rewritings.ok() && !canonical->lifted.empty())) {
-    metrics_.RecordLiftRejection();
-    ESTOCADA_ASSIGN_OR_RETURN(pivot::ConjunctiveQuery q,
-                              pivot::ParseQuery(query_text));
-    canonical = std::make_shared<const CanonicalQuery>(
-        Canonicalize(rewriting::InlineParameters(q, parameters)));
-    remapped = RemapParameters(*canonical, parameters);
-    rewritings = RewritingsLocked(*canonical, epoch, health_epoch);
-    if (guard_fired && !rewritings.ok() &&
-        rewritings.status().code() == StatusCode::kChaseFailure) {
-      // The parameterized chase settled, and the inlined chase can differ
-      // from it only at the merges the guard saw: there the values clash,
-      // so no rewriting exists. The staging area answers exactly.
-      Result<Estocada::QueryResult> staged = ServeFromStaging(
-          *canonical, remapped, std::move(excluded), attempt);
-      if (staged.ok()) {
-        staged->plan_text =
-            "(staging fallback: the query's values clash in the chase)";
-      }
-      return staged;
-    }
+  // Keying on the health epoch drops cached rewritings across
+  // availability changes, re-admitting them against the new store set.
+  Estocada::PipelineReport report;
+  Result<Estocada::QueryResult> result = system_->Answer(
+      {canonical->query, canonical->key, remapped, {excluded, probation},
+       health_epoch, !canonical->lifted.empty()},
+      &report);
+  for (int i = 0; i < report.cache_hits; ++i) metrics_.RecordCacheHit();
+  for (int i = 0; i < report.cache_misses; ++i) {
+    metrics_.RecordCacheMiss();
+    metrics_.RecordRewrite();
   }
-  Result<rewriting::PlanSet> planned =
-      rewritings.ok()
-          ? system_->PlanFromRewritings(**rewritings, remapped, constraints)
-          : Result<rewriting::PlanSet>(rewritings.status());
-  if (!planned.ok()) {
-    if (options_.fault_tolerant &&
-        planned.status().code() == StatusCode::kUnavailable) {
-      // Planning starved by the exclusions: no rewriting avoids every
-      // open-circuit store. Bottom of the ladder — answer from staging.
-      return ServeFromStaging(*canonical, remapped, std::move(excluded),
-                              attempt);
-    }
-    return planned.status();
-  }
+  if (report.lift_rejected) metrics_.RecordLiftRejection();
 
-  std::vector<std::string> plan_stores = planned->best_plan().stores_used;
-  Result<Estocada::QueryResult> result =
-      system_->ExecutePlanned(std::move(*planned), canonical->query, remapped);
+  if (!result.ok() && options_.fault_tolerant &&
+      RetryPolicy::IsRetryable(result.status()) &&
+      !report.plan_stores.has_value()) {
+    // Planning starved by the exclusions: no rewriting avoids every
+    // open-circuit store. Bottom of the ladder — answer from staging.
+    result = system_->AnswerFromStaging(
+        canonical->query, remapped,
+        "no rewriting survived the health exclusions");
+  }
   if (result.ok()) {
-    if (options_.fault_tolerant) {
-      for (const std::string& store : plan_stores) {
+    if (result->degraded_to_staging) {
+      metrics_.RecordDegraded();
+    } else if (options_.fault_tolerant) {
+      for (const std::string& store : *report.plan_stores) {
         health_.ReportSuccess(store);
       }
       // Answered while avoiding an unhealthy store: a failover — the
@@ -170,9 +103,10 @@ Result<Estocada::QueryResult> QueryServer::ServeLocked(
     result->excluded_stores = std::move(excluded);
     return result;
   }
-  if (options_.fault_tolerant && RetryPolicy::IsRetryable(result.status())) {
+  if (options_.fault_tolerant && RetryPolicy::IsRetryable(result.status()) &&
+      report.plan_stores.has_value()) {
     for (const std::string& store :
-         AttributeFailure(result.status(), plan_stores)) {
+         AttributeFailure(result.status(), *report.plan_stores)) {
       if (health_.ReportFailure(store)) metrics_.RecordBreakerTrip();
     }
   }

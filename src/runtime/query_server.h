@@ -28,7 +28,6 @@ struct ServerOptions {
   /// run on the caller's thread, so total concurrency is workers + direct
   /// callers.
   size_t worker_threads = 8;
-  PlanCache::Options cache;
   /// Master switch for the resilience ladder (retry → failover rewriting
   /// → staging fallback). Off = PR-1 behavior: the first store error
   /// kills the query. Benchmarks compare both.
@@ -182,7 +181,8 @@ class QueryServer {
   /// The live counters (thread-safe): the ReplicaRepairer records
   /// rebuilds here; metrics() above is the snapshot read path.
   ServerMetrics& server_metrics() { return metrics_; }
-  PlanCache::Stats cache_stats() const { return cache_.stats(); }
+  /// The facade's plan cache, which this server's queries fill.
+  PlanCache::Stats cache_stats() const { return system_->plan_cache_stats(); }
   size_t worker_threads() const { return pool_.num_threads(); }
 
   /// The per-store circuit breakers (tests and benchmarks inspect states
@@ -190,7 +190,7 @@ class QueryServer {
   HealthRegistry& health() { return health_; }
 
   /// Drops every cached plan (benchmarks measuring cold caches).
-  void ClearPlanCache() { cache_.Clear(); }
+  void ClearPlanCache() { system_->ClearPlanCache(); }
 
   /// Resets the metrics counters (between benchmark phases; do not call
   /// while queries are in flight).
@@ -198,15 +198,15 @@ class QueryServer {
 
  private:
   /// One execution attempt under the shared lock the caller already
-  /// holds: canonicalize (memoized, body constants lifted into
-  /// parameters) → cache-lookup → (on miss) rewrite → merge guard →
-  /// translate with the current breaker exclusions → execute, feeding
-  /// breaker state with the outcome. When the guard rejects the
-  /// rewriting set, the text is planned with its own constants and the
-  /// caller's parameter values inline instead. Falls back to the staging
-  /// area when planning is starved by the exclusions, or when those values
-  /// clash in the chase. `attempt` is
-  /// 1-based and only labels the result.
+  /// holds. The server's front end canonicalizes the text (memoized, body
+  /// constants lifted into parameters); then one Estocada::Answer call
+  /// runs the query pipeline (cache, rewrite, merge guard, translate,
+  /// execute) with the canonical query, its memoized key, the remapped
+  /// parameters, the current breaker exclusions and the health epoch.
+  /// Around that call the server only counts the pipeline's report into
+  /// its metrics, feeds the outcome to the circuit breakers, and answers
+  /// from the staging area when planning is starved by the exclusions.
+  /// `attempt` is 1-based and only labels the result.
   /// `planned_health_epoch` (optional) receives the health epoch the
   /// attempt planned against, so the caller can tell whether a failure
   /// changed the routing landscape (breaker trip → immediate re-route).
@@ -214,17 +214,6 @@ class QueryServer {
       const std::string& query_text,
       const std::map<std::string, engine::Value>& parameters, int attempt,
       uint64_t* planned_health_epoch = nullptr);
-
-  /// The PACB rewriting set of `canonical` at (`epoch`, `health_epoch`):
-  /// the plan cache's entry, or a fresh rewrite that is then cached.
-  Result<PlanCache::CachedRewritings> RewritingsLocked(
-      const CanonicalQuery& canonical, uint64_t epoch, uint64_t health_epoch);
-
-  /// Degradation-ladder bottom: answer from the staging area.
-  Result<Estocada::QueryResult> ServeFromStaging(
-      const CanonicalQuery& canonical,
-      const std::map<std::string, engine::Value>& parameters,
-      std::vector<std::string> excluded, int attempt);
 
   /// Stores of `plan_stores` named in `st`'s message ("store '<id>'");
   /// all of them when none is named (can't attribute — suspect every
@@ -257,7 +246,6 @@ class QueryServer {
   /// Guards the Estocada facade: shared for the query path, exclusive for
   /// catalog/data changes and rewriter rebuilds.
   std::shared_mutex mu_;
-  PlanCache cache_;
   /// Raw query text → canonical form, in two generations (guarded by
   /// canon_mu_). New entries go to the current one; when it holds
   /// kCanonGenerationCap texts it becomes the previous one and the old

@@ -224,6 +224,27 @@ std::string KeysText(const std::vector<std::string>& keys) {
 
 }  // namespace
 
+Result<Estocada::QueryResult> ExecutePlanAt(
+    const Estocada& system, const rewriting::PlanSet& plans, size_t index,
+    const pivot::ConjunctiveQuery& query) {
+  if (index >= plans.plans.size()) {
+    return Status::InvalidArgument(StrCat("plan index ", index,
+                                          " out of range (",
+                                          plans.plans.size(), " plans)"));
+  }
+  ESTOCADA_ASSIGN_OR_RETURN(
+      rewriting::PlannedQuery plan,
+      rewriting::Translator(&system.catalog())
+          .Plan(plans.plans[index].rewriting, plans.parameters,
+                plans.constraints));
+  rewriting::PlanSet one;
+  one.plans.push_back(std::move(plan));
+  one.rewriting_result = plans.rewriting_result;
+  one.parameters = plans.parameters;
+  one.constraints = plans.constraints;
+  return system.ExecutePlanned(std::move(one), query, plans.parameters);
+}
+
 ScenarioOutcome CheckScenario(const Scenario& s,
                               const HarnessOptions& options) {
   ScenarioOutcome out;
@@ -299,31 +320,21 @@ ScenarioOutcome CheckScenario(const Scenario& s,
 
     // ---- (a) every PACB rewriting answers like the oracle. ----
     if (options.check_rewritings) {
-      auto rewritings = dep.sys.RewritePrepared(*cq);
-      auto plans = rewritings.ok()
-                       ? dep.sys.PlanFromRewritings(*rewritings, qs.parameters)
-                       : Result<rewriting::PlanSet>(rewritings.status());
+      Estocada::PipelineReport report;
+      auto plans =
+          dep.sys.Plan({*cq, cq->ToString(), qs.parameters}, &report);
       if (!plans.ok()) {
-        if (plans.status().code() == StatusCode::kNoRewriting) {
+        // A values clash, like an empty set, leaves no rewriting to run.
+        if (plans.status().code() == StatusCode::kNoRewriting ||
+            report.values_clash) {
           ++out.skipped_unanswerable;
         } else {
           fail("plan",
                StrCat("query '", qs.text, "': ", plans.status().ToString()));
         }
       } else {
-        size_t nplans = plans->plans.size();
-        for (size_t idx = 0; idx < nplans; ++idx) {
-          // Operator trees are single-use: re-translate the cached
-          // rewritings for every executed index.
-          auto replanned =
-              dep.sys.PlanFromRewritings(plans->rewriting_result,
-                                         qs.parameters);
-          if (!replanned.ok() || replanned->plans.size() != nplans) {
-            fail("plan", StrCat("query '", qs.text,
-                                "': replanning rewritings diverged"));
-            break;
-          }
-          auto res = dep.sys.ExecutePlanned(std::move(*replanned), *cq, idx);
+        for (size_t idx = 0; idx < plans->plans.size(); ++idx) {
+          auto res = ExecutePlanAt(dep.sys, *plans, idx, *cq);
           if (!res.ok()) {
             fail("rewriting-oracle",
                  StrCat("query '", qs.text, "' rewriting #", idx,

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "estocada/estocada.h"
 #include "testing/scenario.h"
 
 namespace estocada::testing {
@@ -119,6 +120,15 @@ struct ScenarioOutcome {
 
   bool ok() const { return mismatches.empty(); }
 };
+
+/// Runs plan `index` of `plans` instead of the cost-based choice: builds
+/// its operator tree with the arguments the set was planned under and
+/// executes it through Estocada::ExecutePlanned, which logs `query`.
+/// Family (a) and the plan-regret test run every plan of a set this way;
+/// `plans` stays intact. The result counts one rewriting considered.
+Result<Estocada::QueryResult> ExecutePlanAt(
+    const Estocada& system, const rewriting::PlanSet& plans, size_t index,
+    const pivot::ConjunctiveQuery& query);
 
 /// Deploys `scenario` on fresh in-process store stand-ins, computes the
 /// staging-oracle answer of every query, and checks the enabled invariant

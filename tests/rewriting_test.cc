@@ -483,9 +483,10 @@ TEST_F(MatTransTest, PlannerPicksCheapestPlan) {
                   .ok());
   pacb::Rewriter rw(cat_.dataset_schema(), cat_.AllViews());
   ASSERT_TRUE(rw.Prepare().ok());
-  Planner planner(&cat_, &rw);
-  auto plans = planner.PlanQuery(*ParseQuery("q(b) :- R($a, b)"),
-                                 {{"$a", Value::Int(1)}});
+  auto rewritings = rw.Rewrite(*ParseQuery("q(b) :- R($a, b)"));
+  ASSERT_TRUE(rewritings.ok()) << rewritings.status();
+  auto plans = Planner(&cat_, nullptr)
+                   .PlanRewritings(*rewritings, {{"$a", Value::Int(1)}});
   ASSERT_TRUE(plans.ok()) << plans.status();
   ASSERT_EQ(plans->plans.size(), 2u);
   EXPECT_EQ(plans->best_plan().rewriting.body[0].relation, "K");
@@ -520,7 +521,9 @@ TEST_F(MatTransTest, EveryPlanJoinsNullKeysAsStagingDoes) {
 
   pacb::Rewriter rw(cat_.dataset_schema(), cat_.AllViews());
   ASSERT_TRUE(rw.Prepare().ok());
-  auto plans = Planner(&cat_, &rw).PlanQuery(q);
+  auto rewritings = rw.Rewrite(q);
+  ASSERT_TRUE(rewritings.ok()) << rewritings.status();
+  auto plans = Planner(&cat_, nullptr).PlanRewritings(*rewritings);
   ASSERT_TRUE(plans.ok()) << plans.status();
   std::set<std::string> joins;
   Translator tr(&cat_);
@@ -543,8 +546,10 @@ TEST_F(MatTransTest, EveryPlanJoinsNullKeysAsStagingDoes) {
 TEST_F(MatTransTest, PlannerReportsNoRewriting) {
   pacb::Rewriter rw(cat_.dataset_schema(), cat_.AllViews());
   ASSERT_TRUE(rw.Prepare().ok());
-  Planner planner(&cat_, &rw);
-  EXPECT_EQ(planner.PlanQuery(*ParseQuery("q(a) :- R(a, b)")).status().code(),
+  auto rewritings = rw.Rewrite(*ParseQuery("q(a) :- R(a, b)"));
+  ASSERT_TRUE(rewritings.ok()) << rewritings.status();
+  EXPECT_TRUE(rewritings->rewritings.empty());
+  EXPECT_EQ(Planner(&cat_, nullptr).PlanRewritings(*rewritings).status().code(),
             StatusCode::kNoRewriting);
 }
 

@@ -740,6 +740,51 @@ TEST_F(QueryServerTest, HotTextSurvivesAStreamOfOneOffTexts) {
   EXPECT_EQ(m.rewrites, 1u);
 }
 
+/// The facade's query methods run the server's pipeline, plan cache
+/// included: a repeated text is rewritten once, keyed by its own text.
+TEST_F(QueryServerTest, FacadeQueriesReadTheirRewritingsFromThePlanCache) {
+  const char* text = workload::MarketplaceQueries::OrdersOfUser();
+  const std::map<std::string, Value> params{{"$uid", Value::Int(3)}};
+  auto truth = sys_.EvaluateOverStaging(text, params);
+  ASSERT_TRUE(truth.ok()) << truth.status();
+  ASSERT_FALSE(truth->empty());
+
+  auto first = sys_.Query(text, params);
+  ASSERT_TRUE(first.ok()) << first.status();
+  auto second = sys_.Query(text, params);
+  ASSERT_TRUE(second.ok()) << second.status();
+  PlanCache::Stats stats = sys_.plan_cache_stats();
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(Canon(first->rows), Canon(*truth));
+  EXPECT_EQ(Canon(second->rows), Canon(*truth));
+
+  // Explain plans the same text from the same entry.
+  auto explained = sys_.Explain(text, params);
+  ASSERT_TRUE(explained.ok()) << explained.status();
+  EXPECT_EQ(sys_.plan_cache_stats().hits, 2u);
+  auto q = pivot::ParseQuery(text);
+  ASSERT_TRUE(q.ok()) << q.status();
+  auto run = sys_.ExecutePlanned(std::move(*explained), *q, params);
+  ASSERT_TRUE(run.ok()) << run.status();
+  EXPECT_EQ(Canon(run->rows), Canon(*truth));
+
+  // A new fragment bumps the catalog epoch: the entry is stale, and the
+  // next query rewrites over the new layout.
+  ASSERT_TRUE(sys_.DefineFragment(
+                      "F_orders2(o, u, p, t) :- mk.orders(o, u, p, t)",
+                      "mongo")
+                  .ok());
+  auto third = sys_.Query(text, params);
+  ASSERT_TRUE(third.ok()) << third.status();
+  stats = sys_.plan_cache_stats();
+  EXPECT_EQ(stats.invalidations, 1u);
+  EXPECT_EQ(stats.misses, 2u);
+  EXPECT_EQ(stats.hits, 2u);
+  EXPECT_EQ(third->rewritings_considered, 2u);
+  EXPECT_EQ(Canon(third->rows), Canon(*truth));
+}
+
 /// A one-relation deployment whose key EGD can merge two lifted constants.
 TEST(LiftGuardTest, KeyEgdMergingLiftedConstantsFallsBackToTheConstants) {
   pivot::Schema schema;
@@ -832,15 +877,20 @@ TEST(LiftGuardTest, KeyEgdMergingLiftedConstantsFallsBackToTheConstants) {
   EXPECT_EQ(server.metrics().lift_rejections, 3u);
   EXPECT_EQ(ask_params("a", "a"), 3u);
   EXPECT_EQ(server.metrics().lift_rejections, 4u);
-  // The facade re-plans with the values inlined: equal values rewrite,
-  // and clashing ones fail the chase instead of answering wrong rows.
+  // The facade runs the same pipeline: equal values rewrite, and
+  // clashing ones fail the inlined chase, so the staging area answers.
   auto same =
       sys.Query(text, {{"$a", Value::Str("b")}, {"$b", Value::Str("b")}});
   ASSERT_TRUE(same.ok()) << same.status();
   EXPECT_EQ(same->rows.size(), 3u);
-  auto clash =
-      sys.Query(text, {{"$a", Value::Str("a")}, {"$b", Value::Str("b")}});
-  EXPECT_EQ(clash.status().code(), StatusCode::kChaseFailure);
+  const std::map<std::string, Value> clashing{{"$a", Value::Str("a")},
+                                              {"$b", Value::Str("b")}};
+  auto clash = sys.Query(text, clashing);
+  ASSERT_TRUE(clash.ok()) << clash.status();
+  EXPECT_TRUE(clash->degraded_to_staging);
+  auto clash_truth = sys.EvaluateOverStaging(text, clashing);
+  ASSERT_TRUE(clash_truth.ok()) << clash_truth.status();
+  EXPECT_EQ(as_set(clash->rows), as_set(*clash_truth));
 }
 
 // ------------------------------------------------------------ RetryPolicy --

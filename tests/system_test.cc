@@ -12,6 +12,7 @@
 
 #include "common/strings.h"
 #include "pivot/parser.h"
+#include "testing/differential.h"
 #include "workload/bigdata.h"
 #include "workload/marketplace.h"
 
@@ -631,10 +632,7 @@ TEST_F(HybridLayoutTest, ChosenPlanCostsNearTheCheapestMeasured) {
         ASSERT_TRUE(expected.ok()) << expected.status();
         std::vector<double> measured;
         for (size_t i = 0; i < count; ++i) {
-          auto plans = sys_.Explain(text, params);
-          ASSERT_TRUE(plans.ok()) << plans.status();
-          ASSERT_EQ(plans->plans.size(), count);
-          auto run = sys_.ExecutePlanned(std::move(*plans), *cq, i);
+          auto run = testing::ExecutePlanAt(sys_, *explained, i, *cq);
           ASSERT_TRUE(run.ok()) << text << " plan " << i << ": "
                                 << run.status();
           EXPECT_EQ(Canon(run->rows), Canon(*expected))
