@@ -346,8 +346,8 @@ int Run() {
   for (const char* frag : {"F_users", "F_orders"}) {
     std::vector<uint64_t> digests;
     for (size_t i = 0; i < 3; ++i) {
-      if (!sys.VerifyReplica(frag, i).ok()) ++digest_mismatch;
-      auto d = sys.ReplicaDigest(frag, i);
+      if (!sys.VerifyReplica(frag, 0, i).ok()) ++digest_mismatch;
+      auto d = sys.ReplicaDigest(frag, 0, i);
       BenchCheck(d.status(), "digest");
       digests.push_back(*d);
     }

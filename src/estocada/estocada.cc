@@ -180,81 +180,61 @@ Status Estocada::DefinePartitionedFragment(
   return RegisterAndMaterialize(std::move(desc));
 }
 
-Status Estocada::BeginReplicaRebuild(const std::string& name,
+Status Estocada::BeginReplicaRebuild(const std::string& name, size_t shard,
                                      size_t replica) {
-  ESTOCADA_ASSIGN_OR_RETURN(catalog::StorageDescriptor * desc,
-                            catalog_.GetMutableFragment(name));
-  std::vector<catalog::ReplicaPlacement>& replicas = desc->shards[0].replicas;
-  if (replica >= replicas.size()) {
-    return Status::OutOfRange(StrCat("fragment '", name, "' has ",
-                                     replicas.size(),
-                                     " replica(s), asked for #", replica));
-  }
-  if (replicas.size() <= 1) {
+  ESTOCADA_ASSIGN_OR_RETURN(
+      rewriting::ReplicaTarget target,
+      rewriting::ResolveReplica(catalog_, name, shard, replica));
+  if (target.desc->shards[shard].replicas.size() <= 1) {
     return Status::FailedPrecondition(
-        StrCat("fragment '", name,
+        StrCat("shard ", shard, " of '", name,
                "' has a single replica; rebuilding it would leave nothing "
                "to serve reads"));
   }
   // Flag first: incremental maintenance and routing must stop touching
   // the container before it is torn down.
-  replicas[replica].rebuilding = true;
-  Status dropped = rewriting::DropReplicaContainer(catalog_, name, 0, replica);
+  ESTOCADA_ASSIGN_OR_RETURN(catalog::StorageDescriptor * desc,
+                            catalog_.GetMutableFragment(name));
+  desc->shards[shard].replicas[replica].rebuilding = true;
+  Status dropped =
+      rewriting::DropReplicaContainer(catalog_, name, shard, replica);
   if (!dropped.ok() && dropped.code() != StatusCode::kNotFound) {
     return dropped;
   }
-  return rewriting::CreateReplicaContainer(catalog_, name, 0, replica);
+  return rewriting::CreateReplicaContainer(catalog_, name, shard, replica);
 }
 
-Status Estocada::AdmitReplica(const std::string& name, size_t replica) {
+Status Estocada::AdmitReplica(const std::string& name, size_t shard,
+                              size_t replica) {
+  ESTOCADA_ASSIGN_OR_RETURN(
+      rewriting::ReplicaTarget target,
+      rewriting::ResolveReplica(catalog_, name, shard, replica));
+  if (!target.placement->rebuilding) {
+    return Status::FailedPrecondition(StrCat("replica #", replica,
+                                             " of shard ", shard, " of '",
+                                             name, "' is not rebuilding"));
+  }
   ESTOCADA_ASSIGN_OR_RETURN(catalog::StorageDescriptor * desc,
                             catalog_.GetMutableFragment(name));
-  catalog::ShardState& shard = desc->shards[0];
-  if (replica >= shard.replicas.size()) {
-    return Status::OutOfRange(
-        StrCat("fragment '", name, "' has no replica #", replica));
-  }
-  if (!shard.replicas[replica].rebuilding) {
-    return Status::FailedPrecondition(
-        StrCat("replica #", replica, " of '", name, "' is not rebuilding"));
-  }
-  shard.replicas[replica].epoch = shard.write_epoch;
-  shard.replicas[replica].rebuilding = false;
+  catalog::ShardState& state = desc->shards[shard];
+  state.replicas[replica].epoch = state.write_epoch;
+  state.replicas[replica].rebuilding = false;
   // No catalog-epoch bump: replica routing happens per translation, so
   // cached rewritings pick the re-admitted placement up immediately.
   return Status::OK();
 }
 
-Status Estocada::VerifyReplica(const std::string& name,
+Status Estocada::VerifyReplica(const std::string& name, size_t shard,
                                size_t replica) const {
   ESTOCADA_ASSIGN_OR_RETURN(std::vector<Row> expected,
                             EvaluateFragmentView(name));
-  return rewriting::VerifyReplicaAgainstRows(catalog_, name, 0, replica,
+  return rewriting::VerifyReplicaAgainstRows(catalog_, name, shard, replica,
                                              expected);
 }
 
 Result<uint64_t> Estocada::ReplicaDigest(const std::string& name,
-                                         size_t replica) const {
-  return rewriting::FragmentReplicaDigest(catalog_, name, 0, replica);
-}
-
-Status Estocada::RebuildShardReplicaFromStaging(const std::string& name,
-                                                size_t shard, size_t replica) {
-  ESTOCADA_ASSIGN_OR_RETURN(catalog::StorageDescriptor * desc,
-                            catalog_.GetMutableFragment(name));
-  if (!desc->partitioned()) {
-    return Status::InvalidArgument(StrCat(
-        "fragment '", name,
-        "' is not partitioned; repair its replicas with the "
-        "ReplicaRepairer"));
-  }
-  ESTOCADA_RETURN_NOT_OK(rewriting::MaterializeReplica(staging_, &catalog_,
-                                                       name, shard, replica));
-  // A one-shot rebuild from the staging truth is current by definition.
-  catalog::ShardState& state = desc->shards[shard];
-  state.replicas[replica].epoch = state.write_epoch;
-  state.replicas[replica].rebuilding = false;
-  return Status::OK();
+                                         size_t shard, size_t replica) const {
+  return rewriting::FragmentReplicaDigest(catalog_, name, shard, replica);
 }
 
 Status Estocada::DefineShadowFragment(pacb::ViewDefinition view,
@@ -284,25 +264,14 @@ Status RequireShadow(const catalog::Catalog& catalog,
 /// The online-copy calls write only a placement nothing serves from: the
 /// one placement of a shadow fragment, or a replica flagged rebuilding.
 Status RequireNonServing(const catalog::Catalog& catalog,
-                         const std::string& name, size_t replica) {
-  ESTOCADA_ASSIGN_OR_RETURN(const catalog::StorageDescriptor* desc,
-                            catalog.GetFragment(name));
-  if (desc->partitioned()) {
+                         const std::string& name, size_t shard,
+                         size_t replica) {
+  ESTOCADA_ASSIGN_OR_RETURN(
+      rewriting::ReplicaTarget target,
+      rewriting::ResolveReplica(catalog, name, shard, replica));
+  if (!target.desc->is_shadow() && !target.placement->rebuilding) {
     return Status::FailedPrecondition(
-        StrCat("fragment '", name,
-               "' is partitioned; online copies fill unpartitioned "
-               "fragments"));
-  }
-  const std::vector<catalog::ReplicaPlacement>& replicas =
-      desc->shards[0].replicas;
-  if (replica >= replicas.size()) {
-    return Status::OutOfRange(StrCat("fragment '", name, "' has ",
-                                     replicas.size(),
-                                     " replica(s), asked for #", replica));
-  }
-  if (!desc->is_shadow() && !replicas[replica].rebuilding) {
-    return Status::FailedPrecondition(
-        StrCat("replica #", replica, " of '", name,
+        StrCat("replica #", replica, " of shard ", shard, " of '", name,
                "' is serving; writes reach it through the fan-out"));
   }
   return Status::OK();
@@ -310,27 +279,30 @@ Status RequireNonServing(const catalog::Catalog& catalog,
 
 }  // namespace
 
-Status Estocada::AppendToPlacement(const std::string& name, size_t replica,
+Status Estocada::AppendToPlacement(const std::string& name, size_t shard,
+                                   size_t replica,
                                    const std::vector<Row>& rows) {
-  ESTOCADA_RETURN_NOT_OK(RequireNonServing(catalog_, name, replica));
-  return rewriting::AppendToReplica(&catalog_, name, 0, replica, rows);
+  ESTOCADA_RETURN_NOT_OK(RequireNonServing(catalog_, name, shard, replica));
+  return rewriting::AppendToReplica(&catalog_, name, shard, replica, rows);
 }
 
 Status Estocada::MaintainPlacement(
-    const std::string& name, size_t replica,
+    const std::string& name, size_t shard, size_t replica,
     const std::vector<std::pair<std::string, Row>>& deltas) {
-  ESTOCADA_RETURN_NOT_OK(RequireNonServing(catalog_, name, replica));
+  ESTOCADA_RETURN_NOT_OK(RequireNonServing(catalog_, name, shard, replica));
   ESTOCADA_ASSIGN_OR_RETURN(const catalog::StorageDescriptor* desc,
                             catalog_.GetFragment(name));
   ESTOCADA_ASSIGN_OR_RETURN(
       std::vector<Row> delta,
       rewriting::ComputeFragmentDelta(staging_, desc->view.query, deltas));
-  return rewriting::AppendToReplica(&catalog_, name, 0, replica, delta);
+  return rewriting::AppendToReplica(&catalog_, name, shard, replica, delta);
 }
 
-Status Estocada::RebuildPlacement(const std::string& name, size_t replica) {
-  ESTOCADA_RETURN_NOT_OK(RequireNonServing(catalog_, name, replica));
-  return rewriting::MaterializeReplica(staging_, &catalog_, name, 0, replica);
+Status Estocada::RebuildPlacement(const std::string& name, size_t shard,
+                                  size_t replica) {
+  ESTOCADA_RETURN_NOT_OK(RequireNonServing(catalog_, name, shard, replica));
+  return rewriting::MaterializeReplica(staging_, &catalog_, name, shard,
+                                       replica);
 }
 
 Status Estocada::ActivateShadowFragment(const std::string& name) {

@@ -156,9 +156,10 @@ class Estocada {
   // ReplicaRepairer's building blocks (the placement fill itself goes
   // through the online-copy calls further down) — they never bump the
   // catalog epoch, because replica routing happens per translation
-  // against the live placement bits, not in cached plans. They address
-  // shard 0's replica set, which is the whole fragment's when it is
-  // unpartitioned.
+  // against the live placement bits, not in cached plans. Every one of
+  // them addresses a placement as (fragment, shard, replica) — shard 0 is
+  // the whole fragment when it is unpartitioned — and answers kOutOfRange
+  // for an address the fragment does not have.
 
   /// Declares a fragment replicated across `replica_stores` (K = size;
   /// the first store is the primary, container "<fragment>") and
@@ -210,31 +211,26 @@ class Estocada {
   /// (routing skips it, write fan-out stops touching its container) and
   /// re-creates its container empty. Re-entrant — retrying an aborted
   /// rebuild restarts from a clean container. Refuses to rebuild the only
-  /// replica of a fragment (nothing would be left to serve reads).
-  Status BeginReplicaRebuild(const std::string& name, size_t replica);
+  /// replica of a shard (nothing would be left to serve its reads).
+  Status BeginReplicaRebuild(const std::string& name, size_t shard,
+                             size_t replica);
 
-  /// Re-admits a rebuilt replica: stamps it with the fragment's current
+  /// Re-admits a rebuilt replica: stamps it with its shard's current
   /// write epoch and clears `rebuilding`, so routing and the write
   /// fan-out see it again. Call only after the container verified against
   /// the staging truth (VerifyReplica) — admission itself does not check.
-  Status AdmitReplica(const std::string& name, size_t replica);
+  Status AdmitReplica(const std::string& name, size_t shard, size_t replica);
 
-  /// Set-compares one replica's container against the fragment view over
-  /// staging (the ground truth). OK iff equal.
-  Status VerifyReplica(const std::string& name, size_t replica) const;
+  /// Set-compares one replica's container against the shard's rows of the
+  /// fragment view over staging (the ground truth). OK iff equal.
+  Status VerifyReplica(const std::string& name, size_t shard,
+                       size_t replica) const;
 
   /// Order-independent content digest of one replica (anti-entropy:
-  /// same-kind siblings must digest equal). Text placements return
-  /// kUnsupported — scrub those with VerifyReplica.
-  Result<uint64_t> ReplicaDigest(const std::string& name,
+  /// same-kind siblings of a shard must digest equal). Every kind reads
+  /// back, text included; digests compare only within a kind.
+  Result<uint64_t> ReplicaDigest(const std::string& name, size_t shard,
                                  size_t replica) const;
-
-  /// One-shot rebuild of one shard replica of a *partitioned* fragment
-  /// from the staging truth (drop + re-evaluate + keep the shard's bucket
-  /// + native load), stamping it fresh on success — the repair path for a
-  /// shard replica that missed writes while its store was down.
-  Status RebuildShardReplicaFromStaging(const std::string& name, size_t shard,
-                                        size_t replica);
 
   // ---------------------------------------------- Shadow fragments --
   // Building blocks of the online migration engine (src/migration). A
@@ -263,27 +259,30 @@ class Estocada {
   // ------------------------------------------------- Online copies --
   // Building blocks of the online-copy pipeline (src/migration/
   // online_copy.h) that migrations and replica repairs share. Each call
-  // writes one *non-serving* placement — replica `replica` of an
-  // unpartitioned fragment that is a shadow (replica 0, its only one) or
-  // that is flagged `rebuilding` — and is refused for a serving placement,
-  // which writes reach through the maintenance fan-out only. None bumps
-  // an epoch.
+  // writes one *non-serving* placement — (fragment, shard, replica) of a
+  // shadow fragment (shard 0, replica 0, its only placement) or of a
+  // replica flagged `rebuilding` — and is refused for a serving
+  // placement, which writes reach through the maintenance fan-out only.
+  // A shard's placement keeps only the shard's rows. None bumps an epoch.
 
   /// Appends backfill rows to the placement's container.
-  Status AppendToPlacement(const std::string& name, size_t replica,
+  Status AppendToPlacement(const std::string& name, size_t shard,
+                           size_t replica,
                            const std::vector<engine::Row>& rows);
 
   /// Replays captured inserts ((relation, row) pairs already in staging)
   /// into the placement through the delta rule. The placement's kind must
   /// take appends; rebuild the others.
   Status MaintainPlacement(
-      const std::string& name, size_t replica,
+      const std::string& name, size_t shard, size_t replica,
       const std::vector<std::pair<std::string, engine::Row>>& deltas);
 
   /// Rebuilds the placement's container from the staging truth (drop +
-  /// re-evaluate + native load): the fill for kinds that take no appends
-  /// (text), and the catch-up after a deletion, which has no append delta.
-  Status RebuildPlacement(const std::string& name, size_t replica);
+  /// re-evaluate + native load of the shard's rows): the fill for kinds
+  /// that take no appends (text), and the catch-up after a deletion,
+  /// which has no append delta.
+  Status RebuildPlacement(const std::string& name, size_t shard,
+                          size_t replica);
 
   /// The fragment's view evaluated over the staging area with set
   /// semantics — the ground truth its container must hold.

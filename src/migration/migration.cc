@@ -132,7 +132,7 @@ Status MigrationEngine::StepPlan() {
         return Status::OK();
       });
     }));
-    ESTOCADA_RETURN_NOT_OK(copy_.Start(target_, /*replica=*/0));
+    ESTOCADA_RETURN_NOT_OK(copy_.Start(target_, /*shard=*/0, /*replica=*/0));
   }
   stage_.store(MigrationStage::kBackfilling, std::memory_order_release);
   return Status::OK();

@@ -8,7 +8,7 @@
 #include <utility>
 
 #include "common/strings.h"
-#include "rewriting/store_driver.h"
+#include "rewriting/materializer.h"
 #include "runtime/retry.h"
 
 namespace estocada::migration {
@@ -117,27 +117,21 @@ Status OnlineCopy::Retry(const std::function<Status()>& op) {
   return last;
 }
 
-Status OnlineCopy::Start(const std::string& fragment, size_t replica) {
+Status OnlineCopy::Start(const std::string& fragment, size_t shard,
+                         size_t replica) {
   fragment_ = fragment;
+  shard_ = shard;
   replica_ = replica;
   std::set<std::string> relations;
   bool appends = true;
   ESTOCADA_RETURN_NOT_OK(server_->WithReadLock([&](const Estocada& sys) {
-    ESTOCADA_ASSIGN_OR_RETURN(const catalog::StorageDescriptor* desc,
-                              sys.catalog().GetFragment(fragment));
-    for (const pivot::Atom& a : desc->view.query.body) {
+    ESTOCADA_ASSIGN_OR_RETURN(
+        rewriting::ReplicaTarget target,
+        rewriting::ResolveReplica(sys.catalog(), fragment, shard, replica));
+    for (const pivot::Atom& a : target.desc->view.query.body) {
       relations.insert(a.relation);
     }
-    const std::vector<catalog::ReplicaPlacement>& replicas =
-        desc->shards[0].replicas;
-    if (replica >= replicas.size()) {
-      return Status::OutOfRange(StrCat("fragment '", fragment,
-                                       "' has no replica #", replica));
-    }
-    ESTOCADA_ASSIGN_OR_RETURN(
-        const catalog::StoreHandle* handle,
-        sys.catalog().GetStore(replicas[replica].store_name));
-    appends = rewriting::DriverFor(handle->kind).appends();
+    appends = target.driver().appends();
     return Status::OK();
   }));
   // A kind that takes no appends (text) is filled by one rebuild, which
@@ -162,8 +156,16 @@ Status OnlineCopy::Start(const std::string& fragment, size_t replica) {
       });
   if (!appends) return Status::OK();
   return server_->WithReadLock([&](const Estocada& sys) {
-    ESTOCADA_ASSIGN_OR_RETURN(snapshot_, sys.EvaluateFragmentView(fragment));
-    return Status::OK();
+    ESTOCADA_ASSIGN_OR_RETURN(const catalog::StorageDescriptor* desc,
+                              sys.catalog().GetFragment(fragment));
+    ESTOCADA_ASSIGN_OR_RETURN(std::vector<Row> extent,
+                              sys.EvaluateFragmentView(fragment));
+    // Only the shard's rows: the backfill never ships another shard's.
+    return rewriting::ForEachShardBucket(
+        *desc, extent, [&](size_t s, const std::vector<Row>& rows) {
+          if (s == shard) snapshot_ = rows;
+          return Status::OK();
+        });
   });
 }
 
@@ -177,7 +179,7 @@ Status OnlineCopy::Backfill() {
     std::vector<Row> batch(snapshot_.begin() + pos, snapshot_.begin() + end);
     ESTOCADA_RETURN_NOT_OK(Retry([&] {
       return server_->WithAdminLock([&](Estocada* sys) {
-        return sys->AppendToPlacement(fragment_, replica_, batch);
+        return sys->AppendToPlacement(fragment_, shard_, replica_, batch);
       });
     }));
     pos = end;
@@ -223,7 +225,8 @@ Status OnlineCopy::DrainLocked(Estocada* sys, size_t max_rows) {
     }
   }
   if (rebuild) {
-    ESTOCADA_RETURN_NOT_OK(sys->RebuildPlacement(fragment_, replica_));
+    ESTOCADA_RETURN_NOT_OK(
+        sys->RebuildPlacement(fragment_, shard_, replica_));
     counters_.rebuilds.fetch_add(1, std::memory_order_relaxed);
     std::lock_guard<std::mutex> lock(log_->mu);
     log_->rebuild = false;
@@ -231,7 +234,8 @@ Status OnlineCopy::DrainLocked(Estocada* sys, size_t max_rows) {
     return Status::OK();
   }
   if (pending.empty()) return Status::OK();
-  ESTOCADA_RETURN_NOT_OK(sys->MaintainPlacement(fragment_, replica_, pending));
+  ESTOCADA_RETURN_NOT_OK(
+      sys->MaintainPlacement(fragment_, shard_, replica_, pending));
   counters_.deltas_replayed.fetch_add(pending.size(),
                                       std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(log_->mu);
@@ -265,7 +269,7 @@ Status OnlineCopy::Finish(const std::function<Status(Estocada*)>& commit) {
       // Catch-up left at most a few residual updates; draining them all
       // here, under the same lock as the commit, is what makes it atomic.
       ESTOCADA_RETURN_NOT_OK(DrainLocked(sys, /*max_rows=*/0));
-      ESTOCADA_RETURN_NOT_OK(sys->VerifyReplica(fragment_, replica_));
+      ESTOCADA_RETURN_NOT_OK(sys->VerifyReplica(fragment_, shard_, replica_));
       return commit(sys);
     });
   }));

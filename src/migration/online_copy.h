@@ -93,10 +93,10 @@ class OnlineCopy {
   /// Runs `op` in the retry envelope.
   Status Retry(const std::function<Status()>& op);
 
-  /// Addresses the placement — replica `replica` of `fragment`, which
-  /// the caller already created empty — attaches the listener and takes
-  /// the snapshot.
-  Status Start(const std::string& fragment, size_t replica);
+  /// Addresses the placement — replica `replica` of shard `shard` of
+  /// `fragment`, which the caller already created empty — attaches the
+  /// listener and takes the snapshot of the rows the shard owns.
+  Status Start(const std::string& fragment, size_t shard, size_t replica);
   /// Appends the snapshot; returns early (OK) on an abort request.
   Status Backfill();
   /// Replays the captured updates; returns early (OK) on an abort
@@ -133,6 +133,7 @@ class OnlineCopy {
   const std::string store_;
   const CopyOptions options_;
   std::string fragment_;
+  size_t shard_ = 0;
   size_t replica_ = 0;
 
   /// Shared with the listener, which may still run (on a writer thread,

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/strings.h"
+#include "rewriting/materializer.h"
 
 namespace estocada::replication {
 
@@ -32,11 +33,12 @@ const char* RepairStageName(RepairStage stage) {
 std::string RepairReport::ToString() const {
   const migration::CopyProgress& p = progress;
   std::string out = StrCat(
-      "[", RepairStageName(stage), "] ", fragment, "#", replica, ": copied ",
-      p.rows_copied, " rows in ", p.batches, " batches, ", p.catchup_rounds,
-      " catch-up rounds, replayed ", p.deltas_replayed, " deltas, ",
-      p.rebuilds, " rebuilds, ", p.retries, " retries, ", p.breaker_pauses,
-      " pauses", digest_checked ? ", digest-checked" : "");
+      "[", RepairStageName(stage), "] ", fragment, " shard ", shard, " #",
+      replica, ": copied ", p.rows_copied, " rows in ", p.batches,
+      " batches, ", p.catchup_rounds, " catch-up rounds, replayed ",
+      p.deltas_replayed, " deltas, ", p.rebuilds, " rebuilds, ", p.retries,
+      " retries, ", p.breaker_pauses, " pauses",
+      digest_checked ? ", digest-checked" : "");
   if (!error.ok()) out += StrCat(" — ", error.ToString());
   return out;
 }
@@ -46,34 +48,41 @@ ReplicaRepairer::ReplicaRepairer(QueryServer* server, RepairOptions options)
 
 namespace {
 
-/// The repairer's scope: one-shard fragments with two or more replicas.
-bool Repairable(const catalog::StorageDescriptor& desc) {
-  return desc.shards.size() == 1 && desc.shards[0].replicas.size() > 1;
+/// Calls `fn(fragment, shard index, shard)` for every shard in the
+/// repairer's scope: a serving fragment's shard with a sibling replica to
+/// serve its reads while one rebuilds.
+template <typename Fn>
+void ForEachRepairableShard(const catalog::Catalog& catalog, Fn&& fn) {
+  for (const auto& [name, desc] : catalog.fragments()) {
+    if (desc.is_shadow()) continue;
+    for (size_t s = 0; s < desc.shards.size(); ++s) {
+      if (desc.shards[s].replicas.size() > 1) fn(name, s, desc.shards[s]);
+    }
+  }
 }
 
 /// Admission's sibling check: the rebuilt replica must digest equal to
-/// the first healthy same-kind sibling whose store answers (digests are
-/// comparable within a kind only). Sets `*checked` when one compared.
+/// the first healthy same-kind sibling of its shard whose store answers
+/// (digests are comparable within a kind only). Sets `*checked` when one
+/// compared.
 Status CheckSiblingDigest(const Estocada& sys, const std::string& fragment,
-                          size_t replica, bool* checked) {
-  ESTOCADA_ASSIGN_OR_RETURN(const catalog::StorageDescriptor* desc,
-                            sys.catalog().GetFragment(fragment));
-  const catalog::ShardState& shard = desc->shards[0];
+                          size_t shard, size_t replica, bool* checked) {
   ESTOCADA_ASSIGN_OR_RETURN(
-      const catalog::StoreHandle* own,
-      sys.catalog().GetStore(shard.replicas[replica].store_name));
-  Result<uint64_t> mine = sys.ReplicaDigest(fragment, replica);
+      rewriting::ReplicaTarget own,
+      rewriting::ResolveReplica(sys.catalog(), fragment, shard, replica));
+  const catalog::ShardState& state = own.desc->shards[shard];
+  Result<uint64_t> mine = sys.ReplicaDigest(fragment, shard, replica);
   if (!mine.ok()) return Status::OK();
-  for (size_t i = 0; i < shard.replicas.size(); ++i) {
-    if (i == replica || !shard.replica_available(i)) continue;
-    auto handle = sys.catalog().GetStore(shard.replicas[i].store_name);
-    if (!handle.ok() || (*handle)->kind != own->kind) continue;
-    Result<uint64_t> theirs = sys.ReplicaDigest(fragment, i);
+  for (size_t i = 0; i < state.replicas.size(); ++i) {
+    if (i == replica || !state.replica_available(i)) continue;
+    auto handle = sys.catalog().GetStore(state.replicas[i].store_name);
+    if (!handle.ok() || (*handle)->kind != own.store->kind) continue;
+    Result<uint64_t> theirs = sys.ReplicaDigest(fragment, shard, i);
     if (!theirs.ok()) continue;  // Sibling store down: try the next.
     if (*theirs != *mine) {
       return Status::FailedPrecondition(
-          StrCat("rebuilt replica #", replica, " of '", fragment,
-                 "' digests ", *mine, " but healthy sibling #", i,
+          StrCat("rebuilt replica #", replica, " of shard ", shard, " of '",
+                 fragment, "' digests ", *mine, " but healthy sibling #", i,
                  " digests ", *theirs));
     }
     *checked = true;
@@ -86,26 +95,16 @@ Status CheckSiblingDigest(const Estocada& sys, const std::string& fragment,
 
 void ReplicaRepairer::RunRebuild(RepairReport* report) {
   const std::string& fragment = report->fragment;
+  const size_t shard = report->shard;
   const size_t replica = report->replica;
 
   // Pre-flight: the placement's store.
   std::string store_name;
   Status outcome = server_->WithReadLock([&](const Estocada& sys) {
-    ESTOCADA_ASSIGN_OR_RETURN(const catalog::StorageDescriptor* desc,
-                              sys.catalog().GetFragment(fragment));
-    if (!Repairable(*desc)) {
-      return Status::FailedPrecondition(
-          StrCat("fragment '", fragment,
-                 "' is not an unpartitioned replicated fragment"));
-    }
-    const std::vector<catalog::ReplicaPlacement>& replicas =
-        desc->shards[0].replicas;
-    if (replica >= replicas.size()) {
-      return Status::OutOfRange(StrCat("fragment '", fragment, "' has ",
-                                       replicas.size(),
-                                       " replica(s), asked for #", replica));
-    }
-    store_name = replicas[replica].store_name;
+    ESTOCADA_ASSIGN_OR_RETURN(
+        rewriting::ReplicaTarget target,
+        rewriting::ResolveReplica(sys.catalog(), fragment, shard, replica));
+    store_name = target.placement->store_name;
     return Status::OK();
   });
 
@@ -119,18 +118,18 @@ void ReplicaRepairer::RunRebuild(RepairReport* report) {
       ESTOCADA_RETURN_NOT_OK(enter(RepairStage::kBackfilling));
       ESTOCADA_RETURN_NOT_OK(copy.Retry([&] {
         return server_->WithAdminLock([&](Estocada* sys) {
-          return sys->BeginReplicaRebuild(fragment, replica);
+          return sys->BeginReplicaRebuild(fragment, shard, replica);
         });
       }));
-      ESTOCADA_RETURN_NOT_OK(copy.Start(fragment, replica));
+      ESTOCADA_RETURN_NOT_OK(copy.Start(fragment, shard, replica));
       ESTOCADA_RETURN_NOT_OK(copy.Backfill());
       ESTOCADA_RETURN_NOT_OK(enter(RepairStage::kCatchingUp));
       ESTOCADA_RETURN_NOT_OK(copy.CatchUp());
       ESTOCADA_RETURN_NOT_OK(enter(RepairStage::kVerifying));
       return copy.Finish([&](Estocada* sys) {
-        ESTOCADA_RETURN_NOT_OK(CheckSiblingDigest(*sys, fragment, replica,
-                                                  &report->digest_checked));
-        return sys->AdmitReplica(fragment, replica);
+        ESTOCADA_RETURN_NOT_OK(CheckSiblingDigest(
+            *sys, fragment, shard, replica, &report->digest_checked));
+        return sys->AdmitReplica(fragment, shard, replica);
       });
     }();
   }
@@ -141,9 +140,10 @@ void ReplicaRepairer::RunRebuild(RepairReport* report) {
 }
 
 RepairReport ReplicaRepairer::RepairReplica(const std::string& fragment,
-                                            size_t replica) {
+                                            size_t shard, size_t replica) {
   RepairReport report;
   report.fragment = fragment;
+  report.shard = shard;
   report.replica = replica;
   active_.fetch_add(1, std::memory_order_acq_rel);
   RunRebuild(&report);
@@ -161,24 +161,25 @@ RepairReport ReplicaRepairer::RepairReplica(const std::string& fragment,
 Result<size_t> ReplicaRepairer::Tick() {
   struct Candidate {
     std::string fragment;
+    size_t shard;
     size_t replica;
     std::string store;
   };
   std::vector<Candidate> candidates;
   ESTOCADA_RETURN_NOT_OK(server_->WithReadLock([&](const Estocada& sys) {
-    for (const auto& [name, desc] : sys.catalog().fragments()) {
-      // Partitioned fragments repair per shard through
-      // RebuildShardReplicaFromStaging instead.
-      if (desc.is_shadow() || !Repairable(desc)) continue;
-      const catalog::ShardState& shard = desc.shards[0];
-      for (size_t i = 0; i < shard.replicas.size(); ++i) {
-        // Stale (missed writes while its store was down) or stuck
-        // mid-rebuild (an earlier repair aborted): both need a rebuild.
-        if (!shard.replica_available(i)) {
-          candidates.push_back({name, i, shard.replicas[i].store_name});
-        }
-      }
-    }
+    ForEachRepairableShard(
+        sys.catalog(), [&](const std::string& name, size_t s,
+                           const catalog::ShardState& shard) {
+          for (size_t i = 0; i < shard.replicas.size(); ++i) {
+            // Stale (missed writes while its store was down) or stuck
+            // mid-rebuild (an earlier repair aborted): both need a
+            // rebuild.
+            if (!shard.replica_available(i)) {
+              candidates.push_back(
+                  {name, s, i, shard.replicas[i].store_name});
+            }
+          }
+        });
     return Status::OK();
   }));
   if (candidates.empty()) return static_cast<size_t>(0);
@@ -190,7 +191,7 @@ Result<size_t> ReplicaRepairer::Tick() {
   size_t admitted = 0;
   for (const Candidate& c : candidates) {
     if (std::find(open.begin(), open.end(), c.store) != open.end()) continue;
-    RepairReport report = RepairReplica(c.fragment, c.replica);
+    RepairReport report = RepairReplica(c.fragment, c.shard, c.replica);
     if (report.admitted()) ++admitted;
   }
   return admitted;
@@ -204,25 +205,25 @@ Result<size_t> ReplicaRepairer::Scrub() {
   };
   struct Scan {
     std::string fragment;
+    size_t shard;
     std::vector<Member> live;
   };
   std::vector<Scan> scans;
   ESTOCADA_RETURN_NOT_OK(server_->WithReadLock([&](const Estocada& sys) {
-    for (const auto& [name, desc] : sys.catalog().fragments()) {
-      if (desc.is_shadow() || !Repairable(desc)) continue;
-      Scan scan;
-      scan.fragment = name;
-      const catalog::ShardState& shard = desc.shards[0];
-      for (size_t i = 0; i < shard.replicas.size(); ++i) {
-        // Stale/rebuilding replicas are Tick()'s job, not the scrub's.
-        if (!shard.replica_available(i)) continue;
-        const catalog::ReplicaPlacement& p = shard.replicas[i];
-        auto handle = sys.catalog().GetStore(p.store_name);
-        if (!handle.ok()) continue;
-        scan.live.push_back({i, (*handle)->kind, p.store_name});
-      }
-      if (!scan.live.empty()) scans.push_back(std::move(scan));
-    }
+    ForEachRepairableShard(
+        sys.catalog(), [&](const std::string& name, size_t s,
+                           const catalog::ShardState& shard) {
+          Scan scan{name, s, {}};
+          for (size_t i = 0; i < shard.replicas.size(); ++i) {
+            // Stale/rebuilding replicas are Tick()'s job, not the scrub's.
+            if (!shard.replica_available(i)) continue;
+            const catalog::ReplicaPlacement& p = shard.replicas[i];
+            auto handle = sys.catalog().GetStore(p.store_name);
+            if (!handle.ok()) continue;
+            scan.live.push_back({i, (*handle)->kind, p.store_name});
+          }
+          if (!scan.live.empty()) scans.push_back(std::move(scan));
+        });
     return Status::OK();
   }));
   std::vector<std::string> open = server_->health().ExcludedStores();
@@ -246,7 +247,7 @@ Result<size_t> ReplicaRepairer::Scrub() {
         for (const Member* m : members) {
           Result<uint64_t> digest = Status::Unavailable("digest not read");
           Status st = server_->WithReadLock([&](const Estocada& sys) {
-            digest = sys.ReplicaDigest(scan.fragment, m->replica);
+            digest = sys.ReplicaDigest(scan.fragment, scan.shard, m->replica);
             return Status::OK();
           });
           if (!st.ok() || !digest.ok()) {
@@ -267,10 +268,10 @@ Result<size_t> ReplicaRepairer::Scrub() {
     }
     for (size_t replica : suspects) {
       Status verified = server_->WithReadLock([&](const Estocada& sys) {
-        return sys.VerifyReplica(scan.fragment, replica);
+        return sys.VerifyReplica(scan.fragment, scan.shard, replica);
       });
       if (verified.ok()) continue;
-      RepairReport report = RepairReplica(scan.fragment, replica);
+      RepairReport report = RepairReplica(scan.fragment, scan.shard, replica);
       if (report.admitted()) ++repaired;
     }
   }

@@ -44,6 +44,7 @@ struct RepairOptions : migration::CopyOptions {
 /// Outcome and counters of one replica rebuild.
 struct RepairReport {
   std::string fragment;
+  size_t shard = 0;
   size_t replica = 0;
   RepairStage stage = RepairStage::kIdle;  ///< Final stage reached.
   Status error;                            ///< Why it aborted (OK otherwise).
@@ -57,7 +58,8 @@ struct RepairReport {
 /// Self-healing for K-way replicated fragments: detects dead or stale
 /// replicas, rebuilds them from the staging truth while their siblings
 /// keep serving, verifies the rebuilt container, and atomically re-admits
-/// it into routing and the write fan-out.
+/// it into routing and the write fan-out. A replica is addressed as
+/// (fragment, shard, replica); every shard with a sibling is in scope.
 ///
 /// A rebuild flags the placement `rebuilding` (routing and the write
 /// fan-out stop touching it) and re-creates its container empty, then
@@ -68,7 +70,7 @@ struct RepairReport {
 /// exclusive-lock section that drains the rest, verifies the container
 /// against the staging truth, checks digest equality with a healthy
 /// same-kind sibling, and admits the replica (epoch stamped to the
-/// fragment's write epoch, `rebuilding` cleared). No catalog-epoch bump:
+/// shard's write epoch, `rebuilding` cleared). No catalog-epoch bump:
 /// routing is per-translation, so cached plans pick the replica up
 /// immediately.
 ///
@@ -87,19 +89,20 @@ class ReplicaRepairer {
   /// Rebuilds one replica synchronously. The report carries the outcome:
   /// report.error is OK iff the replica was admitted. (Failure leaves the
   /// placement `rebuilding`; a later call — or Tick() — retries.)
-  RepairReport RepairReplica(const std::string& fragment, size_t replica);
+  RepairReport RepairReplica(const std::string& fragment, size_t shard,
+                             size_t replica);
 
   /// One repair pass: scans the catalog for replicas that are stale
-  /// (epoch behind the fragment's write epoch — they missed writes while
+  /// (epoch behind their shard's write epoch — they missed writes while
   /// their store was down) or stuck mid-rebuild, skips those whose store
   /// breaker is still open (the store is not back yet), and rebuilds the
   /// rest. Returns the number of replicas admitted; failures stay flagged
   /// for the next tick.
   Result<size_t> Tick();
 
-  /// Anti-entropy pass over *live* replicas: same-kind sibling groups are
-  /// digest-compared, and a disagreeing group (or any replica digests
-  /// cannot cover — text, singletons-of-kind) is set-verified against the
+  /// Anti-entropy pass over *live* replicas: each shard's same-kind
+  /// sibling groups are digest-compared, and a disagreeing group (or a
+  /// kind's lone replica in its shard) is set-verified against the
   /// staging truth; corrupt replicas are rebuilt. A group that is
   /// identically corrupt escapes the digest screen — the bench's chaos
   /// does not produce that, and truth-verification of every replica every

@@ -55,54 +55,6 @@ std::vector<std::string> FragmentsReading(const Catalog& catalog,
   return out;
 }
 
-/// Calls `fn(shard, rows)` once per shard with the rows that shard owns.
-/// A one-shard fragment gets `rows` itself, so an unpartitioned fragment
-/// never copies its view extent; a partitioned one gets each shard's
-/// bucket by the partition key.
-template <typename Fn>
-Status ForEachShardBucket(const StorageDescriptor& desc,
-                          const std::vector<Row>& rows, Fn&& fn) {
-  if (desc.shards.size() == 1) return fn(0, rows);
-  std::vector<std::vector<Row>> buckets(desc.shards.size());
-  for (const Row& row : rows) {
-    buckets[desc.partition.ShardOf(row[desc.partition.key_position])]
-        .push_back(row);
-  }
-  for (size_t s = 0; s < buckets.size(); ++s) {
-    ESTOCADA_RETURN_NOT_OK(fn(s, buckets[s]));
-  }
-  return Status::OK();
-}
-
-/// One addressed replica: its fragment, placement and store.
-struct ReplicaTarget {
-  const StorageDescriptor* desc;
-  const catalog::ReplicaPlacement* placement;
-  const StoreHandle* store;
-
-  Placement at() const { return {*store, *desc, placement->container}; }
-  const StoreDriver& driver() const { return DriverFor(store->kind); }
-};
-
-/// Resolves replica `replica` of shard `shard`; kOutOfRange when the
-/// fragment has no such placement.
-Result<ReplicaTarget> ResolveReplica(const Catalog& catalog,
-                                     const std::string& fragment_name,
-                                     size_t shard, size_t replica) {
-  ESTOCADA_ASSIGN_OR_RETURN(const StorageDescriptor* desc,
-                            catalog.GetFragment(fragment_name));
-  if (shard >= desc->shards.size() ||
-      replica >= desc->shards[shard].replicas.size()) {
-    return Status::OutOfRange(StrCat("fragment '", fragment_name,
-                                     "' has no replica ", replica,
-                                     " of shard ", shard));
-  }
-  const catalog::ReplicaPlacement* p = &desc->shards[shard].replicas[replica];
-  ESTOCADA_ASSIGN_OR_RETURN(const StoreHandle* store,
-                            catalog.GetStore(p->store_name));
-  return ReplicaTarget{desc, p, store};
-}
-
 /// Set-compares one placement's container against `expected`: what the
 /// driver reads back against what it would read back for each expected
 /// row.
@@ -440,6 +392,23 @@ Status DematerializeFragment(Catalog* catalog,
   return Status::OK();
 }
 
+Result<ReplicaTarget> ResolveReplica(const Catalog& catalog,
+                                     const std::string& fragment_name,
+                                     size_t shard, size_t replica) {
+  ESTOCADA_ASSIGN_OR_RETURN(const StorageDescriptor* desc,
+                            catalog.GetFragment(fragment_name));
+  if (shard >= desc->shards.size() ||
+      replica >= desc->shards[shard].replicas.size()) {
+    return Status::OutOfRange(StrCat("fragment '", fragment_name,
+                                     "' has no replica ", replica,
+                                     " of shard ", shard));
+  }
+  const catalog::ReplicaPlacement* p = &desc->shards[shard].replicas[replica];
+  ESTOCADA_ASSIGN_OR_RETURN(const StoreHandle* store,
+                            catalog.GetStore(p->store_name));
+  return ReplicaTarget{desc, p, store};
+}
+
 Status CreateReplicaContainer(const Catalog& catalog,
                               const std::string& fragment_name, size_t shard,
                               size_t replica) {
@@ -477,11 +446,15 @@ Status AppendToReplica(Catalog* catalog, const std::string& fragment_name,
   if (rows.empty()) return Status::OK();
   ESTOCADA_ASSIGN_OR_RETURN(
       ReplicaTarget t, ResolveReplica(*catalog, fragment_name, shard, replica));
-  ESTOCADA_RETURN_NOT_OK(t.driver().Append(t.at(), rows));
-  ESTOCADA_ASSIGN_OR_RETURN(StorageDescriptor * desc,
-                            catalog->GetMutableFragment(fragment_name));
-  if (desc->is_shadow()) desc->stats.row_count += rows.size();
-  return Status::OK();
+  return ForEachShardBucket(
+      *t.desc, rows, [&](size_t s, const std::vector<Row>& bucket) -> Status {
+        if (s != shard || bucket.empty()) return Status::OK();
+        ESTOCADA_RETURN_NOT_OK(t.driver().Append(t.at(), bucket));
+        ESTOCADA_ASSIGN_OR_RETURN(StorageDescriptor * desc,
+                                  catalog->GetMutableFragment(fragment_name));
+        if (desc->is_shadow()) desc->stats.row_count += bucket.size();
+        return Status::OK();
+      });
 }
 
 Result<uint64_t> FragmentReplicaDigest(const Catalog& catalog,

@@ -4,6 +4,7 @@
 #include "catalog/catalog.h"
 #include "common/result.h"
 #include "rewriting/cq_eval.h"
+#include "rewriting/store_driver.h"
 
 namespace estocada::rewriting {
 
@@ -58,7 +59,43 @@ Status DematerializeFragment(catalog::Catalog* catalog,
 /// rebuilding / lifecycle bits themselves under the server's admin lock.
 /// The writes keep the fragment statistics only for a shadow fragment,
 /// whose one placement is its whole extent; a rebuilding replica's
-/// serving siblings already carry them.
+/// serving siblings already carry them. Row arguments are view rows of
+/// the whole fragment; each primitive keeps the shard's rows of them.
+
+/// Calls `fn(shard, rows)` once per shard with the rows that shard owns.
+/// A one-shard fragment gets `rows` itself, so an unpartitioned fragment
+/// never copies its view extent; a partitioned one gets each shard's
+/// bucket by the partition key.
+template <typename Fn>
+Status ForEachShardBucket(const catalog::StorageDescriptor& desc,
+                          const std::vector<engine::Row>& rows, Fn&& fn) {
+  if (desc.shards.size() == 1) return fn(0, rows);
+  std::vector<std::vector<engine::Row>> buckets(desc.shards.size());
+  for (const engine::Row& row : rows) {
+    buckets[desc.partition.ShardOf(row[desc.partition.key_position])]
+        .push_back(row);
+  }
+  for (size_t s = 0; s < buckets.size(); ++s) {
+    ESTOCADA_RETURN_NOT_OK(fn(s, buckets[s]));
+  }
+  return Status::OK();
+}
+
+/// One addressed placement: its fragment, replica placement and store.
+struct ReplicaTarget {
+  const catalog::StorageDescriptor* desc;
+  const catalog::ReplicaPlacement* placement;
+  const catalog::StoreHandle* store;
+
+  Placement at() const { return {*store, *desc, placement->container}; }
+  const StoreDriver& driver() const { return DriverFor(store->kind); }
+};
+
+/// Resolves replica `replica` of shard `shard`, the one bounds check of a
+/// placement address: kOutOfRange when the fragment has no such placement.
+Result<ReplicaTarget> ResolveReplica(const catalog::Catalog& catalog,
+                                     const std::string& fragment_name,
+                                     size_t shard, size_t replica);
 
 /// Creates the placement's *empty* container (with the fragment's
 /// indexes) in its store.
@@ -80,10 +117,10 @@ Status MaterializeReplica(const StagingData& staging,
                           const std::string& fragment_name, size_t shard,
                           size_t replica);
 
-/// Appends already-computed view rows to the placement's container only.
-/// Kinds that take no appends (text) return kUnsupported — rebuild
-/// instead. Document _ids are seeded from the container's own count, so
-/// refilled containers never collide.
+/// Appends the shard's rows of already-computed view rows to the
+/// placement's container only. Kinds that take no appends (text) return
+/// kUnsupported — rebuild instead. Document _ids are seeded from the
+/// container's own count, so refilled containers never collide.
 Status AppendToReplica(catalog::Catalog* catalog,
                        const std::string& fragment_name, size_t shard,
                        size_t replica, const std::vector<engine::Row>& rows);

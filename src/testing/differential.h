@@ -42,9 +42,10 @@ namespace estocada::testing {
 ///      through key-bound reads that prune to one shard, through
 ///      shard-kill chaos on a shard-replicated layout (the sibling
 ///      replica must serve, the dead store must not), and through a write
-///      taken while a shard replica is down followed by its per-shard
-///      rebuild — the healed replica set must then serve the post-write
-///      truth alone;
+///      taken while a shard replica is down followed by the repairer's
+///      Tick, which heals the stale shard replica through the online copy
+///      — the healed replica set must then serve the post-write truth
+///      alone;
 ///  (i) a seed-generated property graph, shredded through the graph
 ///      encoding onto a native graph store, answers byte-identically to
 ///      the staging oracle: the shred/encode round trip preserves exact

@@ -242,7 +242,7 @@ TEST_F(MigrationTest, VerificationFailureAbortsAndRollsBack) {
   bogus[0] = Value::Int(99999999);
   ASSERT_TRUE(server
                   .WithAdminLock([&](Estocada* sys) {
-                    return sys->AppendToPlacement("F_mig", 0, {bogus});
+                    return sys->AppendToPlacement("F_mig", 0, 0, {bogus});
                   })
                   .ok());
   Status st = engine.Run();

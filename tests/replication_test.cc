@@ -99,7 +99,7 @@ class ReplicationTest : public ::testing::Test {
   }
 
   uint64_t Digest(size_t replica) {
-    auto d = sys_.ReplicaDigest("F_users", replica);
+    auto d = sys_.ReplicaDigest("F_users", 0, replica);
     EXPECT_TRUE(d.ok()) << d.status();
     return d.ok() ? *d : 0;
   }
@@ -173,7 +173,7 @@ TEST_F(ReplicationTest, DefineReplicatedCreatesFreshVerifiedPlacements) {
     SCOPED_TRACE(i);
     EXPECT_FALSE(desc->shards[0].replicas[i].rebuilding);
     EXPECT_TRUE(desc->shards[0].replicas[i].fresh(desc->shards[0].write_epoch));
-    EXPECT_TRUE(sys_.VerifyReplica("F_users", i).ok());
+    EXPECT_TRUE(sys_.VerifyReplica("F_users", 0, i).ok());
   }
   EXPECT_EQ(Digest(0), Digest(1));
   EXPECT_EQ(Digest(1), Digest(2));
@@ -250,7 +250,7 @@ TEST_F(ReplicationTest, WriteFanOutSkipsDeadReplicaAndTickRepairsIt) {
   for (size_t i = 0; i < 3; ++i) {
     EXPECT_TRUE(desc->shards[0].replicas[i].fresh(desc->shards[0].write_epoch))
         << i;
-    EXPECT_TRUE(sys_.VerifyReplica("F_users", i).ok()) << i;
+    EXPECT_TRUE(sys_.VerifyReplica("F_users", 0, i).ok()) << i;
   }
 
   // Insert with pg3 down: the write lands on the survivors and pg3's
@@ -280,7 +280,7 @@ TEST_F(ReplicationTest, WriteFanOutSkipsDeadReplicaAndTickRepairsIt) {
   ASSERT_NE(desc, nullptr);
   EXPECT_TRUE(desc->shards[0].replicas[2].fresh(desc->shards[0].write_epoch));
   EXPECT_FALSE(desc->shards[0].replicas[2].rebuilding);
-  EXPECT_TRUE(sys_.VerifyReplica("F_users", 2).ok());
+  EXPECT_TRUE(sys_.VerifyReplica("F_users", 0, 2).ok());
   EXPECT_EQ(Digest(0), Digest(2));
   EXPECT_GE(server.metrics().replica_rebuilds, 1u);
   ASSERT_FALSE(repairer.history().empty());
@@ -309,7 +309,7 @@ TEST_F(ReplicationTest, TextInsertWithOneReplicaDownKeepsTheHealthyReplica) {
   const catalog::ShardState& shard = (*d)->shards[0];
   EXPECT_TRUE(shard.replicas[0].fresh(shard.write_epoch));
   EXPECT_FALSE(shard.replicas[1].fresh(shard.write_epoch));
-  EXPECT_TRUE(sys_.VerifyReplica("F_t", 0).ok());
+  EXPECT_TRUE(sys_.VerifyReplica("F_t", 0, 0).ok());
   auto r = ExpectServesTruth(&server, kZebra);
   ASSERT_TRUE(r.ok());
   EXPECT_FALSE(r->degraded_to_staging);
@@ -321,8 +321,8 @@ TEST_F(ReplicationTest, TextInsertWithOneReplicaDownKeepsTheHealthyReplica) {
   auto repaired = repairer.Tick();
   ASSERT_TRUE(repaired.ok()) << repaired.status();
   EXPECT_EQ(*repaired, 1u);
-  EXPECT_TRUE(sys_.VerifyReplica("F_t", 0).ok());
-  EXPECT_TRUE(sys_.VerifyReplica("F_t", 1).ok());
+  EXPECT_TRUE(sys_.VerifyReplica("F_t", 0, 0).ok());
+  EXPECT_TRUE(sys_.VerifyReplica("F_t", 0, 1).ok());
   r = ExpectServesTruth(&server, kZebra);
   ASSERT_TRUE(r.ok());
   EXPECT_FALSE(r->degraded_to_staging);
@@ -347,7 +347,7 @@ TEST_F(ReplicationTest, DeleteWithOneReplicaDownKeepsTheHealthyReplica) {
   const catalog::ShardState& shard = (*d)->shards[0];
   EXPECT_TRUE(shard.replicas[0].fresh(shard.write_epoch));
   EXPECT_FALSE(shard.replicas[1].fresh(shard.write_epoch));
-  EXPECT_TRUE(sys_.VerifyReplica("F_p", 0).ok());
+  EXPECT_TRUE(sys_.VerifyReplica("F_p", 0, 0).ok());
   auto r = ExpectServesTruth(&server, kProducts);
   ASSERT_TRUE(r.ok());
   EXPECT_FALSE(r->degraded_to_staging);
@@ -358,7 +358,7 @@ TEST_F(ReplicationTest, DeleteWithOneReplicaDownKeepsTheHealthyReplica) {
   auto repaired = repairer.Tick();
   ASSERT_TRUE(repaired.ok()) << repaired.status();
   EXPECT_EQ(*repaired, 1u);
-  EXPECT_TRUE(sys_.VerifyReplica("F_p", 1).ok());
+  EXPECT_TRUE(sys_.VerifyReplica("F_p", 0, 1).ok());
   ExpectServesTruth(&server, kProducts);
 }
 
@@ -370,14 +370,14 @@ TEST_F(ReplicationTest, InsertDuringRepairIsReplayedIntoTheReplica) {
   opts.stage_hook = OnceAtCatchUp(
       [&] { return server.InsertRow("mk.users", UserRow(500'000)); });
   ReplicaRepairer repairer(&server, opts);
-  RepairReport report = repairer.RepairReplica("F_users", 1);
+  RepairReport report = repairer.RepairReplica("F_users", 0, 1);
   ASSERT_TRUE(report.admitted()) << report.ToString();
   // The backfill missed the insert; catch-up replayed it as a delta.
   EXPECT_GE(report.progress.catchup_rounds, 1u);
   EXPECT_EQ(report.progress.deltas_replayed, 1u);
   EXPECT_EQ(report.progress.rebuilds, 0u);
   EXPECT_TRUE(report.digest_checked);
-  EXPECT_TRUE(sys_.VerifyReplica("F_users", 1).ok());
+  EXPECT_TRUE(sys_.VerifyReplica("F_users", 0, 1).ok());
   EXPECT_EQ(Digest(0), Digest(1));
   EXPECT_EQ(Digest(1), Digest(2));
   ExpectServesTruth(&server, kUsersQuery);
@@ -392,14 +392,14 @@ TEST_F(ReplicationTest, DeleteDuringRepairRebuildsThePlacementOnce) {
   opts.stage_hook = OnceAtCatchUp(
       [&] { return server.DeleteRow("mk.users", victim); });
   ReplicaRepairer repairer(&server, opts);
-  RepairReport report = repairer.RepairReplica("F_users", 1);
+  RepairReport report = repairer.RepairReplica("F_users", 0, 1);
   ASSERT_TRUE(report.admitted()) << report.ToString();
   // A deletion has no append delta: catch-up rebuilt the placement from
   // staging once, and the backfill was not copied a second time.
   EXPECT_EQ(report.progress.rows_copied, users->size());
   EXPECT_EQ(report.progress.rebuilds, 1u);
   EXPECT_GE(report.progress.catchup_rounds, 1u);
-  EXPECT_TRUE(sys_.VerifyReplica("F_users", 1).ok());
+  EXPECT_TRUE(sys_.VerifyReplica("F_users", 0, 1).ok());
   EXPECT_EQ(Digest(0), Digest(1));
   ExpectServesTruth(&server, kUsersQuery);
 }
@@ -408,12 +408,12 @@ TEST_F(ReplicationTest, TextReplicaRepairsThroughARebuild) {
   ASSERT_NO_FATAL_FAILURE(DefineTextReplicas());
   QueryServer server(&sys_, FastOptions());
   ReplicaRepairer repairer(&server);
-  RepairReport report = repairer.RepairReplica("F_t", 1);
+  RepairReport report = repairer.RepairReplica("F_t", 0, 1);
   ASSERT_TRUE(report.admitted()) << report.ToString();
   EXPECT_EQ(report.progress.rows_copied, 0u);  // No append path to text.
   EXPECT_GE(report.progress.rebuilds, 1u);
   EXPECT_TRUE(report.digest_checked);
-  EXPECT_TRUE(sys_.VerifyReplica("F_t", 1).ok());
+  EXPECT_TRUE(sys_.VerifyReplica("F_t", 0, 1).ok());
 }
 
 // ------------------------------------------------ Abort at every stage --
@@ -442,7 +442,7 @@ TEST_F(ReplicationTest, AbortAtEveryStageLeavesServingAndWritesCorrect) {
                  : Status::OK();
     };
     ReplicaRepairer aborting(&server, opts);
-    RepairReport report = aborting.RepairReplica("F_users", 1);
+    RepairReport report = aborting.RepairReplica("F_users", 0, 1);
     EXPECT_EQ(report.stage, RepairStage::kAborted);
     EXPECT_FALSE(report.admitted());
     EXPECT_NE(report.error.ToString().find(RepairStageName(c.stage)),
@@ -465,13 +465,13 @@ TEST_F(ReplicationTest, AbortAtEveryStageLeavesServingAndWritesCorrect) {
 
     // A clean repair recovers the replica whatever state the abort left.
     ReplicaRepairer clean(&server);
-    RepairReport recovered = clean.RepairReplica("F_users", 1);
+    RepairReport recovered = clean.RepairReplica("F_users", 0, 1);
     EXPECT_TRUE(recovered.admitted()) << recovered.ToString();
     desc = Users();
     ASSERT_NE(desc, nullptr);
     EXPECT_FALSE(desc->shards[0].replicas[1].rebuilding);
     EXPECT_TRUE(desc->shards[0].replicas[1].fresh(desc->shards[0].write_epoch));
-    EXPECT_TRUE(sys_.VerifyReplica("F_users", 1).ok());
+    EXPECT_TRUE(sys_.VerifyReplica("F_users", 0, 1).ok());
     EXPECT_EQ(Digest(0), Digest(1));
   }
 }
@@ -487,7 +487,7 @@ TEST_F(ReplicationTest, ScrubDetectsAndRepairsSilentCorruption) {
                             {Value::Int(999'999), Value::Str("bogus"),
                              Value::Str("nowhere")})
                   .ok());
-  EXPECT_FALSE(sys_.VerifyReplica("F_users", 1).ok());
+  EXPECT_FALSE(sys_.VerifyReplica("F_users", 0, 1).ok());
 
   // The digest screen flags the disagreeing group, truth verification
   // pins the corrupt member, and a rebuild replaces it.
@@ -495,7 +495,7 @@ TEST_F(ReplicationTest, ScrubDetectsAndRepairsSilentCorruption) {
   auto repaired = repairer.Scrub();
   ASSERT_TRUE(repaired.ok()) << repaired.status();
   EXPECT_EQ(*repaired, 1u);
-  EXPECT_TRUE(sys_.VerifyReplica("F_users", 1).ok());
+  EXPECT_TRUE(sys_.VerifyReplica("F_users", 0, 1).ok());
   EXPECT_EQ(Digest(0), Digest(1));
   auto r = ExpectServesTruth(&server, kUsersQuery);
   ASSERT_TRUE(r.ok());
@@ -524,7 +524,7 @@ TEST_F(ReplicationTest, FailedDefinitionDropsTheContainersItCreated) {
   Status st = sys_.DefineReplicatedFragment(kView, {"pg1", "pg2", "pg3"});
   ASSERT_TRUE(st.ok()) << st;
   for (size_t i = 0; i < 3; ++i) {
-    EXPECT_TRUE(sys_.VerifyReplica("F_u2", i).ok()) << i;
+    EXPECT_TRUE(sys_.VerifyReplica("F_u2", 0, i).ok()) << i;
   }
 }
 
@@ -541,7 +541,8 @@ TEST_F(ReplicationTest, CatalogRoundTripPreservesReplicaState) {
                                            Status::OK();
   };
   ReplicaRepairer aborting(&server, opts);
-  ASSERT_EQ(aborting.RepairReplica("F_users", 1).stage, RepairStage::kAborted);
+  ASSERT_EQ(aborting.RepairReplica("F_users", 0, 1).stage,
+            RepairStage::kAborted);
   injector_.SetOutage("pg3", true);
   ASSERT_TRUE(server.InsertRow("mk.users", UserRow(300'000)).ok());
   injector_.SetOutage("pg3", false);
@@ -583,13 +584,13 @@ TEST_F(ReplicationTest, CatalogRoundTripPreservesReplicaState) {
   // The mid-rebuild marker survives: the unverified container must not
   // re-enter routing just because the catalog was re-imported.
   EXPECT_TRUE(desc->shards[0].replicas[1].rebuilding);
-  EXPECT_FALSE(sys_.VerifyReplica("F_users", 1).ok());
+  EXPECT_FALSE(sys_.VerifyReplica("F_users", 0, 1).ok());
   // Import re-materializes live placements from the restored staging, so
   // the stale replica comes back fresh and verified...
   EXPECT_TRUE(desc->shards[0].replicas[0].fresh(desc->shards[0].write_epoch));
   EXPECT_TRUE(desc->shards[0].replicas[2].fresh(desc->shards[0].write_epoch));
-  EXPECT_TRUE(restored.VerifyReplica("F_users", 0).ok());
-  EXPECT_TRUE(restored.VerifyReplica("F_users", 2).ok());
+  EXPECT_TRUE(restored.VerifyReplica("F_users", 0, 0).ok());
+  EXPECT_TRUE(restored.VerifyReplica("F_users", 0, 2).ok());
 
   // ...and one repairer tick on the restored deployment finishes the job
   // the checkpoint interrupted.
@@ -601,7 +602,7 @@ TEST_F(ReplicationTest, CatalogRoundTripPreservesReplicaState) {
   d = restored.catalog().GetFragment("F_users");
   ASSERT_TRUE(d.ok());
   EXPECT_FALSE((*d)->shards[0].replicas[1].rebuilding);
-  EXPECT_TRUE(restored.VerifyReplica("F_users", 1).ok());
+  EXPECT_TRUE(restored.VerifyReplica("F_users", 0, 1).ok());
 }
 
 // --------------------------------------------------- Concurrency probe --
@@ -684,7 +685,7 @@ TEST_F(ReplicationTest, ConcurrentChaosConvergesToVerifiedTruth) {
   }
   ASSERT_TRUE(converged) << "replicas never converged after chaos";
   for (size_t i = 0; i < 3; ++i) {
-    EXPECT_TRUE(sys_.VerifyReplica("F_users", i).ok()) << i;
+    EXPECT_TRUE(sys_.VerifyReplica("F_users", 0, i).ok()) << i;
   }
   server.health().Reset();
   auto r = ExpectServesTruth(&server, kUsersQuery);

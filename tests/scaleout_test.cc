@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "pivot/parser.h"
+#include "replication/repairer.h"
 #include "runtime/query_server.h"
 #include "stores/fault.h"
 #include "workload/marketplace.h"
@@ -419,31 +420,62 @@ TEST_F(ScaleoutTest, UnreplicatedShardKillDegradesToStaging) {
   EXPECT_EQ(Canon(r->rows), Canon(*truth));
 }
 
-TEST_F(ScaleoutTest, RebuildShardReplicaHealsMissedWrite) {
+// ------------------------------------------------- Shard replica repair --
+// A shard replica heals through the same online copy as an unpartitioned
+// replica: addressed as (fragment, shard, replica), filled with the rows
+// its shard owns only.
+
+TEST_F(ScaleoutTest, TickHealsStaleShardReplicaWhileAnotherShardTakesWrites) {
   DefineUsersHashReplicated();
   const catalog::StorageDescriptor* desc = Users();
   ASSERT_NE(desc, nullptr);
+  QueryServer server(&sys_, FastOptions());
   const size_t shard = 0;  // Replicas on s0 (primary) and s1 (sibling).
   const int64_t uid = FreshUidOwnedBy(shard);
+  const int64_t elsewhere = FreshUidOwnedBy(1);
   ASSERT_GE(uid, 0);
+  ASSERT_GE(elsewhere, 0);
 
   // The sibling is down across a write: the primary takes it, the sibling
   // misses it and goes stale.
   injector_.SetOutage("s1", true);
-  ASSERT_TRUE(sys_.InsertRow("mk.users", {Value::Int(uid), Value::Str("nu"),
+  ASSERT_TRUE(server
+                  .InsertRow("mk.users", {Value::Int(uid), Value::Str("nu"),
                                           Value::Str("nc")})
                   .ok());
-  EXPECT_TRUE(desc->shards[shard].replica_available(0));
   EXPECT_FALSE(desc->shards[shard].replica_available(1));
-
-  // Per-shard repair: rebuild only the stale shard replica from staging.
   injector_.SetOutage("s1", false);
-  ASSERT_TRUE(sys_.RebuildShardReplicaFromStaging("F_users", shard, 1).ok());
-  EXPECT_TRUE(desc->shards[shard].replica_available(1));
 
-  // The healed replica now serves the post-write truth alone.
+  // Mid-copy, an insert routed to shard 1 lands: the online copy captures
+  // it, and its catch-up must keep it out of shard 0's replica.
+  bool fired = false;
+  replication::RepairOptions opts;
+  opts.stage_hook = [&](replication::RepairStage at) -> Status {
+    if (at != replication::RepairStage::kCatchingUp || fired) {
+      return Status::OK();
+    }
+    fired = true;
+    return server.InsertRow("mk.users", {Value::Int(elsewhere),
+                                         Value::Str("ne"), Value::Str("ce")});
+  };
+  replication::ReplicaRepairer repairer(&server, opts);
+  auto healed = repairer.Tick();
+  ASSERT_TRUE(healed.ok()) << healed.status();
+  EXPECT_EQ(*healed, 1u);
+  ASSERT_TRUE(fired);
+  const std::vector<replication::RepairReport> history = repairer.history();
+  ASSERT_EQ(history.size(), 1u);
+  const replication::RepairReport& report = history[0];
+  EXPECT_TRUE(report.admitted()) << report.ToString();
+  EXPECT_EQ(report.shard, shard);
+  EXPECT_EQ(report.replica, 1u);
+  EXPECT_EQ(report.progress.deltas_captured, 1u);
+  EXPECT_TRUE(report.digest_checked);
+  EXPECT_TRUE(desc->shards[shard].replica_available(1));
+  EXPECT_TRUE(sys_.VerifyReplica("F_users", shard, 1).ok());
+
+  // The healed replica serves the post-write truth alone.
   injector_.SetOutage("s0", true);
-  QueryServer server(&sys_, FastOptions());
   auto truth = sys_.EvaluateOverStaging(kUsersQuery);
   ASSERT_TRUE(truth.ok());
   auto r = server.Query(kUsersQuery);
@@ -452,17 +484,69 @@ TEST_F(ScaleoutTest, RebuildShardReplicaHealsMissedWrite) {
   EXPECT_EQ(Canon(r->rows), Canon(*truth));
 }
 
-TEST_F(ScaleoutTest, RebuildRejectsUnpartitionedAndOutOfRange) {
+TEST_F(ScaleoutTest, ScrubRebuildsCorruptShardReplica) {
   DefineUsersHashReplicated();
-  EXPECT_EQ(sys_.RebuildShardReplicaFromStaging("F_users", 9, 1).code(),
-            StatusCode::kOutOfRange);
-  EXPECT_EQ(sys_.RebuildShardReplicaFromStaging("F_users", 0, 9).code(),
-            StatusCode::kOutOfRange);
-  ASSERT_TRUE(sys_.DefineFragment(
-                      "F_orders(o, u, p, t) :- mk.orders(o, u, p, t)", "s4")
+  QueryServer server(&sys_, FastOptions());
+  const size_t shard = 2;  // Replicas on s4 (primary) and s5 (sibling).
+
+  // Corrupt the sibling behind the server's back: a phantom row its
+  // shard would own. Epoch and rebuilding still say "healthy".
+  const int64_t phantom = FreshUidOwnedBy(shard);
+  ASSERT_GE(phantom, 0);
+  ASSERT_TRUE(s_[5].Insert("F_users#p2#r1", {Value::Int(phantom),
+                                             Value::Str("bogus"),
+                                             Value::Str("nowhere")})
                   .ok());
-  EXPECT_EQ(sys_.RebuildShardReplicaFromStaging("F_orders", 0, 0).code(),
-            StatusCode::kInvalidArgument);
+  EXPECT_FALSE(sys_.VerifyReplica("F_users", shard, 1).ok());
+
+  replication::ReplicaRepairer repairer(&server);
+  auto repaired = repairer.Scrub();
+  ASSERT_TRUE(repaired.ok()) << repaired.status();
+  EXPECT_EQ(*repaired, 1u);
+  EXPECT_TRUE(sys_.VerifyReplica("F_users", shard, 1).ok());
+  auto primary = sys_.ReplicaDigest("F_users", shard, 0);
+  auto sibling = sys_.ReplicaDigest("F_users", shard, 1);
+  ASSERT_TRUE(primary.ok() && sibling.ok());
+  EXPECT_EQ(*primary, *sibling);
+
+  // The rebuilt sibling serves its shard alone.
+  injector_.SetOutage("s4", true);
+  auto truth = sys_.EvaluateOverStaging(kUsersQuery);
+  ASSERT_TRUE(truth.ok());
+  auto r = server.Query(kUsersQuery);
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_FALSE(r->degraded_to_staging);
+  EXPECT_EQ(Canon(r->rows), Canon(*truth));
+}
+
+TEST_F(ScaleoutTest, ShardReplicaRepairRejectsBadAddressAndOnlyReplica) {
+  DefineUsersHashReplicated();
+  ASSERT_TRUE(sys_.DefinePartitionedFragment(
+                      "F_orders(o, u, p, t) :- mk.orders(o, u, p, t)",
+                      PartitionSpec::Kind::kHash, 0, {"s4", "s5"})
+                  .ok());
+  QueryServer server(&sys_, FastOptions());
+  replication::ReplicaRepairer repairer(&server);
+
+  // No shard 9, no replica 9: the address itself is out of range.
+  EXPECT_EQ(repairer.RepairReplica("F_users", 9, 1).error.code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(repairer.RepairReplica("F_users", 0, 9).error.code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(sys_.VerifyReplica("F_users", 4, 0).code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(sys_.AdmitReplica("F_users", 0, 2).code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(sys_.AppendToPlacement("F_users", 4, 0, {}).code(),
+            StatusCode::kOutOfRange);
+
+  // A shard's only replica cannot rebuild: nothing would serve its reads.
+  EXPECT_EQ(repairer.RepairReplica("F_orders", 1, 0).error.code(),
+            StatusCode::kFailedPrecondition);
+  auto orders = sys_.catalog().GetFragment("F_orders");
+  ASSERT_TRUE(orders.ok()) << orders.status();
+  EXPECT_TRUE((*orders)->shards[1].replica_available(0));
+  EXPECT_TRUE(sys_.VerifyReplica("F_orders", 1, 0).ok());
 }
 
 // --------------------------------------------------------- Concurrency --
